@@ -219,7 +219,7 @@ def cmd_segment(args) -> int:
     params = EnergyParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
                           c1=args.c1, c2=args.c2, mode=mode)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
-                       parameterization=args.param, region_mode=args.region_mode, seed=args.seed)
+                       parameterization=args.param, region_mode=args.region_mode)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
@@ -248,7 +248,7 @@ def cmd_segment(args) -> int:
         "c1": args.c1, "c2": args.c2, "mode": mode.value,
         "iters": args.iters, "step": args.step, "optimizer": args.optimizer,
         "param": args.param, "region_mode": args.region_mode,
-        "threshold": args.threshold, "seed": args.seed,
+        "threshold": args.threshold,
         "iterations_run": trace.iterations_run, "converged": trace.converged,
         "stage_load_s": f"{load_s:.6f}", "stage_solve_s": f"{solve_s:.6f}",
     }
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-mode", choices=["fixed", "cv-means"], default="cv-means",
                    dest="region_mode")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--gt", default=None)
     p.set_defaults(func=cmd_segment)

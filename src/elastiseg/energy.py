@@ -75,7 +75,7 @@ class EnergyBreakdown:
         return cls(elastica, region_in, region_out, elastica + lam * region_in + lam * region_out)
 
 
-def _check_mode(u: ScalarField, params: EnergyParams) -> None:
+def check_mode(u: ScalarField, params: EnergyParams) -> None:
     if u.ndim != params.mode.required_ndim:
         raise FieldError(
             f"curvature mode {params.mode.value} requires {params.mode.required_ndim}D fields, got {u.ndim}D"
@@ -104,7 +104,7 @@ def elastica_term(u: ScalarField, params: EnergyParams) -> float:
     skipped and the scalar factor is applied to the same length reduction.
     """
     check_soft_mask(u)
-    _check_mode(u, params)
+    check_mode(u, params)
     if params.beta == 0.0:
         return params.alpha * tv_length(u, params.cfg)
     density = _elastica_density(u.data, u.spacing, params)
@@ -140,7 +140,7 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
 def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams) -> EnergyBreakdown:
     """Full energy of mask u against reference r, split into its components."""
     check_same_shape(u, r)
-    _check_mode(u, params)
+    check_mode(u, params)
     region_in, region_out = region_terms(u, r, params.c1, params.c2)
     elastica = elastica_term(u, params)
     return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam)

@@ -36,8 +36,8 @@ class ScalarField:
             sp = sp * arr.ndim
         if len(sp) != arr.ndim:
             raise FieldError(f"spacing has {len(sp)} entries for a {arr.ndim}D field")
-        if any(s <= 0.0 for s in sp):
-            raise FieldError(f"spacing must be strictly positive, got {sp}")
+        if not all(0.0 < s < np.inf for s in sp):  # also rejects NaN
+            raise FieldError(f"spacing must be finite and strictly positive, got {sp}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", sp)
@@ -71,7 +71,7 @@ def make_field(shape: tuple[int, ...], spacing=1.0, fill: float = 0.0) -> Scalar
     fill = float(fill)
     if not np.isfinite(fill):
         raise FieldError(f"fill value must be finite, got {fill}")
-    return ScalarField(np.full(shape, fill, dtype=np.float64), _as_spacing(spacing, len(shape)))
+    return ScalarField(np.full(shape, fill, dtype=np.float64), spacing)
 
 
 def clamp01(field: ScalarField) -> ScalarField:
@@ -96,10 +96,3 @@ def is_binary(field: ScalarField) -> bool:
     """True when every value is exactly 0.0 or 1.0."""
     d = field.data
     return bool(np.all((d == 0.0) | (d == 1.0)))
-
-
-def _as_spacing(spacing, ndim: int) -> tuple[float, ...]:
-    sp = tuple(float(s) for s in np.atleast_1d(spacing))
-    if len(sp) == 1:
-        sp = sp * ndim
-    return sp

@@ -17,7 +17,7 @@ import numpy as np
 
 from .curvature import CurvatureMode
 from .diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj
-from .energy import EnergyParams, energy_density
+from .energy import EnergyBreakdown, EnergyParams, energy_density
 from .field import ScalarField, check_same_shape, check_soft_mask
 
 
@@ -35,7 +35,18 @@ def region_gradient_raw(r: np.ndarray, lam: float, c1: float, c2: float) -> np.n
     return lam * ((c1 - r) ** 2 - (c2 - r) ** 2)
 
 
-def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> np.ndarray:
+def _weighted_length(k: np.ndarray, mag: np.ndarray, alpha: float, beta: float,
+                     measure: float) -> tuple[float, np.ndarray]:
+    """Elastica energy sum((alpha + beta*K^2) * |grad u|) * measure, and its |grad u| weight."""
+    g_mag = alpha + beta * k * k
+    energy = float(np.sum(g_mag * mag)) * measure
+    g_mag *= measure
+    return energy, g_mag
+
+
+def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...],
+                                  params: EnergyParams) -> tuple[float, np.ndarray]:
+    """Elastica energy and its gradient from one forward pass and its pullback."""
     nd = a.ndim
     eps = params.cfg.eps
     alpha, beta = params.alpha, params.beta
@@ -54,6 +65,7 @@ def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: Ene
     cotm: dict[tuple[int, int], np.ndarray] = {}
 
     if beta == 0.0:
+        energy = alpha * (float(np.sum(mag)) * measure)
         g_mag = np.full_like(a, alpha * measure)
     elif params.mode is CurvatureMode.MEAN_2D:
         hx, hy = spacing
@@ -66,7 +78,7 @@ def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: Ene
         den = 2.0 * w * sqrtw
         num = (1.0 + ux * ux) * uyy + (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
         k = num / den
-        g_mag = (alpha + beta * k * k) * measure
+        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
         gk = (2.0 * beta * measure) * k * mag
         gnum = gk / den
         gden = -gk * k / den
@@ -93,7 +105,7 @@ def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: Ene
             - 2.0 * (ux * uy * uxy + ux * uz * uxz + uy * uz * uyz)
         )
         k = chi / s
-        g_mag = (alpha + beta * k * k) * measure
+        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
         gk = (2.0 * beta * measure) * k * mag
         gchi = gk / s
         gs = -gk * k / s
@@ -109,14 +121,14 @@ def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: Ene
     elif params.mode is CurvatureMode.FAST_3D:
         seconds = [d2(a, ax, spacing[ax]) for ax in range(3)]
         k = seconds[0] ** 2 + seconds[1] ** 2 + seconds[2] ** 2
-        g_mag = (alpha + beta * k * k) * measure
+        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
         gk = (2.0 * beta * measure) * k * mag
         for ax in range(3):
             cot2[ax] = 2.0 * gk * seconds[ax]
     elif params.mode is CurvatureMode.LAPLACIAN_3D:
         seconds = [d2(a, ax, spacing[ax]) for ax in range(3)]
         k = seconds[0] + seconds[1] + seconds[2]
-        g_mag = (alpha + beta * k * k) * measure
+        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
         gk = (2.0 * beta * measure) * k * mag
         for ax in range(3):
             cot2[ax] = gk
@@ -134,14 +146,36 @@ def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: Ene
             out += d2_adj(cot2[ax], ax, spacing[ax])
     for (i, j), cm in cotm.items():
         out += dmixed_adj(cm, i, j, spacing[i], spacing[j])
-    return out
+    return energy, out
+
+
+def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> np.ndarray:
+    return _elastica_energy_and_gradient(a, spacing, params)[1]
+
+
+def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
+                            params: EnergyParams) -> tuple[EnergyBreakdown, np.ndarray]:
+    """Energy breakdown and dE/du at ``a`` from a single forward pass.
+
+    The region sums are the expressions of :func:`energy.region_terms`; the
+    elastica term is summed from the magnitude and curvature the pullback
+    already holds, so no separate energy evaluation is needed.
+    """
+    c1, c2, lam = params.c1, params.c2, params.lam
+    w_in = (c1 - r) ** 2
+    w_out = (c2 - r) ** 2
+    region_in = abs(float(np.sum(a * w_in)))
+    region_out = abs(float(np.sum((1.0 - a) * w_out)))
+    g = lam * (w_in - w_out)
+    del w_in, w_out
+    elastica, g_el = _elastica_energy_and_gradient(a, spacing, params)
+    g = g + g_el
+    return EnergyBreakdown.assemble(elastica, region_in, region_out, lam), g
 
 
 def energy_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
                         params: EnergyParams) -> np.ndarray:
-    g = region_gradient_raw(r, params.lam, params.c1, params.c2)
-    g = g + elastica_gradient_raw(a, spacing, params)
-    return g
+    return energy_and_gradient_raw(a, r, spacing, params)[1]
 
 
 def energy_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> ScalarField:

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DegenerateMaskError, EnergyBreakdown, EnergyParams, estimate_region_means, segmentation_energy
+from .energy import (
+    DegenerateMaskError,
+    EnergyBreakdown,
+    EnergyParams,
+    check_mode,
+    estimate_region_means,
+    segmentation_energy,
+)
 from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
-from .gradients import energy_gradient_raw
+from .gradients import energy_and_gradient_raw
 
 OPTIMIZERS = ("gd", "momentum")
 PARAMETERIZATIONS = ("clipped", "logistic")
@@ -34,7 +41,6 @@ class SolverConfig:
     region_mode: str = "fixed"
     stop_tol: float = 1e-7
     stop_window: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
@@ -88,7 +94,10 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             cfg: SolverConfig = SolverConfig()) -> tuple[ScalarField, SolverTrace]:
     """Minimize the energy of a soft mask against ``image``.
 
-    Returns the optimized mask and the per-iteration energy trace. The run is
+    Returns the optimized mask and the per-iteration energy trace; entry i is
+    the energy after update i. That is the point where iteration i+1 takes its
+    gradient, so the fused energy+gradient pass supplies it, and only a run
+    that reaches ``max_iters`` evaluates the energy once more. The run is
     deterministic: identical inputs produce bit-identical outputs. Stops early
     once the energy change over ``stop_window`` iterations is below
     ``stop_tol`` in relative magnitude. The image is expected to be normalized
@@ -98,6 +107,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
+    check_mode(image, params)
 
     u = init.data.copy()
     z = _logit(u) if cfg.parameterization == "logistic" else None
@@ -109,7 +119,12 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     for it in range(cfg.max_iters):
         step_params = params.with_constants(c1, c2)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = energy_gradient_raw(u, image.data, image.spacing, step_params)
+            bd, g = energy_and_gradient_raw(u, image.data, image.spacing, step_params)
+            # the pass at (u_it, c_it) also yields the energy after update it-1
+            if it > 0 and _record(breakdowns, bd, it - 1, cfg):
+                converged = True
+                break
+
             if cfg.parameterization == "logistic":
                 g = g * u * (1.0 - u)
             scale = float(np.mean(np.abs(g)))
@@ -131,6 +146,9 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
         if not np.all(np.isfinite(u)):
             raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
+        lo, hi = float(u.min()), float(u.max())
+        if lo < 0.0 or hi > 1.0:
+            raise FieldError(f"mask values must lie in [0,1], got range [{lo}, {hi}]")
 
         if cfg.region_mode == "cv-means":
             try:
@@ -138,23 +156,27 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             except DegenerateMaskError:
                 pass  # keep the previous constants
 
+    if cfg.max_iters > 0 and not converged:
+        # no further gradient pass supplies the energy after the last update
         with np.errstate(over="ignore", invalid="ignore"):
             bd = segmentation_energy(image.with_data(u), image, params.with_constants(c1, c2))
-        if not np.isfinite(bd.total):
-            partial = SolverTrace(breakdowns, len(breakdowns), False)
-            raise NonFiniteEnergyError(it, partial)
-        breakdowns.append(bd)
-
-        if len(breakdowns) > cfg.stop_window:
-            e_then = breakdowns[-1 - cfg.stop_window].total
-            e_now = breakdowns[-1].total
-            # magnitude of the relative change: a transient energy increase
-            # (cv-means constants still settling) must not read as converged
-            if abs(e_then - e_now) < cfg.stop_tol * max(abs(e_then), 1e-30):
-                converged = True
-                break
+        converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
 
     return image.with_data(u), SolverTrace(breakdowns, len(breakdowns), converged)
+
+
+def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg: SolverConfig) -> bool:
+    """Append the energy after update ``it``; True once the stop rule fires."""
+    if not np.isfinite(bd.total):
+        raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
+    breakdowns.append(bd)
+    if len(breakdowns) > cfg.stop_window:
+        e_then = breakdowns[-1 - cfg.stop_window].total
+        e_now = breakdowns[-1].total
+        # magnitude of the relative change: a transient energy increase
+        # (cv-means constants still settling) must not read as converged
+        return abs(e_then - e_now) < cfg.stop_tol * max(abs(e_then), 1e-30)
+    return False
 
 
 def threshold(mask: ScalarField, t: float = 0.5) -> ScalarField:

@@ -67,14 +67,18 @@ def read_volume(path: str | os.PathLike) -> ScalarField:
             spacing = tuple(float(t) for t in tokens[2 + ndim:])
         except ValueError as exc:
             raise VolumeFormatError("invalid extent or spacing token") from exc
+        if any(n < 1 for n in shape):
+            raise VolumeFormatError(f"extents must be >= 1, got {shape}")
         count = 1
         for n in shape:
             count *= n
-        payload = fh.read(4 * count + 1)
-        if len(payload) < 4 * count:
-            raise VolumeFormatError(f"truncated payload: expected {4 * count} bytes, got {len(payload)}")
-        if len(payload) > 4 * count:
+        # compare sizes before reading, so a forged header cannot demand a huge buffer
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < 4 * count:
+            raise VolumeFormatError(f"truncated payload: expected {4 * count} bytes, got {available}")
+        if available > 4 * count:
             raise VolumeFormatError("trailing bytes after payload")
+        payload = fh.read(4 * count)
         data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
     try:
         return ScalarField(data, spacing)
@@ -113,6 +117,8 @@ def read_pgm(path: str | os.PathLike) -> ScalarField:
         cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise VolumeFormatError("invalid PGM header token") from exc
+    if rows < 1 or cols < 1:
+        raise VolumeFormatError(f"PGM extents must be >= 1, got {cols}x{rows}")
     if maxval != 255:
         raise VolumeFormatError(f"maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval

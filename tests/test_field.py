@@ -56,6 +56,22 @@ def test_construction_rejects_bad_spacing_and_shape():
         make_field((0, 4), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_construction_rejects_non_finite_spacing(bad):
+    with pytest.raises(FieldError):
+        ScalarField(np.zeros((3, 3)), (bad, 1.0))
+    with pytest.raises(FieldError):
+        ScalarField(np.zeros((3, 3, 3)), bad)
+    with pytest.raises(FieldError):
+        make_field((3, 3), bad, 0.0)
+
+
+def test_make_field_spacing_per_axis_and_length_mismatch():
+    assert make_field((3, 4, 5), (1.0, 2.0, 0.5), 0.0).spacing == (1.0, 2.0, 0.5)
+    with pytest.raises(FieldError):
+        make_field((3, 4), (1.0, 2.0, 0.5), 0.0)
+
+
 def test_data_is_read_only_and_copied():
     src = np.zeros((3, 3))
     f = ScalarField(src, 1.0)

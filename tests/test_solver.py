@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import elastiseg.solver
 from elastiseg import (
     CurvatureMode,
+    EnergyBreakdown,
     EnergyParams,
     FieldError,
     NonFiniteEnergyError,
@@ -10,8 +14,11 @@ from elastiseg import (
     SolverConfig,
     disk_case,
     dice,
+    estimate_region_means,
     make_field,
     segment,
+    segmentation_energy,
+    sphere_case_3d,
     threshold,
 )
 
@@ -141,3 +148,135 @@ def test_converged_flag_on_flat_problem():
     mask, trace = segment(img, init, p, SolverConfig(max_iters=500, region_mode="fixed"))
     assert trace.converged
     assert trace.iterations_run < 500
+
+
+def test_mode_dimension_mismatch_rejected():
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    with pytest.raises(FieldError):
+        segment(case.image, init, EnergyParams(mode=CurvatureMode.FAST_3D), SolverConfig(max_iters=5))
+
+
+def test_converging_disk_stops_where_it_always_has():
+    case = disk_case((48, 48), (23.5, 23.5), 11, 0.8, 0.2, 0.1, 1)
+    init = make_field(case.image.shape, 1.0, 0.5)
+    p = EnergyParams(alpha=0.001, beta=0.0, mode=CurvatureMode.MEAN_2D)
+    _, trace = segment(case.image, init, p, SolverConfig(max_iters=2000, region_mode="cv-means"))
+    assert trace.iterations_run == 437
+    assert trace.converged
+
+
+# --- the trace energy of update i comes from the gradient pass of iteration i+1 ---
+
+PARITY_ITERS = 12
+PARITY_MODES = [(CurvatureMode.MEAN_2D, 0.0), (CurvatureMode.MEAN_2D, 0.5), (CurvatureMode.MEAN_3D, 0.5),
+                (CurvatureMode.FAST_3D, 0.5), (CurvatureMode.LAPLACIAN_3D, 0.5)]
+
+
+def _parity_case(mode):
+    if mode.required_ndim == 2:
+        return disk_case((16, 16), (7.5, 7.5), 4.0, fg=0.8, bg=0.2, noise_sigma=0.1, seed=11).image
+    return sphere_case_3d((8, 8, 8), (3.5, 3.5, 3.5), 2.5, fg=0.8, bg=0.2, noise_sigma=0.1, seed=11).image
+
+
+def _assert_breakdowns_close(got: EnergyBreakdown, want: EnergyBreakdown):
+    for a, b in zip((got.elastica, got.region_in, got.region_out, got.total),
+                    (want.elastica, want.region_in, want.region_out, want.total)):
+        assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
+
+
+@pytest.mark.parametrize("mode,beta,optimizer,param,region_mode", [
+    (m, b, o, p, r) for (m, b), o, p, r in itertools.product(
+        PARITY_MODES, ("gd", "momentum"), ("clipped", "logistic"), ("fixed", "cv-means"))
+])
+def test_fused_trace_matches_separate_energy(mode, beta, optimizer, param, region_mode):
+    image = _parity_case(mode)
+    init = make_field(image.shape, 1.0, 0.5)
+    params = EnergyParams(alpha=0.01, beta=beta, mode=mode)
+
+    def run(iters):
+        cfg = SolverConfig(max_iters=iters, step_size=0.05, optimizer=optimizer, parameterization=param,
+                           region_mode=region_mode, stop_tol=0.0)
+        return segment(image, init, params, cfg)
+
+    _, full = run(PARITY_ITERS)
+    assert full.iterations_run == PARITY_ITERS
+    for k in range(1, PARITY_ITERS + 1):
+        mask, short = run(k)
+        assert short.iterations_run == k
+        # entries before the last come from the same fused passes in both runs
+        assert short.breakdowns[:-1] == full.breakdowns[:k - 1]
+        c1, c2 = estimate_region_means(mask, image) if region_mode == "cv-means" else (params.c1, params.c2)
+        want = segmentation_energy(mask, image, params.with_constants(c1, c2))
+        _assert_breakdowns_close(full.breakdowns[k - 1], want)
+        _assert_breakdowns_close(short.breakdowns[-1], want)
+
+
+def test_single_iteration_records_one_breakdown():
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1))
+    assert trace.iterations_run == 1
+    assert trace.breakdowns == [segmentation_energy(mask, case.image, EnergyParams(beta=0.5))]
+    assert not trace.converged
+
+
+def _count_calls(monkeypatch, name, override=None):
+    calls = []
+    real = getattr(elastiseg.solver, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        out = real(*args, **kwargs)
+        return override(len(calls), out) if override else out
+
+    monkeypatch.setattr(elastiseg.solver, name, wrapper)
+    return calls
+
+
+def test_one_fused_pass_per_iteration(monkeypatch):
+    fused = _count_calls(monkeypatch, "energy_and_gradient_raw")
+    separate = _count_calls(monkeypatch, "segmentation_energy")
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    cfg = SolverConfig(max_iters=20, region_mode="cv-means", stop_tol=0.0)
+    _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
+    assert trace.iterations_run == 20
+    assert len(fused) == 20
+    assert len(separate) <= 1
+
+
+def test_converged_run_needs_no_separate_energy(monkeypatch):
+    separate = _count_calls(monkeypatch, "segmentation_energy")
+    img = make_field((16, 16), 1.0, 0.0)
+    p = EnergyParams(alpha=0.001, beta=0.0, c1=1.0, c2=0.0, mode=CurvatureMode.MEAN_2D)
+    _, trace = segment(img, img, p, SolverConfig(max_iters=500, region_mode="fixed"))
+    assert trace.converged
+    assert separate == []
+
+
+def _non_finite(bd: EnergyBreakdown) -> EnergyBreakdown:
+    return EnergyBreakdown(bd.elastica, bd.region_in, bd.region_out, float("inf"))
+
+
+def test_non_finite_energy_mid_run_reports_the_update_index(monkeypatch):
+    # the 4th fused pass (iteration 3) evaluates the state after update 2
+    _count_calls(monkeypatch, "energy_and_gradient_raw",
+                 lambda n, out: (_non_finite(out[0]), out[1]) if n == 4 else out)
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    with pytest.raises(NonFiniteEnergyError) as err:
+        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10))
+    assert err.value.iteration == 2
+    assert err.value.trace.iterations_run == 2
+    assert all(np.isfinite(b.total) for b in err.value.trace.breakdowns)
+
+
+def test_non_finite_energy_after_last_update(monkeypatch):
+    _count_calls(monkeypatch, "segmentation_energy", lambda n, out: _non_finite(out))
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    with pytest.raises(NonFiniteEnergyError) as err:
+        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=5))
+    assert err.value.iteration == 4
+    assert err.value.trace.iterations_run == 4

@@ -65,6 +65,23 @@ def test_vf32_malformed_headers(tmp_path):
         read_volume(trailing)
 
 
+@pytest.mark.parametrize("header", [b"VF32 2 -4 -4 1 1", b"VF32 2 0 4 1 1", b"VF32 3 2 -2 2 1 1 1",
+                                    b"VF32 2 4 4 nan 1", b"VF32 2 4 4 1 inf"])
+def test_vf32_rejects_bad_extents_and_spacing(tmp_path, header):
+    path = tmp_path / "bad.vf32"
+    path.write_bytes(header + b"\n" + b"\x00" * 64)
+    with pytest.raises(VolumeFormatError):
+        read_volume(path)
+
+
+def test_vf32_huge_declared_size_rejected_before_reading(tmp_path):
+    # 1e10 voxels declared, 16 bytes present: must fail on the size check, not allocate
+    path = tmp_path / "huge.vf32"
+    path.write_bytes(b"VF32 2 100000 100000 1 1\n" + b"\x00" * 16)
+    with pytest.raises(VolumeFormatError, match="truncated"):
+        read_volume(path)
+
+
 def test_pgm_all_foreground(tmp_path):
     m = make_field((3, 3), 1.0, 1.0)
     path = tmp_path / "m.pgm"
@@ -96,6 +113,14 @@ def test_pgm_rejects_ascii_variant_and_bad_maxval(tmp_path):
     short.write_bytes(b"P5\n2 2\n255\n\x00\x00")
     with pytest.raises(VolumeFormatError):
         read_pgm(short)
+
+
+@pytest.mark.parametrize("dims", [b"-4 -4", b"0 4", b"4 0", b"-2 8"])
+def test_pgm_rejects_non_positive_extents(tmp_path, dims):
+    path = tmp_path / "neg.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 16)
+    with pytest.raises(VolumeFormatError):
+        read_pgm(path)
 
 
 def test_pgm_read_threshold_at_128(tmp_path):
