@@ -1,17 +1,23 @@
-"""Curvature estimators for soft masks viewed as graphs z = u(x).
+"""Curvature estimators for soft masks viewed as graphs z = u(x), with their pullbacks.
 
-Three estimators are provided: the 2D graph mean curvature, the 3D hypersurface
-mean curvature (numerator chi over sqrt(1+|grad u|^2), implemented verbatim,
-without the extra normalization a textbook graph mean curvature would carry),
-and a fast 3D variant that sums the squared unmixed second derivatives and so
-needs only three stencil passes. A plain second-derivative sum (laplacian_3d)
-is included for comparison; note the fast variant is NOT the Laplacian despite
-using the same kernels: it squares each term and is therefore nonnegative.
+Four modes: the 2D graph mean curvature, the 3D hypersurface mean curvature
+(numerator chi over sqrt(1+|grad u|^2), implemented verbatim, without the
+extra normalization a textbook graph mean curvature would carry), a fast 3D
+variant that sums the squared unmixed second derivatives and so needs only
+three stencil passes, and a plain second-derivative sum (laplacian_3d) for
+comparison; note the fast variant is NOT the Laplacian despite using the same
+kernels: it squares each term and is therefore nonnegative.
+
+Each mode is written once, as a forward function that returns K and its
+pullback: a map from a cotangent of K to the cotangents of the stencil outputs
+the forward read. The estimators below, the energy and its analytic gradient
+all evaluate that one definition.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,94 +43,142 @@ class CurvatureMode(Enum):
         raise ValueError(f"unknown curvature mode {name!r}; choose from {[m.value for m in cls]}")
 
 
-def _require_ndim(field: ScalarField, ndim: int, what: str) -> None:
-    if field.ndim != ndim:
-        raise FieldError(f"{what} requires a {ndim}D field, got {field.ndim}D")
+class Cotangents(NamedTuple):
+    """Cotangents of the d1/d2 outputs by axis and of the dmixed outputs by axis pair, keys ascending."""
+
+    d1: dict[int, np.ndarray]
+    d2: dict[int, np.ndarray]
+    dmixed: dict[tuple[int, int], np.ndarray]
 
 
-def mean_curvature_2d_raw(a: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
+Pullback = Callable[[np.ndarray], Cotangents]
+Slopes = Sequence[np.ndarray]
+
+
+def _slopes(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> Slopes:
+    if derivs is not None:
+        return derivs
+    return [d1(a, ax, spacing[ax]) for ax in range(a.ndim)]
+
+
+def _mean_2d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
     hx, hy = spacing
-    ux = d1(a, 0, hx)
-    uy = d1(a, 1, hy)
+    ux, uy = _slopes(a, spacing, derivs)
     uxx = d2(a, 0, hx)
     uyy = d2(a, 1, hy)
     uxy = dmixed(a, 0, 1, hx, hy)
+    w = 1.0 + ux * ux + uy * uy
+    sqrtw = np.sqrt(w)
+    den = 2.0 * w * sqrtw
     num = (1.0 + ux * ux) * uyy + (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
-    den = 2.0 * (1.0 + ux * ux + uy * uy) ** 1.5
-    return num / den
+    k = num / den
 
-
-def mean_curvature_3d_raw(a: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
-    hx, hy, hz = spacing
-    ux = d1(a, 0, hx)
-    uy = d1(a, 1, hy)
-    uz = d1(a, 2, hz)
-    ux2, uy2, uz2 = ux * ux, uy * uy, uz * uz
-    chi = (
-        d2(a, 0, hx) * (1.0 + uy2 + uz2)
-        + d2(a, 1, hy) * (1.0 + ux2 + uz2)
-        + d2(a, 2, hz) * (1.0 + ux2 + uy2)
-        - 2.0
-        * (
-            ux * uy * dmixed(a, 0, 1, hx, hy)
-            + ux * uz * dmixed(a, 0, 2, hx, hz)
-            + uy * uz * dmixed(a, 1, 2, hy, hz)
+    def pullback(gk: np.ndarray) -> Cotangents:
+        gnum = gk / den
+        gden = -gk * k / den
+        return Cotangents(
+            {0: gnum * (2.0 * ux * uyy - 2.0 * uy * uxy) + gden * (6.0 * ux * sqrtw),
+             1: gnum * (2.0 * uy * uxx - 2.0 * ux * uxy) + gden * (6.0 * uy * sqrtw)},
+            {0: gnum * (1.0 + uy * uy), 1: gnum * (1.0 + ux * ux)},
+            {(0, 1): gnum * (-2.0 * ux * uy)},
         )
-    )
-    return chi / np.sqrt(1.0 + ux2 + uy2 + uz2)
+
+    return k, pullback
 
 
-def fast_curvature_3d_raw(a: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
+def _mean_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
     hx, hy, hz = spacing
+    ux, uy, uz = _slopes(a, spacing, derivs)
     uxx = d2(a, 0, hx)
     uyy = d2(a, 1, hy)
     uzz = d2(a, 2, hz)
-    return uxx * uxx + uyy * uyy + uzz * uzz
+    uxy = dmixed(a, 0, 1, hx, hy)
+    uxz = dmixed(a, 0, 2, hx, hz)
+    uyz = dmixed(a, 1, 2, hy, hz)
+    ux2, uy2, uz2 = ux * ux, uy * uy, uz * uz
+    s = np.sqrt(1.0 + ux2 + uy2 + uz2)
+    chi = (
+        uxx * (1.0 + uy2 + uz2)
+        + uyy * (1.0 + ux2 + uz2)
+        + uzz * (1.0 + ux2 + uy2)
+        - 2.0 * (ux * uy * uxy + ux * uz * uxz + uy * uz * uyz)
+    )
+    k = chi / s
+
+    def pullback(gk: np.ndarray) -> Cotangents:
+        gchi = gk / s
+        gs = -gk * k / s
+        return Cotangents(
+            {0: gchi * (2.0 * ux * (uyy + uzz) - 2.0 * (uy * uxy + uz * uxz)) + gs * (ux / s),
+             1: gchi * (2.0 * uy * (uxx + uzz) - 2.0 * (ux * uxy + uz * uyz)) + gs * (uy / s),
+             2: gchi * (2.0 * uz * (uxx + uyy) - 2.0 * (ux * uxz + uy * uyz)) + gs * (uz / s)},
+            {0: gchi * (1.0 + uy2 + uz2), 1: gchi * (1.0 + ux2 + uz2), 2: gchi * (1.0 + ux2 + uy2)},
+            {(0, 1): -2.0 * gchi * ux * uy, (0, 2): -2.0 * gchi * ux * uz, (1, 2): -2.0 * gchi * uy * uz},
+        )
+
+    return k, pullback
 
 
-def laplacian_3d_raw(a: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
-    hx, hy, hz = spacing
-    return d2(a, 0, hx) + d2(a, 1, hy) + d2(a, 2, hz)
+def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
+    seconds = [d2(a, ax, spacing[ax]) for ax in range(3)]
+    k = seconds[0] * seconds[0] + seconds[1] * seconds[1] + seconds[2] * seconds[2]
+
+    def pullback(gk: np.ndarray) -> Cotangents:
+        return Cotangents({}, {ax: 2.0 * gk * seconds[ax] for ax in range(3)}, {})
+
+    return k, pullback
+
+
+def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
+    k = d2(a, 0, spacing[0]) + d2(a, 1, spacing[1]) + d2(a, 2, spacing[2])
+
+    def pullback(gk: np.ndarray) -> Cotangents:
+        return Cotangents({}, {ax: gk for ax in range(3)}, {})
+
+    return k, pullback
+
+
+_FORWARD_BY_MODE = {
+    CurvatureMode.MEAN_2D: _mean_2d,
+    CurvatureMode.MEAN_3D: _mean_3d,
+    CurvatureMode.FAST_3D: _fast_3d,
+    CurvatureMode.LAPLACIAN_3D: _laplacian_3d,
+}
+
+
+def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: CurvatureMode,
+                      derivs: Slopes | None = None) -> tuple[np.ndarray, Pullback]:
+    """Per-voxel curvature of ``a`` in ``mode``, and its pullback.
+
+    ``derivs`` are the first differences of ``a`` along each axis, for a
+    caller that already holds them; the mean modes read them and compute them
+    when they are not given.
+    """
+    if a.ndim != mode.required_ndim:
+        raise FieldError(f"mode {mode.value} requires {mode.required_ndim}D input, got {a.ndim}D")
+    return _FORWARD_BY_MODE[mode](a, spacing, derivs)
+
+
+def curvature(u: ScalarField, mode: CurvatureMode) -> ScalarField:
+    """Per-voxel curvature of ``u`` in the estimator selected by ``mode``."""
+    return u.with_data(curvature_forward(u.data, u.spacing, mode)[0])
 
 
 def mean_curvature_2d(u: ScalarField) -> ScalarField:
     """2D graph mean curvature; the denominator is >= 2, so always finite."""
-    _require_ndim(u, 2, "mean_curvature_2d")
-    return u.with_data(mean_curvature_2d_raw(u.data, u.spacing))
+    return curvature(u, CurvatureMode.MEAN_2D)
 
 
 def mean_curvature_3d(u: ScalarField) -> ScalarField:
     """3D hypersurface curvature chi / sqrt(1 + |grad u|^2); always finite."""
-    _require_ndim(u, 3, "mean_curvature_3d")
-    return u.with_data(mean_curvature_3d_raw(u.data, u.spacing))
+    return curvature(u, CurvatureMode.MEAN_3D)
 
 
 def fast_curvature_3d(u: ScalarField) -> ScalarField:
     """Sum of squared unmixed second derivatives; nonnegative everywhere."""
-    _require_ndim(u, 3, "fast_curvature_3d")
-    return u.with_data(fast_curvature_3d_raw(u.data, u.spacing))
+    return curvature(u, CurvatureMode.FAST_3D)
 
 
 def laplacian_3d(u: ScalarField) -> ScalarField:
     """Plain sum of unmixed second derivatives (comparison mode)."""
-    _require_ndim(u, 3, "laplacian_3d")
-    return u.with_data(laplacian_3d_raw(u.data, u.spacing))
-
-
-_RAW_BY_MODE = {
-    CurvatureMode.MEAN_2D: mean_curvature_2d_raw,
-    CurvatureMode.MEAN_3D: mean_curvature_3d_raw,
-    CurvatureMode.FAST_3D: fast_curvature_3d_raw,
-    CurvatureMode.LAPLACIAN_3D: laplacian_3d_raw,
-}
-
-
-def curvature_raw(a: np.ndarray, spacing: tuple[float, ...], mode: CurvatureMode) -> np.ndarray:
-    if a.ndim != mode.required_ndim:
-        raise FieldError(f"mode {mode.value} requires {mode.required_ndim}D input, got {a.ndim}D")
-    return _RAW_BY_MODE[mode](a, spacing)
-
-
-def curvature(u: ScalarField, mode: CurvatureMode) -> ScalarField:
-    """Dispatch to the estimator selected by ``mode``."""
-    return u.with_data(curvature_raw(u.data, u.spacing, mode))
+    return curvature(u, CurvatureMode.LAPLACIAN_3D)

@@ -12,17 +12,21 @@ pointwise (each voxel's curvature scales that voxel's gradient magnitude).
 The same assembly serves supervised evaluation (r = ground-truth mask,
 c1=1, c2=0) and unsupervised segmentation (r = image, constants from
 :func:`estimate_region_means`). Region sums are plain sums; only the
-length term carries the voxel measure.
+length term carries the voxel measure. :func:`elastica_forward` is the one
+forward pass of the length/curvature term: the scalar energy, the per-voxel
+density of the finite-difference oracle and the analytic gradient all read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import CurvatureMode, curvature_raw
-from .diffops import NumericConfig, grad_mag_raw, tv_length
+from .curvature import CurvatureMode, Pullback, curvature_forward
+from .diffops import NumericConfig, d1
 from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
 
 
@@ -97,27 +101,46 @@ def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[
     return region_in, region_out
 
 
-def elastica_term(u: ScalarField, params: EnergyParams) -> float:
-    """Pointwise sum of (alpha + beta*K^2) * |grad u| times the voxel measure.
+class ElasticaForward(NamedTuple):
+    """Forward intermediates of the elastica term, as its gradient reads them."""
 
-    With beta = 0 this is exactly alpha * tv_length(u): the curvature pass is
-    skipped and the scalar factor is applied to the same length reduction.
+    derivs: list[np.ndarray]        # first differences along each axis
+    mag: np.ndarray                 # Charbonnier-smoothed |grad u|
+    weight: np.ndarray | float      # (alpha + beta*K^2) * measure, per voxel
+    measure: float
+    energy: float
+    k: np.ndarray | None            # curvature, computed only when beta != 0
+    pullback: Pullback | None       # pullback of k
+
+
+def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> ElasticaForward:
+    """One forward pass of the elastica term sum((alpha + beta*K^2) * |grad u|) * measure.
+
+    With beta = 0 no curvature is computed, the weight is the scalar
+    alpha*measure and the energy is alpha * (sum|grad u| * measure), exactly
+    alpha times :func:`diffops.tv_length`.
     """
+    measure = math.prod(spacing)
+    derivs = [d1(a, ax, spacing[ax]) for ax in range(a.ndim)]
+    mag2 = np.full_like(a, params.cfg.eps * params.cfg.eps)
+    for dax in derivs:
+        mag2 += dax * dax
+    mag = np.sqrt(mag2)
+    if params.beta == 0.0:
+        energy = params.alpha * (float(np.sum(mag)) * measure)
+        return ElasticaForward(derivs, mag, params.alpha * measure, measure, energy, None, None)
+    k, pullback = curvature_forward(a, spacing, params.mode, derivs)
+    weight = params.alpha + params.beta * k * k
+    energy = float(np.sum(weight * mag)) * measure
+    weight *= measure
+    return ElasticaForward(derivs, mag, weight, measure, energy, k, pullback)
+
+
+def elastica_term(u: ScalarField, params: EnergyParams) -> float:
+    """Pointwise sum of (alpha + beta*K^2) * |grad u| times the voxel measure."""
     check_soft_mask(u)
     check_mode(u, params)
-    if params.beta == 0.0:
-        return params.alpha * tv_length(u, params.cfg)
-    density = _elastica_density(u.data, u.spacing, params)
-    return float(np.sum(density)) * u.voxel_measure
-
-
-def _elastica_density(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> np.ndarray:
-    """Per-voxel (alpha + beta*K^2) * |grad u|, before the measure factor."""
-    mag = grad_mag_raw(a, spacing, params.cfg.eps)
-    if params.beta == 0.0:
-        return params.alpha * mag
-    k = curvature_raw(a, spacing, params.mode)
-    return (params.alpha + params.beta * k * k) * mag
+    return elastica_forward(u.data, u.spacing, params).energy
 
 
 def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float, ...],
@@ -129,12 +152,9 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     oracle, which sums perturbed-minus-unperturbed density fields so that
     unaffected voxels cancel exactly.
     """
-    measure = 1.0
-    for s in spacing:
-        measure *= s
-    el = _elastica_density(u_data, spacing, params) * measure
+    fwd = elastica_forward(u_data, spacing, params)
     reg = params.lam * (u_data * (params.c1 - r_data) ** 2 + (1.0 - u_data) * (params.c2 - r_data) ** 2)
-    return el + reg
+    return fwd.weight * fwd.mag + reg
 
 
 def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams) -> EnergyBreakdown:
@@ -154,13 +174,17 @@ def estimate_region_means(u: ScalarField, f: ScalarField) -> tuple[float, float]
     """
     check_same_shape(u, f)
     check_soft_mask(u)
-    ud = u.data
-    w_in = float(np.sum(ud))
-    w_out = float(np.sum(1.0 - ud))
+    return region_means_raw(u.data, f.data)
+
+
+def region_means_raw(u: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """:func:`estimate_region_means` on arrays already known to be a same-shape mask and image."""
+    w_in = float(np.sum(u))
+    w_out = float(np.sum(1.0 - u))
     if w_in == 0.0:
         raise DegenerateMaskError("all-background mask: foreground mean undefined")
     if w_out == 0.0:
         raise DegenerateMaskError("all-foreground mask: background mean undefined")
-    c1 = float(np.sum(ud * f.data)) / w_in
-    c2 = float(np.sum((1.0 - ud) * f.data)) / w_out
+    c1 = float(np.sum(u * f)) / w_in
+    c2 = float(np.sum((1.0 - u) * f)) / w_out
     return c1, c2

@@ -1,12 +1,12 @@
 """Analytic gradient of the segmentation energy, with a finite-difference oracle.
 
-The gradient is assembled by hand-written reverse accumulation through the
-operator chain (first/second/mixed differences, Charbonnier magnitude, the
-curvature formula of the active mode, pointwise products). Each stencil's
-adjoint is applied explicitly, including the replicate-boundary corrections,
-so every step can be validated by a dot-product test. The region part is
-linear in the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent
-of u.
+The elastica gradient is one mode-independent pullback of
+:func:`energy.elastica_forward`: the cotangent of |grad u| and of the
+curvature (through the active mode's own pullback in :mod:`curvature`) land
+on the first/second/mixed stencil outputs, and each stencil's adjoint,
+including its replicate-boundary corrections, carries them back to u. Every
+adjoint can be validated by a dot-product test. The region part is linear in
+the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureMode
-from .diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj
-from .energy import EnergyBreakdown, EnergyParams, energy_density
+from .curvature import Cotangents
+from .diffops import d1_adj, d2_adj, dmixed_adj
+from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_density
 from .field import ScalarField, check_same_shape, check_soft_mask
 
 
@@ -35,118 +35,25 @@ def region_gradient_raw(r: np.ndarray, lam: float, c1: float, c2: float) -> np.n
     return lam * ((c1 - r) ** 2 - (c2 - r) ** 2)
 
 
-def _weighted_length(k: np.ndarray, mag: np.ndarray, alpha: float, beta: float,
-                     measure: float) -> tuple[float, np.ndarray]:
-    """Elastica energy sum((alpha + beta*K^2) * |grad u|) * measure, and its |grad u| weight."""
-    g_mag = alpha + beta * k * k
-    energy = float(np.sum(g_mag * mag)) * measure
-    g_mag *= measure
-    return energy, g_mag
-
-
 def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...],
                                   params: EnergyParams) -> tuple[float, np.ndarray]:
     """Elastica energy and its gradient from one forward pass and its pullback."""
-    nd = a.ndim
-    eps = params.cfg.eps
-    alpha, beta = params.alpha, params.beta
-    measure = 1.0
-    for s in spacing:
-        measure *= s
-
-    derivs = [d1(a, ax, spacing[ax]) for ax in range(nd)]
-    mag2 = np.full_like(a, eps * eps)
-    for dax in derivs:
-        mag2 += dax * dax
-    mag = np.sqrt(mag2)
-
-    cot1 = [None] * nd
-    cot2 = [None] * nd
-    cotm: dict[tuple[int, int], np.ndarray] = {}
-
-    if beta == 0.0:
-        energy = alpha * (float(np.sum(mag)) * measure)
-        g_mag = np.full_like(a, alpha * measure)
-    elif params.mode is CurvatureMode.MEAN_2D:
-        hx, hy = spacing
-        ux, uy = derivs
-        uxx = d2(a, 0, hx)
-        uyy = d2(a, 1, hy)
-        uxy = dmixed(a, 0, 1, hx, hy)
-        w = 1.0 + ux * ux + uy * uy
-        sqrtw = np.sqrt(w)
-        den = 2.0 * w * sqrtw
-        num = (1.0 + ux * ux) * uyy + (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
-        k = num / den
-        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
-        gk = (2.0 * beta * measure) * k * mag
-        gnum = gk / den
-        gden = -gk * k / den
-        cot1[0] = gnum * (2.0 * ux * uyy - 2.0 * uy * uxy) + gden * (6.0 * ux * sqrtw)
-        cot1[1] = gnum * (2.0 * uy * uxx - 2.0 * ux * uxy) + gden * (6.0 * uy * sqrtw)
-        cot2[0] = gnum * (1.0 + uy * uy)
-        cot2[1] = gnum * (1.0 + ux * ux)
-        cotm[(0, 1)] = gnum * (-2.0 * ux * uy)
-    elif params.mode is CurvatureMode.MEAN_3D:
-        hx, hy, hz = spacing
-        ux, uy, uz = derivs
-        uxx = d2(a, 0, hx)
-        uyy = d2(a, 1, hy)
-        uzz = d2(a, 2, hz)
-        uxy = dmixed(a, 0, 1, hx, hy)
-        uxz = dmixed(a, 0, 2, hx, hz)
-        uyz = dmixed(a, 1, 2, hy, hz)
-        ux2, uy2, uz2 = ux * ux, uy * uy, uz * uz
-        s = np.sqrt(1.0 + ux2 + uy2 + uz2)
-        chi = (
-            uxx * (1.0 + uy2 + uz2)
-            + uyy * (1.0 + ux2 + uz2)
-            + uzz * (1.0 + ux2 + uy2)
-            - 2.0 * (ux * uy * uxy + ux * uz * uxz + uy * uz * uyz)
-        )
-        k = chi / s
-        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
-        gk = (2.0 * beta * measure) * k * mag
-        gchi = gk / s
-        gs = -gk * k / s
-        cot1[0] = gchi * (2.0 * ux * (uyy + uzz) - 2.0 * (uy * uxy + uz * uxz)) + gs * (ux / s)
-        cot1[1] = gchi * (2.0 * uy * (uxx + uzz) - 2.0 * (ux * uxy + uz * uyz)) + gs * (uy / s)
-        cot1[2] = gchi * (2.0 * uz * (uxx + uyy) - 2.0 * (ux * uxz + uy * uyz)) + gs * (uz / s)
-        cot2[0] = gchi * (1.0 + uy2 + uz2)
-        cot2[1] = gchi * (1.0 + ux2 + uz2)
-        cot2[2] = gchi * (1.0 + ux2 + uy2)
-        cotm[(0, 1)] = -2.0 * gchi * ux * uy
-        cotm[(0, 2)] = -2.0 * gchi * ux * uz
-        cotm[(1, 2)] = -2.0 * gchi * uy * uz
-    elif params.mode is CurvatureMode.FAST_3D:
-        seconds = [d2(a, ax, spacing[ax]) for ax in range(3)]
-        k = seconds[0] ** 2 + seconds[1] ** 2 + seconds[2] ** 2
-        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
-        gk = (2.0 * beta * measure) * k * mag
-        for ax in range(3):
-            cot2[ax] = 2.0 * gk * seconds[ax]
-    elif params.mode is CurvatureMode.LAPLACIAN_3D:
-        seconds = [d2(a, ax, spacing[ax]) for ax in range(3)]
-        k = seconds[0] + seconds[1] + seconds[2]
-        energy, g_mag = _weighted_length(k, mag, alpha, beta, measure)
-        gk = (2.0 * beta * measure) * k * mag
-        for ax in range(3):
-            cot2[ax] = gk
-    else:
-        raise ValueError(f"unhandled curvature mode {params.mode}")
+    fwd = elastica_forward(a, spacing, params)
+    cots = Cotangents({}, {}, {})
+    if fwd.pullback is not None:
+        cots = fwd.pullback((2.0 * params.beta * fwd.measure) * fwd.k * fwd.mag)
 
     out = np.zeros_like(a)
-    for ax in range(nd):
-        c = g_mag * derivs[ax] / mag
-        if cot1[ax] is not None:
-            c = c + cot1[ax]
+    for ax, dax in enumerate(fwd.derivs):
+        c = fwd.weight * dax / fwd.mag
+        if ax in cots.d1:
+            c += cots.d1[ax]
         out += d1_adj(c, ax, spacing[ax])
-    for ax in range(nd):
-        if cot2[ax] is not None:
-            out += d2_adj(cot2[ax], ax, spacing[ax])
-    for (i, j), cm in cotm.items():
-        out += dmixed_adj(cm, i, j, spacing[i], spacing[j])
-    return energy, out
+    for ax, c in cots.d2.items():
+        out += d2_adj(c, ax, spacing[ax])
+    for (i, j), c in cots.dmixed.items():
+        out += dmixed_adj(c, i, j, spacing[i], spacing[j])
+    return fwd.energy, out
 
 
 def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> np.ndarray:

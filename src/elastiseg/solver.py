@@ -20,7 +20,7 @@ from .energy import (
     EnergyBreakdown,
     EnergyParams,
     check_mode,
-    estimate_region_means,
+    region_means_raw,
     segmentation_energy,
 )
 from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
@@ -152,7 +152,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
         if cfg.region_mode == "cv-means":
             try:
-                c1, c2 = estimate_region_means(image.with_data(u), image)
+                c1, c2 = region_means_raw(u, image.data)
             except DegenerateMaskError:
                 pass  # keep the previous constants
 

@@ -13,6 +13,7 @@ from elastiseg import (
     mean_curvature_2d,
     mean_curvature_3d,
 )
+from elastiseg.energy import EnergyParams, elastica_forward
 
 
 def centered_field(shape, fn):
@@ -131,3 +132,14 @@ def test_dispatch_matches_direct_calls():
     np.testing.assert_array_equal(curvature(f3, CurvatureMode.LAPLACIAN_3D).data, laplacian_3d(f3).data)
     with pytest.raises(FieldError):
         curvature(f2, CurvatureMode.FAST_3D)
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_curvature_is_the_k_the_energy_weighs(mode):
+    rng = np.random.default_rng(10)
+    shape = (13, 11) if mode.required_ndim == 2 else (7, 6, 5)
+    for _ in range(5):
+        spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+        f = ScalarField(rng.random(shape), spacing)
+        fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode))
+        np.testing.assert_array_equal(curvature(f, mode).data, fwd.k)

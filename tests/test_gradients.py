@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from elastiseg import CurvatureMode, EnergyParams, ScalarField, energy_gradient, fd_gradient, gradcheck
+from elastiseg import (
+    CurvatureMode,
+    EnergyParams,
+    ScalarField,
+    energy_gradient,
+    fd_gradient,
+    gradcheck,
+    segmentation_energy,
+)
 from elastiseg.diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj
 from elastiseg.gradients import elastica_gradient_raw, energy_gradient_raw, region_gradient_raw
 
@@ -129,6 +137,29 @@ def test_gradcheck_with_spacing_aware_energy():
     gf = fd_gradient(u, r, p).data
     denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
     assert float((np.abs(ga - gf) / denom).max()) < 1e-5
+
+
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_directional_derivative_at_realistic_sizes(mode, beta):
+    # one central difference along a random direction costs two energy
+    # evaluations, so unlike the per-voxel oracle it can check full-size
+    # fields on random anisotropic grids
+    rng = np.random.default_rng(28)
+    shape = (64, 64) if mode.required_ndim == 2 else (24, 24, 24)
+    spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+    u = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
+    r = ScalarField(rng.random(shape), spacing)
+    v = rng.uniform(-1.0, 1.0, shape)
+    p = EnergyParams(alpha=0.1, beta=beta, mode=mode)
+    h = 1e-5
+
+    def energy(a):
+        return segmentation_energy(u.with_data(a), r, p).total
+
+    fd = (energy(u.data + h * v) - energy(u.data - h * v)) / (2.0 * h)
+    analytic = float(np.sum(energy_gradient(u, r, p).data * v))
+    assert abs(fd - analytic) < 1e-6 * max(abs(fd), abs(analytic))
 
 
 def test_gradcheck_rejects_bad_trials():
