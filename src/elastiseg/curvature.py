@@ -23,6 +23,7 @@ import numpy as np
 
 from .diffops import d1, d2, dmixed
 from .field import FieldError, ScalarField
+from .workspace import Workspace
 
 
 class CurvatureMode(Enum):
@@ -61,12 +62,13 @@ def _slopes(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) ->
     return [d1(a, ax, spacing[ax]) for ax in range(a.ndim)]
 
 
-def _mean_2d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
+def _mean_2d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
+             ws: Workspace) -> tuple[np.ndarray, Pullback]:
     hx, hy = spacing
     ux, uy = _slopes(a, spacing, derivs)
-    uxx = d2(a, 0, hx)
-    uyy = d2(a, 1, hy)
-    uxy = dmixed(a, 0, 1, hx, hy)
+    uxx = d2(a, 0, hx, out=ws.take())
+    uyy = d2(a, 1, hy, out=ws.take())
+    uxy = dmixed(a, 0, 1, hx, hy, out=ws.take())
     w = 1.0 + ux * ux + uy * uy
     sqrtw = np.sqrt(w)
     den = 2.0 * w * sqrtw
@@ -76,25 +78,28 @@ def _mean_2d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -
     def pullback(gk: np.ndarray) -> Cotangents:
         gnum = gk / den
         gden = -gk * k / den
-        return Cotangents(
+        cots = Cotangents(
             {0: gnum * (2.0 * ux * uyy - 2.0 * uy * uxy) + gden * (6.0 * ux * sqrtw),
              1: gnum * (2.0 * uy * uxx - 2.0 * ux * uxy) + gden * (6.0 * uy * sqrtw)},
             {0: gnum * (1.0 + uy * uy), 1: gnum * (1.0 + ux * ux)},
             {(0, 1): gnum * (-2.0 * ux * uy)},
         )
+        ws.give(uxx, uyy, uxy)
+        return cots
 
     return k, pullback
 
 
-def _mean_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
+def _mean_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
+             ws: Workspace) -> tuple[np.ndarray, Pullback]:
     hx, hy, hz = spacing
     ux, uy, uz = _slopes(a, spacing, derivs)
-    uxx = d2(a, 0, hx)
-    uyy = d2(a, 1, hy)
-    uzz = d2(a, 2, hz)
-    uxy = dmixed(a, 0, 1, hx, hy)
-    uxz = dmixed(a, 0, 2, hx, hz)
-    uyz = dmixed(a, 1, 2, hy, hz)
+    uxx = d2(a, 0, hx, out=ws.take())
+    uyy = d2(a, 1, hy, out=ws.take())
+    uzz = d2(a, 2, hz, out=ws.take())
+    uxy = dmixed(a, 0, 1, hx, hy, out=ws.take())
+    uxz = dmixed(a, 0, 2, hx, hz, out=ws.take())
+    uyz = dmixed(a, 1, 2, hy, hz, out=ws.take())
     ux2, uy2, uz2 = ux * ux, uy * uy, uz * uz
     s = np.sqrt(1.0 + ux2 + uy2 + uz2)
     chi = (
@@ -108,29 +113,46 @@ def _mean_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -
     def pullback(gk: np.ndarray) -> Cotangents:
         gchi = gk / s
         gs = -gk * k / s
-        return Cotangents(
+        cots = Cotangents(
             {0: gchi * (2.0 * ux * (uyy + uzz) - 2.0 * (uy * uxy + uz * uxz)) + gs * (ux / s),
              1: gchi * (2.0 * uy * (uxx + uzz) - 2.0 * (ux * uxy + uz * uyz)) + gs * (uy / s),
              2: gchi * (2.0 * uz * (uxx + uyy) - 2.0 * (ux * uxz + uy * uyz)) + gs * (uz / s)},
             {0: gchi * (1.0 + uy2 + uz2), 1: gchi * (1.0 + ux2 + uz2), 2: gchi * (1.0 + ux2 + uy2)},
             {(0, 1): -2.0 * gchi * ux * uy, (0, 2): -2.0 * gchi * ux * uz, (1, 2): -2.0 * gchi * uy * uz},
         )
+        ws.give(uxx, uyy, uzz, uxy, uxz, uyz)
+        return cots
 
     return k, pullback
 
 
-def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
-    seconds = [d2(a, ax, spacing[ax]) for ax in range(3)]
-    k = seconds[0] * seconds[0] + seconds[1] * seconds[1] + seconds[2] * seconds[2]
+def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
+             ws: Workspace) -> tuple[np.ndarray, Pullback]:
+    seconds = [d2(a, ax, spacing[ax], out=ws.take()) for ax in range(3)]
+    # k = s0*s0 + s1*s1 + s2*s2, summed left to right
+    k = np.multiply(seconds[0], seconds[0], out=ws.take())
+    sq = ws.take()
+    for s in seconds[1:]:
+        k += np.multiply(s, s, out=sq)
+    ws.give(sq)
 
     def pullback(gk: np.ndarray) -> Cotangents:
-        return Cotangents({}, {ax: 2.0 * gk * seconds[ax] for ax in range(3)}, {})
+        # the cotangent of each second difference, 2*gk*s, overwrites s
+        gk *= 2.0
+        for s in seconds:
+            s *= gk
+        return Cotangents({}, dict(enumerate(seconds)), {})
 
     return k, pullback
 
 
-def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> tuple[np.ndarray, Pullback]:
-    k = d2(a, 0, spacing[0]) + d2(a, 1, spacing[1]) + d2(a, 2, spacing[2])
+def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
+                  ws: Workspace) -> tuple[np.ndarray, Pullback]:
+    k = d2(a, 0, spacing[0], out=ws.take())
+    second = ws.take()
+    for ax in (1, 2):
+        k += d2(a, ax, spacing[ax], out=second)
+    ws.give(second)
 
     def pullback(gk: np.ndarray) -> Cotangents:
         return Cotangents({}, {ax: gk for ax in range(3)}, {})
@@ -147,16 +169,21 @@ _FORWARD_BY_MODE = {
 
 
 def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: CurvatureMode,
-                      derivs: Slopes | None = None) -> tuple[np.ndarray, Pullback]:
+                      derivs: Slopes | None = None, ws: Workspace | None = None) -> tuple[np.ndarray, Pullback]:
     """Per-voxel curvature of ``a`` in ``mode``, and its pullback.
 
     ``derivs`` are the first differences of ``a`` along each axis, for a
     caller that already holds them; the mean modes read them and compute them
-    when they are not given.
+    when they are not given. Stencil outputs and, in the fast and Laplacian
+    modes, K and its scratch come from ``ws`` (a throwaway workspace when none
+    is given). The pullback may overwrite its argument, and it gives the
+    forward's buffers it no longer needs back to ``ws``; the fast mode writes
+    its cotangents over its second differences. The caller owns K, the
+    cotangents and its ``derivs``.
     """
     if a.ndim != mode.required_ndim:
         raise FieldError(f"mode {mode.value} requires {mode.required_ndim}D input, got {a.ndim}D")
-    return _FORWARD_BY_MODE[mode](a, spacing, derivs)
+    return _FORWARD_BY_MODE[mode](a, spacing, derivs, Workspace(a.shape) if ws is None else ws)
 
 
 def curvature(u: ScalarField, mode: CurvatureMode) -> ScalarField:

@@ -26,8 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import CurvatureMode, Pullback, curvature_forward
-from .diffops import NumericConfig, d1
+from .diffops import NumericConfig, d1, grad_mag_raw
 from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
+from .workspace import Workspace
 
 
 class DegenerateMaskError(FieldError):
@@ -54,6 +55,9 @@ class EnergyParams:
     cfg: NumericConfig = NumericConfig()
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "lam", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta < 0.0:
@@ -94,10 +98,27 @@ def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[
     """
     check_same_shape(u, r)
     check_soft_mask(u)
-    ud = u.data
-    rd = r.data
-    region_in = abs(float(np.sum(ud * (c1 - rd) ** 2)))
-    region_out = abs(float(np.sum((1.0 - ud) * (c2 - rd) ** 2)))
+    ws = Workspace(u.shape)
+    return region_sums_raw(u.data, *region_costs_raw(r.data, c1, c2, ws), ws)
+
+
+def region_costs_raw(r: np.ndarray, c1: float, c2: float, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-voxel region costs (c1-r)^2 and (c2-r)^2, in two arrays taken from ``ws``."""
+    costs = np.subtract(c1, r, out=ws.take()), np.subtract(c2, r, out=ws.take())
+    for c in costs:
+        c *= c
+    return costs
+
+
+def region_sums_raw(a: np.ndarray, cost_in: np.ndarray, cost_out: np.ndarray,
+                    ws: Workspace) -> tuple[float, float]:
+    """The two region sums of :func:`region_terms`, from the costs of :func:`region_costs_raw`."""
+    tmp = ws.take()
+    region_in = abs(float(np.sum(np.multiply(a, cost_in, out=tmp))))
+    outside = np.subtract(1.0, a, out=tmp)
+    outside *= cost_out
+    region_out = abs(float(np.sum(outside)))
+    ws.give(tmp)
     return region_in, region_out
 
 
@@ -113,25 +134,32 @@ class ElasticaForward(NamedTuple):
     pullback: Pullback | None       # pullback of k
 
 
-def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> ElasticaForward:
+def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
+                     ws: Workspace | None = None) -> ElasticaForward:
     """One forward pass of the elastica term sum((alpha + beta*K^2) * |grad u|) * measure.
 
     With beta = 0 no curvature is computed, the weight is the scalar
     alpha*measure and the energy is alpha * (sum|grad u| * measure), exactly
-    alpha times :func:`diffops.tv_length`.
+    alpha times :func:`diffops.tv_length`. The returned arrays are taken from
+    ``ws`` (a throwaway workspace when none is given) and owned by the caller.
     """
+    ws = Workspace(a.shape) if ws is None else ws
     measure = math.prod(spacing)
-    derivs = [d1(a, ax, spacing[ax]) for ax in range(a.ndim)]
-    mag2 = np.full_like(a, params.cfg.eps * params.cfg.eps)
-    for dax in derivs:
-        mag2 += dax * dax
-    mag = np.sqrt(mag2)
+    derivs = [d1(a, ax, spacing[ax], out=ws.take()) for ax in range(a.ndim)]
+    tmp = ws.take()
+    mag = grad_mag_raw(derivs, params.cfg.eps, out=ws.take(), tmp=tmp)
+    ws.give(tmp)
     if params.beta == 0.0:
         energy = params.alpha * (float(np.sum(mag)) * measure)
         return ElasticaForward(derivs, mag, params.alpha * measure, measure, energy, None, None)
-    k, pullback = curvature_forward(a, spacing, params.mode, derivs)
-    weight = params.alpha + params.beta * k * k
-    energy = float(np.sum(weight * mag)) * measure
+    k, pullback = curvature_forward(a, spacing, params.mode, derivs, ws)
+    # weight = alpha + beta*k*k, evaluated as (beta*k)*k + alpha
+    weight = np.multiply(k, params.beta, out=ws.take())
+    weight *= k
+    weight += params.alpha
+    tmp = ws.take()
+    energy = float(np.sum(np.multiply(weight, mag, out=tmp))) * measure
+    ws.give(tmp)
     weight *= measure
     return ElasticaForward(derivs, mag, weight, measure, energy, k, pullback)
 
@@ -177,14 +205,21 @@ def estimate_region_means(u: ScalarField, f: ScalarField) -> tuple[float, float]
     return region_means_raw(u.data, f.data)
 
 
-def region_means_raw(u: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+def region_means_raw(u: np.ndarray, f: np.ndarray, ws: Workspace | None = None) -> tuple[float, float]:
     """:func:`estimate_region_means` on arrays already known to be a same-shape mask and image."""
-    w_in = float(np.sum(u))
-    w_out = float(np.sum(1.0 - u))
-    if w_in == 0.0:
-        raise DegenerateMaskError("all-background mask: foreground mean undefined")
-    if w_out == 0.0:
-        raise DegenerateMaskError("all-foreground mask: background mean undefined")
-    c1 = float(np.sum(u * f)) / w_in
-    c2 = float(np.sum((1.0 - u) * f)) / w_out
+    ws = Workspace(u.shape) if ws is None else ws
+    tmp = ws.take()
+    try:
+        w_in = float(np.sum(u))
+        outside = np.subtract(1.0, u, out=tmp)
+        w_out = float(np.sum(outside))
+        if w_in == 0.0:
+            raise DegenerateMaskError("all-background mask: foreground mean undefined")
+        if w_out == 0.0:
+            raise DegenerateMaskError("all-foreground mask: background mean undefined")
+        outside *= f
+        c2 = float(np.sum(outside)) / w_out
+        c1 = float(np.sum(np.multiply(u, f, out=tmp))) / w_in
+    finally:
+        ws.give(tmp)
     return c1, c2

@@ -7,18 +7,23 @@ on the first/second/mixed stencil outputs, and each stencil's adjoint,
 including its replicate-boundary corrections, carries them back to u. Every
 adjoint can be validated by a dot-product test. The region part is linear in
 the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u.
+The pass takes every intermediate from a :class:`~elastiseg.workspace.Workspace`
+and writes cotangents over the forward buffers that have died, so with a
+workspace reused across calls it allocates no full-size array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import Cotangents
 from .diffops import d1_adj, d2_adj, dmixed_adj
-from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_density
+from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_density, region_costs_raw, region_sums_raw
 from .field import ScalarField, check_same_shape, check_soft_mask
+from .workspace import Workspace
 
 
 @dataclass(frozen=True)
@@ -31,53 +36,81 @@ class GradCheckReport:
     passed: bool
 
 
-def region_gradient_raw(r: np.ndarray, lam: float, c1: float, c2: float) -> np.ndarray:
-    return lam * ((c1 - r) ** 2 - (c2 - r) ** 2)
+def region_gradient_raw(r: np.ndarray, lam: float, c1: float, c2: float,
+                        costs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Region part of dE/du, lam*((c1-r)^2 - (c2-r)^2); independent of the mask.
+
+    ``costs`` are the two region costs of :func:`energy.region_costs_raw` when
+    the caller already holds them; the result is then written over the first.
+    """
+    cost_in, cost_out = region_costs_raw(r, c1, c2, Workspace(r.shape)) if costs is None else costs
+    cost_in -= cost_out
+    cost_in *= lam
+    return cost_in
 
 
-def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...],
-                                  params: EnergyParams) -> tuple[float, np.ndarray]:
-    """Elastica energy and its gradient from one forward pass and its pullback."""
-    fwd = elastica_forward(a, spacing, params)
+def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
+                                  ws: Workspace) -> tuple[float, np.ndarray]:
+    """Elastica energy and its gradient from one forward pass and its pullback.
+
+    Every buffer of the pass is given back to ``ws`` except the returned gradient.
+    """
+    fwd = elastica_forward(a, spacing, params, ws)
     cots = Cotangents({}, {}, {})
+    gk = None
     if fwd.pullback is not None:
-        cots = fwd.pullback((2.0 * params.beta * fwd.measure) * fwd.k * fwd.mag)
+        gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take())
+        gk *= fwd.mag  # (2*beta*measure)*k*mag
+        cots = fwd.pullback(gk)
+        ws.give(fwd.k)  # no mode reads K once its pullback has returned
 
-    out = np.zeros_like(a)
-    for ax, dax in enumerate(fwd.derivs):
-        c = fwd.weight * dax / fwd.mag
-        if ax in cots.d1:
-            c += cots.d1[ax]
-        out += d1_adj(c, ax, spacing[ax])
-    for ax, c in cots.d2.items():
-        out += d2_adj(c, ax, spacing[ax])
-    for (i, j), c in cots.dmixed.items():
-        out += dmixed_adj(c, i, j, spacing[i], spacing[j])
-    return fwd.energy, out
+    def adjoints():
+        for ax, dax in enumerate(fwd.derivs):
+            # weight*dax/mag, written over dax
+            dax *= fwd.weight
+            dax /= fwd.mag
+            if ax in cots.d1:
+                dax += cots.d1[ax]
+            adj = d1_adj(dax, ax, spacing[ax], out=ws.take())
+            ws.give(dax)
+            yield adj
+        for ax, c in cots.d2.items():
+            yield d2_adj(c, ax, spacing[ax], out=ws.take())
+        for (i, j), c in cots.dmixed.items():
+            yield dmixed_adj(c, i, j, spacing[i], spacing[j], out=ws.take())
+
+    terms = adjoints()
+    grad = next(terms)
+    for adj in terms:
+        grad += adj
+        ws.give(adj)
+    # a cotangent may be shared between stencils (lap3d), so they go back only now
+    ws.give(fwd.mag, fwd.weight, gk, *cots.d2.values(), *cots.dmixed.values())
+    return fwd.energy, grad
 
 
 def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> np.ndarray:
-    return _elastica_energy_and_gradient(a, spacing, params)[1]
+    return _elastica_energy_and_gradient(a, spacing, params, Workspace(a.shape))[1]
 
 
 def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
-                            params: EnergyParams) -> tuple[EnergyBreakdown, np.ndarray]:
+                            params: EnergyParams, ws: Workspace | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
     """Energy breakdown and dE/du at ``a`` from a single forward pass.
 
-    The region sums are the expressions of :func:`energy.region_terms`; the
-    elastica term is summed from the magnitude and curvature the pullback
-    already holds, so no separate energy evaluation is needed.
+    The region sums are those of :func:`energy.region_terms`; the elastica
+    term is summed from the magnitude and curvature the pullback already
+    holds, so no separate energy evaluation is needed. Every intermediate is
+    taken from ``ws`` and given back to it; the returned gradient is one of
+    its arrays, which the caller gives back once it is done with it. Without
+    ``ws`` a throwaway workspace is used and the gradient is a fresh array.
     """
-    c1, c2, lam = params.c1, params.c2, params.lam
-    w_in = (c1 - r) ** 2
-    w_out = (c2 - r) ** 2
-    region_in = abs(float(np.sum(a * w_in)))
-    region_out = abs(float(np.sum((1.0 - a) * w_out)))
-    g = lam * (w_in - w_out)
-    del w_in, w_out
-    elastica, g_el = _elastica_energy_and_gradient(a, spacing, params)
-    g = g + g_el
-    return EnergyBreakdown.assemble(elastica, region_in, region_out, lam), g
+    ws = Workspace(a.shape) if ws is None else ws
+    elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws)
+    costs = region_costs_raw(r, params.c1, params.c2, ws)
+    region_in, region_out = region_sums_raw(a, *costs, ws)
+    g += region_gradient_raw(r, params.lam, params.c1, params.c2, costs)
+    ws.give(*costs)
+    return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam), g
 
 
 def energy_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
@@ -146,9 +179,16 @@ def gradcheck(shape: tuple[int, ...], trials: int, seed: int, params: EnergyPara
         abs_err = np.abs(ga - gf)
         denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
         rel = abs_err / denom
-        max_abs = max(max_abs, float(abs_err.max()))
+        trial_abs = float(abs_err.max())
+        if _worse(trial_abs, max_abs):
+            max_abs = trial_abs
         trial_rel = float(rel.max())
-        if trial_rel > max_rel:
+        if _worse(trial_rel, max_rel):
             max_rel = trial_rel
             worst = tuple(int(i) for i in np.unravel_index(int(rel.argmax()), shape))
     return GradCheckReport(max_abs, max_rel, worst, max_rel < tol)
+
+
+def _worse(new: float, old: float) -> bool:
+    """Whether error ``new`` is worse than ``old``; a NaN error is worse than any number."""
+    return not math.isnan(old) and (math.isnan(new) or new > old)

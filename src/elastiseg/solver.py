@@ -7,10 +7,18 @@ foreground/background constants are re-estimated from the current mask after
 every update (alternating minimization); the first step uses the constants
 from the parameter set, which also breaks the symmetry of a uniform init
 (a uniform mask would otherwise yield equal means and zero region force).
+
+One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
+energy+gradient pass, and the normalisation, momentum and projection of each
+update are done in place, in the same operation order as the expressions
+they stand for, so results are bit for bit those of fresh arrays. After the
+first iteration a solve allocates no full-size array except the mean modes'
+pointwise curvature temporaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,7 @@ from .energy import (
 )
 from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
 from .gradients import energy_and_gradient_raw
+from .workspace import Workspace
 
 OPTIMIZERS = ("gd", "momentum")
 PARAMETERIZATIONS = ("clipped", "logistic")
@@ -81,12 +90,15 @@ def _logit(u: np.ndarray) -> np.ndarray:
     return np.log(p / (1.0 - p))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _sigmoid(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Logistic function into ``out``: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
+    e = np.abs(z, out=tmp)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # exp(-|z|): exp(-z) where z >= 0, exp(z) elsewhere
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    np.add(e, 1.0, out=out)
+    np.divide(1.0, out, out=out, where=pos)
+    np.divide(e, out, out=out, where=~pos)
     return out
 
 
@@ -104,6 +116,16 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     to [0,1] by the caller. Raises :class:`NonFiniteEnergyError` if the state
     or energy leaves the finite range (the partial trace rides on the
     exception).
+
+    Memory: besides the mask (and the velocity with momentum, the logit with
+    the logistic parameterization) a solve holds one
+    :class:`~elastiseg.workspace.Workspace` of N full-size arrays for all of
+    its iterations: the fused pass, the update and the region means are
+    computed in it, in place. With beta = 0, N = ndim + 2 in every mode; with
+    beta > 0, N = 10 in fast3d, 7 in lap3d, 8 in mean2d and 12 in mean3d.
+    The mean modes' curvature formulas still allocate their pointwise
+    temporaries on every pass. The workspace is released before the exit
+    energy of a run that reaches ``max_iters``, so the two do not stack.
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
@@ -111,7 +133,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
     u = init.data.copy()
     z = _logit(u) if cfg.parameterization == "logistic" else None
-    velocity = None
+    velocity = np.zeros_like(u) if cfg.optimizer == "momentum" else None
+    ws = Workspace(u.shape)
     c1, c2 = params.c1, params.c2
     breakdowns: list[EnergyBreakdown] = []
     converged = False
@@ -119,50 +142,63 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     for it in range(cfg.max_iters):
         step_params = params.with_constants(c1, c2)
         with np.errstate(over="ignore", invalid="ignore"):
-            bd, g = energy_and_gradient_raw(u, image.data, image.spacing, step_params)
+            bd, g = energy_and_gradient_raw(u, image.data, image.spacing, step_params, ws)
             # the pass at (u_it, c_it) also yields the energy after update it-1
             if it > 0 and _record(breakdowns, bd, it - 1, cfg):
                 converged = True
                 break
+            _step(u, z, velocity, g, ws, cfg)
+            ws.give(g)
 
-            if cfg.parameterization == "logistic":
-                g = g * u * (1.0 - u)
-            scale = float(np.mean(np.abs(g)))
-            g = g / max(scale, 1e-30)
-
-            if cfg.optimizer == "momentum":
-                if velocity is None:
-                    velocity = np.zeros_like(g)
-                velocity = cfg.momentum * velocity - cfg.step_size * g
-                delta = velocity
-            else:
-                delta = -cfg.step_size * g
-
-            if cfg.parameterization == "logistic":
-                z = z + delta
-                u = _sigmoid(z)
-            else:
-                u = np.clip(u + delta, 0.0, 1.0)
-
-        if not np.all(np.isfinite(u)):
+        lo, hi = float(u.min()), float(u.max())  # NaN propagates into both
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
-        lo, hi = float(u.min()), float(u.max())
         if lo < 0.0 or hi > 1.0:
             raise FieldError(f"mask values must lie in [0,1], got range [{lo}, {hi}]")
 
         if cfg.region_mode == "cv-means":
             try:
-                c1, c2 = region_means_raw(u, image.data)
+                c1, c2 = region_means_raw(u, image.data, ws)
             except DegenerateMaskError:
                 pass  # keep the previous constants
 
     if cfg.max_iters > 0 and not converged:
-        # no further gradient pass supplies the energy after the last update
+        # no further gradient pass supplies the energy after the last update;
+        # the workspace is released first so that the two do not stack
+        del ws, g, velocity
         with np.errstate(over="ignore", invalid="ignore"):
             bd = segmentation_energy(image.with_data(u), image, params.with_constants(c1, c2))
         converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
 
     return image.with_data(u), SolverTrace(breakdowns, len(breakdowns), converged)
+
+
+def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray,
+          ws: Workspace, cfg: SolverConfig) -> None:
+    """One descent update of ``u`` (and ``z``, ``velocity``) in place; ``g`` is overwritten."""
+    tmp = ws.take()
+    if cfg.parameterization == "logistic":
+        g *= u
+        g *= np.subtract(1.0, u, out=tmp)  # g*u*(1-u)
+    scale = float(np.mean(np.abs(g, out=tmp)))
+    g /= max(scale, 1e-30)
+
+    if velocity is not None:
+        velocity *= cfg.momentum
+        g *= cfg.step_size
+        velocity -= g  # momentum*velocity - step*g
+        delta = velocity
+    else:
+        g *= -cfg.step_size
+        delta = g
+
+    if z is not None:
+        z += delta
+        _sigmoid(z, out=u, tmp=tmp)
+    else:
+        u += delta
+        np.clip(u, 0.0, 1.0, out=u)
+    ws.give(tmp)
 
 
 def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg: SolverConfig) -> bool:

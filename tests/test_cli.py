@@ -181,3 +181,11 @@ def test_segment_deterministic_outputs(tmp_path):
                     "--beta", "0.5", "--out", str(out)]) == 0
         outs.append((out / "mask.vf32").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--alpha", "nan"), ("--beta", "inf")])
+def test_gradcheck_rejects_non_finite_weights(flag, value, capsys):
+    assert run(["gradcheck", "--shape", "5,5", "--trials", "1", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "passed=True" not in captured.out
+    assert "must be finite" in captured.err

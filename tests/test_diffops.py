@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from elastiseg import FieldError, NumericConfig, ScalarField, deriv1, deriv2, deriv_mixed, grad_mag, make_field, tv_length
-from elastiseg.diffops import dmixed
+from elastiseg.diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj, grad_mag_raw
 
 
 def coord_field(shape, fn, spacing=1.0):
@@ -147,3 +149,66 @@ def test_tv_length_matches_smooth_disk_perimeter():
     oracle = np.trapezoid(integrand, rr)
     assert abs(tv - oracle) <= 0.02 * oracle
     assert abs(tv - 2.0 * np.pi * r0) <= 0.10 * (2.0 * np.pi * r0)
+
+
+def _stencils(ndim):
+    """(name, f(a, h, out)) for every stencil and adjoint along every axis or axis pair."""
+    ops = []
+    for ax in range(ndim):
+        for fn in (d1, d1_adj, d2, d2_adj):
+            ops.append((f"{fn.__name__}[{ax}]", lambda a, h, out, fn=fn, ax=ax: fn(a, ax, h[ax], out=out)))
+    for i, j in itertools.combinations(range(ndim), 2):
+        for fn in (dmixed, dmixed_adj):
+            ops.append((f"{fn.__name__}[{i},{j}]",
+                        lambda a, h, out, fn=fn, i=i, j=j: fn(a, i, j, h[i], h[j], out=out)))
+    return ops
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (9, 7), (3, 3, 3), (6, 5, 7)])
+def test_out_equals_fresh_result_bit_for_bit(shape):
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    h = tuple(rng.uniform(0.5, 2.0, len(shape)))
+    for name, op in _stencils(len(shape)):
+        fresh = op(a, h, None)
+        buf = np.full(shape, np.nan)  # stale contents must not leak into the result
+        got = op(a, h, buf)
+        assert got is buf, name
+        assert got.tobytes() == fresh.tobytes(), name
+
+
+def test_out_must_not_overlap_the_input():
+    a = np.random.default_rng(31).random((5, 6))
+    for fn in (d1, d1_adj, d2, d2_adj):
+        with pytest.raises(FieldError):
+            fn(a, 1, 1.0, out=a)
+    with pytest.raises(FieldError):
+        d1(a, 0, 1.0, out=np.empty((5, 5)))
+
+
+def test_adjoint_identities_through_reused_out_buffers():
+    rng = np.random.default_rng(32)
+    for shape in [(3, 4), (5, 3, 4)]:
+        h = tuple(rng.uniform(0.5, 2.0, len(shape)))
+        fwd, back = np.empty(shape), np.empty(shape)
+        ops = dict(_stencils(len(shape)))
+        for name, op in ops.items():
+            if "_adj" in name:
+                continue
+            adj = ops[name.replace("[", "_adj[")]
+            for _ in range(3):
+                u, w = rng.standard_normal(shape), rng.standard_normal(shape)
+                lhs = float(np.sum(op(u, h, fwd) * w))
+                rhs = float(np.sum(u * adj(w, h, back)))
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-12), name
+
+
+def test_grad_mag_raw_out_matches_fresh():
+    rng = np.random.default_rng(33)
+    a = rng.random((6, 5, 4))
+    derivs = [d1(a, ax, 0.5 + ax) for ax in range(3)]
+    fresh = grad_mag_raw(derivs, 1e-6)
+    out, tmp = np.full(a.shape, np.nan), np.empty(a.shape)
+    assert grad_mag_raw(derivs, 1e-6, out=out, tmp=tmp) is out
+    assert out.tobytes() == fresh.tobytes()

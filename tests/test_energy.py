@@ -193,3 +193,10 @@ def test_params_validation():
         EnergyParams(beta=-1.0)
     with pytest.raises(ValueError):
         EnergyParams(lam=0.0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "lam", "c1", "c2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_weights(name, value):
+    with pytest.raises(ValueError, match=name):
+        EnergyParams(**{name: value})

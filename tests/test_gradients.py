@@ -11,7 +11,9 @@ from elastiseg import (
     segmentation_energy,
 )
 from elastiseg.diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj
-from elastiseg.gradients import elastica_gradient_raw, energy_gradient_raw, region_gradient_raw
+from elastiseg.energy import elastica_forward
+from elastiseg.gradients import elastica_gradient_raw, energy_and_gradient_raw, energy_gradient_raw, region_gradient_raw
+from elastiseg.workspace import Workspace
 
 DOT_SHAPES = [(3, 3), (3, 3, 3), (7, 5), (4, 6, 5), (3, 9), (12, 3, 4)]
 
@@ -173,3 +175,50 @@ def test_fd_cost_is_documented_but_small_fields_fast():
     p = EnergyParams(alpha=0.0, beta=0.0, lam=1.0)
     g = fd_gradient(u, u, p)
     assert g.shape == (4, 4)
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_reused_workspace_matches_fresh_calls_bit_for_bit(mode):
+    rng = np.random.default_rng(40)
+    shape = (11, 9) if mode.required_ndim == 2 else (7, 6, 8)
+    spacing = tuple(rng.uniform(0.5, 2.0, len(shape)))
+    ws = Workspace(shape)
+    for beta in (0.0, 0.5, 2.0):
+        p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
+        held = None
+        for _ in range(3):
+            u, r = rng.random(shape), rng.random(shape)
+            bd, g = energy_and_gradient_raw(u, r, spacing, p, ws)
+            bd_fresh, g_fresh = energy_and_gradient_raw(u, r, spacing, p)
+            assert bd == bd_fresh
+            assert g.tobytes() == g_fresh.tobytes()
+            ws.give(g)
+            # every buffer comes back, so repeated passes allocate nothing new
+            held = len(ws) if held is None else held
+            assert len(ws) == held
+
+
+def test_workspace_free_calls_return_unaliased_arrays():
+    rng = np.random.default_rng(41)
+    u, r = rng.random((6, 7, 5)), rng.random((6, 7, 5))
+    p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)
+    g1 = energy_gradient_raw(u, r, (1.0, 1.0, 1.0), p)
+    before = g1.copy()
+    g2 = energy_gradient_raw(u, r, (1.0, 1.0, 1.0), p)
+    assert not np.shares_memory(g1, g2)
+    np.testing.assert_array_equal(g1, before)
+    fwd1 = elastica_forward(u, (1.0, 1.0, 1.0), p)
+    fwd2 = elastica_forward(u, (1.0, 1.0, 1.0), p)
+    arrays1 = [*fwd1.derivs, fwd1.mag, fwd1.weight, fwd1.k]
+    arrays2 = [*fwd2.derivs, fwd2.mag, fwd2.weight, fwd2.k]
+    assert not any(np.shares_memory(x, y) for x in arrays1 for y in arrays2)
+    assert len({id(x) for x in arrays1}) == len(arrays1)
+
+
+def test_gradcheck_fails_on_a_nan_error():
+    # alpha*|grad u| overflows to inf, and the fd quotient inf - inf is NaN
+    p = EnergyParams(alpha=1e308, beta=2.0, mode=CurvatureMode.MEAN_2D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = gradcheck((5, 5), trials=2, seed=0, params=p)
+    assert np.isnan(rep.max_rel_error)
+    assert not rep.passed

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from elastiseg import (
     sphere_case_3d,
     threshold,
 )
+from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
 
 
 def small_disk(seed=0):
@@ -275,3 +277,54 @@ def test_non_finite_energy_after_last_update(monkeypatch):
         segment(case.image, init, EnergyParams(), SolverConfig(max_iters=5))
     assert err.value.iteration == 4
     assert err.value.trace.iterations_run == 4
+
+
+def _traced_peak_in_arrays(image, init, params, cfg):
+    tracemalloc.start()
+    try:
+        segment(image, init, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / image.data.nbytes
+
+
+def test_fast3d_solve_memory_budget_does_not_grow_per_iteration():
+    # numpy reports its buffers to tracemalloc, so the traced peak counts every
+    # full-size array alive at once: the mask, the velocity, the workspace and
+    # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays)
+    case = sphere_case_3d((24, 24, 24), (11.5, 11.5, 11.5), 7.0, noise_sigma=0.1, seed=0)
+    init = make_field(case.image.shape, 1.0, 0.5)
+    params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
+    peaks = [_traced_peak_in_arrays(case.image, init, params,
+                                    SolverConfig(max_iters=n, optimizer="momentum", region_mode="cv-means",
+                                                 stop_tol=0.0))
+             for n in (3, 15)]
+    assert peaks[0] <= 16.0, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1, peaks
+
+
+def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
+    rng = np.random.default_rng(8)
+    expected = {  # beta = 0: the first differences, |grad u| and one scratch array
+        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 8,
+        (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 12,
+        (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 10,
+        (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 7,
+    }
+    made = []
+
+    class Recording(elastiseg.solver.Workspace):
+        def __init__(self, shape):
+            super().__init__(shape)
+            made.append(self)
+
+    monkeypatch.setattr(elastiseg.solver, "Workspace", Recording)
+    for (mode, beta), n in expected.items():
+        shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
+        image = ScalarField(rng.random(shape), 1.0)
+        init = make_field(shape, 1.0, 0.5)
+        for opt, par in itertools.product(OPTIMIZERS, PARAMETERIZATIONS):
+            cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
+            segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
+            assert len(made[-1]) == n, (mode, beta, opt, par)
