@@ -22,7 +22,7 @@ from .energy import EnergyParams, segmentation_energy
 from .field import FieldError, ScalarField, make_field
 from .gradients import gradcheck
 from .metrics import MetricsError, count_components, dice, evaluate_pair, hd95
-from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, segment, threshold
+from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, check_threshold, segment, threshold
 from .synth import broken_tube_case, disk_case, hemisphere_field, sphere_case_3d
 from .volio import (
     METRICS_CSV_HEADER,
@@ -73,8 +73,7 @@ def _resolve_mode(name: str, ndim: int) -> CurvatureMode:
     if name == "auto":
         return CurvatureMode.MEAN_2D if ndim == 2 else CurvatureMode.FAST_3D
     mode = CurvatureMode.parse(name)
-    if mode.required_ndim != ndim:
-        raise FieldError(f"mode {mode.value} needs {mode.required_ndim}D data, image is {ndim}D")
+    mode.check_ndim(ndim)
     return mode
 
 
@@ -153,8 +152,7 @@ def median_eval_time(fn, field: ScalarField, repeats: int) -> float:
 def cmd_curvbench(args) -> int:
     mode = CurvatureMode.parse(args.mode)
     shape = args.shape
-    if len(shape) != mode.required_ndim:
-        raise FieldError(f"mode {mode.value} needs a {mode.required_ndim}D shape, got {shape}")
+    mode.check_ndim(len(shape))
 
     if mode is CurvatureMode.MEAN_2D:
         field = hemisphere_field(shape, args.radius)
@@ -220,6 +218,7 @@ def cmd_segment(args) -> int:
                           c1=args.c1, c2=args.c2, mode=mode)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
                        parameterization=args.param, region_mode=args.region_mode)
+    check_threshold(args.threshold)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
@@ -279,8 +278,7 @@ def _write_trace(path: str, trace: SolverTrace) -> None:
 
 def cmd_gradcheck(args) -> int:
     mode = CurvatureMode.parse(args.mode)
-    if len(args.shape) != mode.required_ndim:
-        raise FieldError(f"mode {mode.value} needs a {mode.required_ndim}D shape, got {args.shape}")
+    mode.check_ndim(len(args.shape))
     params = EnergyParams(alpha=args.alpha, beta=args.beta, mode=mode)
     report = gradcheck(args.shape, args.trials, args.seed, params, tol=args.tol)
     print(f"gradcheck mode={mode.value} shape={'x'.join(str(n) for n in args.shape)} "

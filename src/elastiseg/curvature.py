@@ -1,27 +1,35 @@
 """Curvature estimators for soft masks viewed as graphs z = u(x), with their pullbacks.
 
-Four modes: the 2D graph mean curvature, the 3D hypersurface mean curvature
-(numerator chi over sqrt(1+|grad u|^2), implemented verbatim, without the
-extra normalization a textbook graph mean curvature would carry), a fast 3D
+The two mean modes are one definition in any dimension. With w = 1 + |grad u|^2,
+
+    K = chi / (c * w**p),  chi = sum_i u_ii*(w - u_i^2) - 2*sum_{i<j} u_i*u_j*u_ij,
+
+where mean2d takes (c, p) = (2, 3/2), the textbook graph mean curvature, and
+mean3d takes (c, p) = (1, 1/2), the paper's hypersurface curvature
+chi / sqrt(w) implemented verbatim, without the extra normalization the
+textbook form would carry. Each mixed difference u_ij is the difference along
+j of the slope u_i the pass already holds. Two further 3D modes: a fast
 variant that sums the squared unmixed second derivatives and so needs only
 three stencil passes, and a plain second-derivative sum (laplacian_3d) for
 comparison; note the fast variant is NOT the Laplacian despite using the same
 kernels: it squares each term and is therefore nonnegative.
 
 Each mode is written once, as a forward function that returns K and its
-pullback: a map from a cotangent of K to the cotangents of the stencil outputs
-the forward read. The estimators below, the energy and its analytic gradient
-all evaluate that one definition.
+pullback: a map from a cotangent of K to the cotangents of the first and
+second differences the forward read. The estimators below, the energy and its
+analytic gradient all evaluate that one definition.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diffops import d1, d2, dmixed
+from .diffops import _slopes, d1, d1_adj, d2
 from .field import FieldError, ScalarField
 from .workspace import Workspace
 
@@ -36,6 +44,11 @@ class CurvatureMode(Enum):
     def required_ndim(self) -> int:
         return 2 if self is CurvatureMode.MEAN_2D else 3
 
+    def check_ndim(self, ndim: int) -> None:
+        """Raise :class:`FieldError` unless this mode is defined on ``ndim``-D data."""
+        if ndim != self.required_ndim:
+            raise FieldError(f"curvature mode {self.value} requires {self.required_ndim}D data, got {ndim}D")
+
     @classmethod
     def parse(cls, name: str) -> "CurvatureMode":
         for mode in cls:
@@ -45,85 +58,56 @@ class CurvatureMode(Enum):
 
 
 class Cotangents(NamedTuple):
-    """Cotangents of the d1/d2 outputs by axis and of the dmixed outputs by axis pair, keys ascending."""
+    """Cotangents of the d1 and d2 outputs of ``a`` by axis, keys ascending."""
 
     d1: dict[int, np.ndarray]
     d2: dict[int, np.ndarray]
-    dmixed: dict[tuple[int, int], np.ndarray]
 
 
 Pullback = Callable[[np.ndarray], Cotangents]
 Slopes = Sequence[np.ndarray]
 
 
-def _slopes(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None) -> Slopes:
-    if derivs is not None:
-        return derivs
-    return [d1(a, ax, spacing[ax]) for ax in range(a.ndim)]
+def _sum(terms) -> np.ndarray:
+    """Left-to-right sum of arrays, without the copy that ``sum`` makes of the first."""
+    return reduce(np.add, terms)
 
 
-def _mean_2d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
-             ws: Workspace) -> tuple[np.ndarray, Pullback]:
-    hx, hy = spacing
-    ux, uy = _slopes(a, spacing, derivs)
-    uxx = d2(a, 0, hx, out=ws.take())
-    uyy = d2(a, 1, hy, out=ws.take())
-    uxy = dmixed(a, 0, 1, hx, hy, out=ws.take())
-    w = 1.0 + ux * ux + uy * uy
-    sqrtw = np.sqrt(w)
-    den = 2.0 * w * sqrtw
-    num = (1.0 + ux * ux) * uyy + (1.0 + uy * uy) * uxx - 2.0 * ux * uy * uxy
-    k = num / den
+def _mean(c: float, p: float):
+    """The mean-curvature forward K = chi / (c * w**p) with one mode's constants."""
 
-    def pullback(gk: np.ndarray) -> Cotangents:
-        gnum = gk / den
-        gden = -gk * k / den
-        cots = Cotangents(
-            {0: gnum * (2.0 * ux * uyy - 2.0 * uy * uxy) + gden * (6.0 * ux * sqrtw),
-             1: gnum * (2.0 * uy * uxx - 2.0 * ux * uxy) + gden * (6.0 * uy * sqrtw)},
-            {0: gnum * (1.0 + uy * uy), 1: gnum * (1.0 + ux * ux)},
-            {(0, 1): gnum * (-2.0 * ux * uy)},
-        )
-        ws.give(uxx, uyy, uxy)
-        return cots
+    def forward(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
+                ws: Workspace) -> tuple[np.ndarray, Pullback]:
+        n = a.ndim
+        slopes = _slopes(a, spacing) if derivs is None else derivs
+        seconds = [d2(a, i, spacing[i], out=ws.take()) for i in range(n)]
+        # u_ij is the difference along j of the slope along i < j, as in diffops.dmixed
+        mixed = {(i, j): d1(slopes[i], j, spacing[j], out=ws.take()) for i, j in combinations(range(n), 2)}
+        w = 1.0 + _sum(ui * ui for ui in slopes)
+        chi = _sum(uii * (w - ui * ui) for ui, uii in zip(slopes, seconds))
+        chi -= 2.0 * _sum(slopes[i] * slopes[j] * uij for (i, j), uij in mixed.items())
+        den = c * w ** p
+        k = chi / den
 
-    return k, pullback
+        def pullback(gk: np.ndarray) -> Cotangents:
+            gchi = gk / den
+            gw = gchi * _sum(seconds) - p * gk * k / w
+            d1_cots = {}
+            for i, (ui, uii) in enumerate(zip(slopes, seconds)):
+                cross = _sum(slopes[j] * mixed[min(i, j), max(i, j)] for j in range(n) if j != i)
+                d1_cots[i] = 2.0 * (ui * (gw - gchi * uii) - gchi * cross)
+            del gw  # freed before the u_ii cotangents, which bounds the pass's peak memory
+            for ui, uii in zip(slopes, seconds):
+                np.multiply(gchi, w - ui * ui, out=uii)  # u_ii's cotangent, over u_ii
+            for (i, j), uij in mixed.items():
+                # u_ij was read from slope i, so its cotangent fans out into slope i's
+                d1_cots[i] += d1_adj(-2.0 * gchi * slopes[i] * slopes[j], j, spacing[j], out=uij)
+            ws.give(*mixed.values())
+            return Cotangents(d1_cots, dict(enumerate(seconds)))
 
+        return k, pullback
 
-def _mean_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
-             ws: Workspace) -> tuple[np.ndarray, Pullback]:
-    hx, hy, hz = spacing
-    ux, uy, uz = _slopes(a, spacing, derivs)
-    uxx = d2(a, 0, hx, out=ws.take())
-    uyy = d2(a, 1, hy, out=ws.take())
-    uzz = d2(a, 2, hz, out=ws.take())
-    uxy = dmixed(a, 0, 1, hx, hy, out=ws.take())
-    uxz = dmixed(a, 0, 2, hx, hz, out=ws.take())
-    uyz = dmixed(a, 1, 2, hy, hz, out=ws.take())
-    ux2, uy2, uz2 = ux * ux, uy * uy, uz * uz
-    s = np.sqrt(1.0 + ux2 + uy2 + uz2)
-    chi = (
-        uxx * (1.0 + uy2 + uz2)
-        + uyy * (1.0 + ux2 + uz2)
-        + uzz * (1.0 + ux2 + uy2)
-        - 2.0 * (ux * uy * uxy + ux * uz * uxz + uy * uz * uyz)
-    )
-    k = chi / s
-
-    def pullback(gk: np.ndarray) -> Cotangents:
-        gchi = gk / s
-        gs = -gk * k / s
-        cots = Cotangents(
-            {0: gchi * (2.0 * ux * (uyy + uzz) - 2.0 * (uy * uxy + uz * uxz)) + gs * (ux / s),
-             1: gchi * (2.0 * uy * (uxx + uzz) - 2.0 * (ux * uxy + uz * uyz)) + gs * (uy / s),
-             2: gchi * (2.0 * uz * (uxx + uyy) - 2.0 * (ux * uxz + uy * uyz)) + gs * (uz / s)},
-            {0: gchi * (1.0 + uy2 + uz2), 1: gchi * (1.0 + ux2 + uz2), 2: gchi * (1.0 + ux2 + uy2)},
-            {(0, 1): -2.0 * gchi * ux * uy, (0, 2): -2.0 * gchi * ux * uz, (1, 2): -2.0 * gchi * uy * uz},
-        )
-        ws.give(uxx, uyy, uzz, uxy, uxz, uyz)
-        return cots
-
-    return k, pullback
+    return forward
 
 
 def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
@@ -141,7 +125,7 @@ def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
         gk *= 2.0
         for s in seconds:
             s *= gk
-        return Cotangents({}, dict(enumerate(seconds)), {})
+        return Cotangents({}, dict(enumerate(seconds)))
 
     return k, pullback
 
@@ -155,14 +139,14 @@ def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | No
     ws.give(second)
 
     def pullback(gk: np.ndarray) -> Cotangents:
-        return Cotangents({}, {ax: gk for ax in range(3)}, {})
+        return Cotangents({}, {ax: gk for ax in range(3)})
 
     return k, pullback
 
 
 _FORWARD_BY_MODE = {
-    CurvatureMode.MEAN_2D: _mean_2d,
-    CurvatureMode.MEAN_3D: _mean_3d,
+    CurvatureMode.MEAN_2D: _mean(2.0, 1.5),
+    CurvatureMode.MEAN_3D: _mean(1.0, 0.5),
     CurvatureMode.FAST_3D: _fast_3d,
     CurvatureMode.LAPLACIAN_3D: _laplacian_3d,
 }
@@ -177,12 +161,11 @@ def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: Curvature
     when they are not given. Stencil outputs and, in the fast and Laplacian
     modes, K and its scratch come from ``ws`` (a throwaway workspace when none
     is given). The pullback may overwrite its argument, and it gives the
-    forward's buffers it no longer needs back to ``ws``; the fast mode writes
-    its cotangents over its second differences. The caller owns K, the
-    cotangents and its ``derivs``.
+    forward's buffers it no longer needs back to ``ws``; the fast and mean
+    modes write the cotangents of their second differences over them. The
+    caller owns K, the cotangents and its ``derivs``.
     """
-    if a.ndim != mode.required_ndim:
-        raise FieldError(f"mode {mode.value} requires {mode.required_ndim}D input, got {a.ndim}D")
+    mode.check_ndim(a.ndim)
     return _FORWARD_BY_MODE[mode](a, spacing, derivs, Workspace(a.shape) if ws is None else ws)
 
 

@@ -13,7 +13,9 @@ values are the same bit for bit, because the kernels write through slices of
 the output (``np.subtract(..., out=)``, then in-place ``+=``/``-=``/``/=``) in
 one fixed operation order and build no shifted-difference temporaries. Only
 :func:`dmixed` and :func:`dmixed_adj` still allocate their inner first
-difference.
+difference. They are not on the solver path: the mean curvature modes take
+each mixed difference from a first difference they already hold, and
+:func:`dmixed` stays as the public stencil behind :func:`deriv_mixed`.
 """
 
 from __future__ import annotations

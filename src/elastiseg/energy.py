@@ -83,13 +83,6 @@ class EnergyBreakdown:
         return cls(elastica, region_in, region_out, elastica + lam * region_in + lam * region_out)
 
 
-def check_mode(u: ScalarField, params: EnergyParams) -> None:
-    if u.ndim != params.mode.required_ndim:
-        raise FieldError(
-            f"curvature mode {params.mode.value} requires {params.mode.required_ndim}D fields, got {u.ndim}D"
-        )
-
-
 def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[float, float]:
     """Inside and outside region sums (|sum u (c1-r)^2|, |sum (1-u) (c2-r)^2|).
 
@@ -167,7 +160,7 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
 def elastica_term(u: ScalarField, params: EnergyParams) -> float:
     """Pointwise sum of (alpha + beta*K^2) * |grad u| times the voxel measure."""
     check_soft_mask(u)
-    check_mode(u, params)
+    params.mode.check_ndim(u.ndim)
     return elastica_forward(u.data, u.spacing, params).energy
 
 
@@ -188,7 +181,6 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
 def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams) -> EnergyBreakdown:
     """Full energy of mask u against reference r, split into its components."""
     check_same_shape(u, r)
-    check_mode(u, params)
     region_in, region_out = region_terms(u, r, params.c1, params.c2)
     elastica = elastica_term(u, params)
     return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam)

@@ -3,13 +3,14 @@
 The elastica gradient is one mode-independent pullback of
 :func:`energy.elastica_forward`: the cotangent of |grad u| and of the
 curvature (through the active mode's own pullback in :mod:`curvature`) land
-on the first/second/mixed stencil outputs, and each stencil's adjoint,
+on the first and second stencil outputs, and each stencil's adjoint,
 including its replicate-boundary corrections, carries them back to u. Every
 adjoint can be validated by a dot-product test. The region part is linear in
 the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u.
 The pass takes every intermediate from a :class:`~elastiseg.workspace.Workspace`
 and writes cotangents over the forward buffers that have died, so with a
-workspace reused across calls it allocates no full-size array.
+workspace reused across calls it allocates no full-size array outside the
+mean curvature modes' pointwise formulas.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import Cotangents
-from .diffops import d1_adj, d2_adj, dmixed_adj
+from .diffops import d1_adj, d2_adj
 from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_density, region_costs_raw, region_sums_raw
 from .field import ScalarField, check_same_shape, check_soft_mask
 from .workspace import Workspace
@@ -56,7 +57,7 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     Every buffer of the pass is given back to ``ws`` except the returned gradient.
     """
     fwd = elastica_forward(a, spacing, params, ws)
-    cots = Cotangents({}, {}, {})
+    cots = Cotangents({}, {})
     gk = None
     if fwd.pullback is not None:
         gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take())
@@ -76,8 +77,6 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
             yield adj
         for ax, c in cots.d2.items():
             yield d2_adj(c, ax, spacing[ax], out=ws.take())
-        for (i, j), c in cots.dmixed.items():
-            yield dmixed_adj(c, i, j, spacing[i], spacing[j], out=ws.take())
 
     terms = adjoints()
     grad = next(terms)
@@ -85,7 +84,7 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
         grad += adj
         ws.give(adj)
     # a cotangent may be shared between stencils (lap3d), so they go back only now
-    ws.give(fwd.mag, fwd.weight, gk, *cots.d2.values(), *cots.dmixed.values())
+    ws.give(fwd.mag, fwd.weight, gk, *cots.d2.values())
     return fwd.energy, grad
 
 

@@ -27,7 +27,6 @@ from .energy import (
     DegenerateMaskError,
     EnergyBreakdown,
     EnergyParams,
-    check_mode,
     region_means_raw,
     segmentation_energy,
 )
@@ -129,7 +128,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
-    check_mode(image, params)
+    params.mode.check_ndim(image.ndim)
 
     u = init.data.copy()
     z = _logit(u) if cfg.parameterization == "logistic" else None
@@ -215,8 +214,12 @@ def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg
     return False
 
 
-def threshold(mask: ScalarField, t: float = 0.5) -> ScalarField:
-    """Binarize a soft mask: 1.0 where value >= t (ties count as foreground)."""
+def check_threshold(t: float) -> None:
     if not 0.0 < t < 1.0:
         raise FieldError(f"threshold must lie in (0,1), got {t}")
+
+
+def threshold(mask: ScalarField, t: float = 0.5) -> ScalarField:
+    """Binarize a soft mask: 1.0 where value >= t (ties count as foreground)."""
+    check_threshold(t)
     return mask.with_data((mask.data >= t).astype(np.float64))

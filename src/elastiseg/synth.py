@@ -45,6 +45,8 @@ def _ball_case(shape, center, radius, fg, bg, noise_sigma, seed, name) -> SynthC
     center = tuple(float(c) for c in center)
     if len(center) != len(shape):
         raise FieldError(f"center has {len(center)} coordinates for shape {shape}")
+    if not np.all(np.isfinite((*center, radius))):
+        raise FieldError(f"center and radius must be finite, got center {center}, radius {radius}")
     if radius <= 2.0:
         raise FieldError(f"radius must exceed 2 voxels, got {radius}")
     if fg == bg:

@@ -36,6 +36,14 @@ def test_synth_infeasible_geometry_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--radius", "nan"), ("--center", "nan,nan")])
+def test_synth_rejects_non_finite_geometry(flag, value, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["synth", "--case", "disk", "--shape", "32,32", flag, value, "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "gt.vf32").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["synth", "--case", "nope", "--shape", "8,8", "--out", "x"])
@@ -103,6 +111,17 @@ def test_segment_zero_iters_returns_init(tmp_path):
     assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "0", "--out", str(out)]) == 0
     mask = read_volume(out / "mask.vf32")
     np.testing.assert_array_equal(mask.data, 0.5)
+
+
+def test_segment_rejects_a_bad_threshold_before_the_solve(tmp_path, capsys):
+    case_dir = tmp_path / "case"
+    run(["synth", "--case", "disk", "--shape", "32,32", "--radius", "7", "--out", str(case_dir)])
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "5",
+                "--threshold", "1.5", "--out", str(out)]) == 1
+    assert "threshold" in capsys.readouterr().err
+    assert not (out / "mask.vf32").exists()
+    assert not (out / "trace.csv").exists()
 
 
 def test_metrics_directory_pairing(tmp_path):

@@ -13,6 +13,7 @@ from elastiseg import (
     mean_curvature_2d,
     mean_curvature_3d,
 )
+from elastiseg.diffops import d1, d2, dmixed
 from elastiseg.energy import EnergyParams, elastica_forward
 
 
@@ -143,3 +144,28 @@ def test_curvature_is_the_k_the_energy_weighs(mode):
         f = ScalarField(rng.random(shape), spacing)
         fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode))
         np.testing.assert_array_equal(curvature(f, mode).data, fwd.k)
+
+
+def test_mean_modes_match_their_closed_forms():
+    # the textbook 2D graph mean curvature and the paper's 3D chi/sqrt(w),
+    # written out with nested mixed differences
+    rng = np.random.default_rng(11)
+    for shape in [(13, 11), (17, 9, 12)] * 4:
+        spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+        u = rng.random(shape)
+        g = [d1(u, i, spacing[i]) for i in range(u.ndim)]
+        w = 1.0 + sum(gi * gi for gi in g)
+
+        def second(i, j):
+            return d2(u, i, spacing[i]) if i == j else dmixed(u, i, j, spacing[i], spacing[j])
+
+        if u.ndim == 2:
+            (ux, uy), uxy = g, second(0, 1)
+            num = (1.0 + ux * ux) * second(1, 1) + (1.0 + uy * uy) * second(0, 0) - 2.0 * ux * uy * uxy
+            expected, mode = num / (2.0 * w ** 1.5), CurvatureMode.MEAN_2D
+        else:
+            chi = sum(second(i, i) * (w - g[i] ** 2) for i in range(3))
+            chi -= 2.0 * sum(g[i] * g[j] * second(i, j) for i, j in [(0, 1), (0, 2), (1, 2)])
+            expected, mode = chi / np.sqrt(w), CurvatureMode.MEAN_3D
+        k = curvature(ScalarField(u, spacing), mode).data
+        assert np.abs(k - expected).max() <= 1e-14 * np.abs(expected).max()

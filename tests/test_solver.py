@@ -304,6 +304,20 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration():
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
+def test_mean3d_solve_memory_budget_does_not_grow_per_iteration():
+    # the mean modes take their stencil outputs from the workspace and
+    # allocate only their pointwise temporaries
+    case = sphere_case_3d((24, 24, 24), (11.5, 11.5, 11.5), 7.0, noise_sigma=0.1, seed=0)
+    init = make_field(case.image.shape, 1.0, 0.5)
+    params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
+    peaks = [_traced_peak_in_arrays(case.image, init, params,
+                                    SolverConfig(max_iters=n, optimizer="momentum", region_mode="cv-means",
+                                                 stop_tol=0.0))
+             for n in (3, 15)]
+    assert peaks[0] <= 28.0, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1, peaks
+
+
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     rng = np.random.default_rng(8)
     expected = {  # beta = 0: the first differences, |grad u| and one scratch array

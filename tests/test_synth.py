@@ -44,6 +44,15 @@ def test_disk_geometry_errors():
         disk_case((64, 64), (31.5, 31.5), 10.0, fg=0.5, bg=0.5)
 
 
+@pytest.mark.parametrize("center,radius", [((float("nan"), 31.5), 10.0), ((31.5, 31.5), float("nan")),
+                                           ((float("inf"), 31.5), 10.0), ((31.5, 31.5), float("inf"))])
+def test_disk_rejects_non_finite_geometry(center, radius):
+    with pytest.raises(FieldError, match="finite"):
+        disk_case((64, 64), center, radius)
+    with pytest.raises(FieldError, match="finite"):
+        sphere_case_3d((16, 16, 16), (*center, 7.5), radius)
+
+
 def test_image_stays_in_unit_range():
     case = disk_case((48, 48), (23.5, 23.5), 10.0, noise_sigma=0.5, seed=3)
     assert case.image.data.min() >= 0.0
