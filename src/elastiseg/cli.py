@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import CurvatureMode, curvature
 from .energy import EnergyParams, segmentation_energy
-from .field import FieldError, ScalarField, make_field
+from .field import FieldError, ScalarField, check_ndim, make_field
 from .gradients import gradcheck
 from .metrics import MetricsError, count_components, dice, evaluate_pair, hd95
 from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, check_threshold, segment, threshold
@@ -73,7 +73,7 @@ def _resolve_mode(name: str, ndim: int) -> CurvatureMode:
     if name == "auto":
         return CurvatureMode.MEAN_2D if ndim == 2 else CurvatureMode.FAST_3D
     mode = CurvatureMode.parse(name)
-    mode.check_ndim(ndim)
+    check_ndim(ndim, mode)
     return mode
 
 
@@ -152,7 +152,7 @@ def median_eval_time(fn, field: ScalarField, repeats: int) -> float:
 def cmd_curvbench(args) -> int:
     mode = CurvatureMode.parse(args.mode)
     shape = args.shape
-    mode.check_ndim(len(shape))
+    check_ndim(len(shape), mode)
 
     if mode is CurvatureMode.MEAN_2D:
         field = hemisphere_field(shape, args.radius)
@@ -278,7 +278,7 @@ def _write_trace(path: str, trace: SolverTrace) -> None:
 
 def cmd_gradcheck(args) -> int:
     mode = CurvatureMode.parse(args.mode)
-    mode.check_ndim(len(args.shape))
+    check_ndim(len(args.shape), mode)
     params = EnergyParams(alpha=args.alpha, beta=args.beta, mode=mode)
     report = gradcheck(args.shape, args.trials, args.seed, params, tol=args.tol)
     print(f"gradcheck mode={mode.value} shape={'x'.join(str(n) for n in args.shape)} "

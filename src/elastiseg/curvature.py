@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diffops import _slopes, d1, d1_adj, d2
-from .field import FieldError, ScalarField
+from .field import ScalarField, check_ndim
 from .workspace import Workspace
 
 
@@ -43,11 +43,6 @@ class CurvatureMode(Enum):
     @property
     def required_ndim(self) -> int:
         return 2 if self is CurvatureMode.MEAN_2D else 3
-
-    def check_ndim(self, ndim: int) -> None:
-        """Raise :class:`FieldError` unless this mode is defined on ``ndim``-D data."""
-        if ndim != self.required_ndim:
-            raise FieldError(f"curvature mode {self.value} requires {self.required_ndim}D data, got {ndim}D")
 
     @classmethod
     def parse(cls, name: str) -> "CurvatureMode":
@@ -86,7 +81,10 @@ def _mean(c: float, p: float):
         w = 1.0 + _sum(ui * ui for ui in slopes)
         chi = _sum(uii * (w - ui * ui) for ui, uii in zip(slopes, seconds))
         chi -= 2.0 * _sum(slopes[i] * slopes[j] * uij for (i, j), uij in mixed.items())
-        den = c * w ** p
+        # c * w**p as c * sqrt(w) * w**int(p) for half-integer p: numpy's w**1.5 has no fast path
+        den = c * np.sqrt(w)
+        for _ in range(int(p)):
+            den *= w
         k = chi / den
 
         def pullback(gk: np.ndarray) -> Cotangents:
@@ -165,7 +163,7 @@ def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: Curvature
     modes write the cotangents of their second differences over them. The
     caller owns K, the cotangents and its ``derivs``.
     """
-    mode.check_ndim(a.ndim)
+    check_ndim(a.ndim, mode)
     return _FORWARD_BY_MODE[mode](a, spacing, derivs, Workspace(a.shape) if ws is None else ws)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .curvature import CurvatureMode, Pullback, curvature_forward
 from .diffops import NumericConfig, d1, grad_mag_raw
-from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
+from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
 from .workspace import Workspace
 
 
@@ -160,7 +160,7 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
 def elastica_term(u: ScalarField, params: EnergyParams) -> float:
     """Pointwise sum of (alpha + beta*K^2) * |grad u| times the voxel measure."""
     check_soft_mask(u)
-    params.mode.check_ndim(u.ndim)
+    check_ndim(u.ndim, params.mode)
     return elastica_forward(u.data, u.spacing, params).energy
 
 

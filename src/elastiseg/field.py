@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .curvature import CurvatureMode
 
 
 class FieldError(ValueError):
@@ -90,6 +94,12 @@ def check_soft_mask(field: ScalarField, name: str = "mask") -> None:
 def check_same_shape(a: ScalarField, b: ScalarField) -> None:
     if a.shape != b.shape:
         raise FieldError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def check_ndim(ndim: int, mode: CurvatureMode) -> None:
+    """Require ``ndim``-D data to be the dimension curvature ``mode`` is defined on."""
+    if ndim != mode.required_ndim:
+        raise FieldError(f"curvature mode {mode.value} requires {mode.required_ndim}D data, got {ndim}D")
 
 
 def is_binary(field: ScalarField) -> bool:

@@ -30,7 +30,7 @@ from .energy import (
     region_means_raw,
     segmentation_energy,
 )
-from .field import FieldError, ScalarField, check_same_shape, check_soft_mask
+from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
 from .gradients import energy_and_gradient_raw
 from .workspace import Workspace
 
@@ -128,7 +128,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
-    params.mode.check_ndim(image.ndim)
+    check_ndim(image.ndim, params.mode)
 
     u = init.data.copy()
     z = _logit(u) if cfg.parameterization == "logistic" else None

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from elastiseg import FieldError, ScalarField, clamp01, is_binary, make_field
+from elastiseg import CurvatureMode, FieldError, ScalarField, clamp01, curvature, is_binary, make_field
+from elastiseg.energy import EnergyParams, elastica_term
+from elastiseg.solver import SolverConfig, segment
 
 
 def test_make_field_constant_2d():
@@ -103,3 +107,14 @@ def test_is_binary():
     assert is_binary(make_field((3, 3), 1.0, 1.0))
     assert is_binary(make_field((3, 3), 1.0, 0.0))
     assert not is_binary(make_field((3, 3), 1.0, 0.5))
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_one_mode_dimension_rule_at_every_entry_point(mode):
+    wrong = make_field((4, 4, 4) if mode.required_ndim == 2 else (6, 6), 1.0, 0.5)
+    expected = f"curvature mode {mode.value} requires {mode.required_ndim}D data, got {wrong.ndim}D"
+    params = EnergyParams(mode=mode)  # beta = 0 reads no curvature, and still checks the mode
+    for call in (lambda: curvature(wrong, mode), lambda: elastica_term(wrong, params),
+                 lambda: segment(wrong, wrong, params, SolverConfig(max_iters=1))):
+        with pytest.raises(FieldError, match=re.escape(expected)):
+            call()
