@@ -6,20 +6,21 @@ derivatives, 1/h^2 for second). The raw kernels operate on ndarrays and are
 shared by the energy and gradient code; the field-level wrappers validate
 preconditions and carry spacing.
 
-Every raw stencil and adjoint takes an optional ``out=``: the result is
-written into that array (same shape, not overlapping the input) and ``out``
-itself is returned; without it a fresh array is returned. Either way the
-values are the same bit for bit, because the kernels write through slices of
-the output (``np.subtract(..., out=)``, then in-place ``+=``/``-=``/``/=``) in
-one fixed operation order and build no shifted-difference temporaries. Only
-:func:`dmixed` and :func:`dmixed_adj` still allocate their inner first
-difference. They are not on the solver path: the mean curvature modes take
-each mixed difference from a first difference they already hold, and
-:func:`dmixed` stays as the public stencil behind :func:`deriv_mixed`.
+Every raw stencil and adjoint is one flat-shift kernel for all axes. In the
+flattened C-ordered array a step along ``axis`` is a shift by
+``prod(shape[axis+1:])``, so the interior is one contiguous loop whatever the
+axis; the two boundary planes, which it leaves with wrapped-around values, are
+then written from scratch. An optional ``out=`` must be C-contiguous, of the
+input's shape and not overlapping it (else :class:`FieldError`); it is written
+and returned, else a fresh C-ordered array is, so a Fortran-ordered input
+yields a C-ordered result with the same values. Either way the bits are the
+same: one fixed operation order through views, no temporaries, except the
+inner first difference of :func:`dmixed`/:func:`dmixed_adj` (off the solver path).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,12 +45,6 @@ class NumericConfig:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-def _sl(ndim: int, axis: int, s: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
-
-
 def _check_axis(a: np.ndarray, axis: int) -> None:
     if not 0 <= axis < a.ndim:
         raise FieldError(f"axis {axis} out of range for ndim {a.ndim}")
@@ -57,70 +52,71 @@ def _check_axis(a: np.ndarray, axis: int) -> None:
         raise FieldError(f"extent {a.shape[axis]} along axis {axis} is < 3; stencils need interior points")
 
 
-def _out(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _flat(a: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
+    """Views for a stencil along ``axis``: ``out``, its flat interior, the flat input one step
+    before, at and after that interior, the input's planes 0, 1, n-2, n-1 and the output's 0, n-1."""
+    _check_axis(a, axis)
     if out is None:
-        return np.empty_like(a)
-    if out.shape != a.shape:
+        out = np.empty(a.shape, a.dtype)
+    elif out.shape != a.shape:
         raise FieldError(f"out has shape {out.shape}, input {a.shape}")
-    if np.may_share_memory(a, out):
+    elif not out.flags.c_contiguous:
+        raise FieldError("out must be C-contiguous")
+    elif np.may_share_memory(a, out):
         raise FieldError("out must not overlap the stencil input")
-    return out
+    a = np.ascontiguousarray(a)
+    s = math.prod(a.shape[axis + 1:])
+    af, at, ot = a.reshape(-1), a.swapaxes(0, axis), out.swapaxes(0, axis)
+    return (out, out.reshape(-1)[s:-s], (af[:-2 * s], af[s:-s], af[2 * s:]),
+            (at[0, ...], at[1, ...], at[-2, ...], at[-1, ...]), (ot[0, ...], ot[-1, ...]))
 
 
 def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Central first difference (u[i+1] - u[i-1]) / (2h), replicate boundary."""
-    _check_axis(a, axis)
-    nd = a.ndim
-    out = _out(a, out)
-    np.subtract(a[_sl(nd, axis, slice(2, None))], a[_sl(nd, axis, slice(None, -2))],
-                out=out[_sl(nd, axis, slice(1, -1))])
-    np.subtract(a[_sl(nd, axis, slice(1, 2))], a[_sl(nd, axis, slice(0, 1))], out=out[_sl(nd, axis, slice(0, 1))])
-    np.subtract(a[_sl(nd, axis, slice(-1, None))], a[_sl(nd, axis, slice(-2, -1))],
-                out=out[_sl(nd, axis, slice(-1, None))])
+    out, mid, (prev, _, nxt), (a0, a1, a_2, a_1), (first, last) = _flat(a, axis, out)
+    np.subtract(nxt, prev, out=mid)
+    np.subtract(a1, a0, out=first)
+    np.subtract(a_1, a_2, out=last)
     out /= 2.0 * h
     return out
 
 
 def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of :func:`d1`, including the replicate-boundary rows."""
-    _check_axis(w, axis)
-    nd = w.ndim
-    adj = _out(w, out)
-    # accumulated onto zeros: 0.0 + w, not w, so that -0.0 reads +0.0
-    adj[_sl(nd, axis, slice(0, 1))] = 0.0
-    np.add(w[_sl(nd, axis, slice(None, -1))], 0.0, out=adj[_sl(nd, axis, slice(1, None))])
-    adj[_sl(nd, axis, slice(None, -1))] -= w[_sl(nd, axis, slice(1, None))]
-    adj[_sl(nd, axis, slice(0, 1))] -= w[_sl(nd, axis, slice(0, 1))]
-    adj[_sl(nd, axis, slice(-1, None))] += w[_sl(nd, axis, slice(-1, None))]
+    adj, mid, (prev, _, nxt), (w0, w1, w_2, w_1), (first, last) = _flat(w, axis, out)
+    # (w[i-1] + 0.0) - w[i+1]: the + 0.0 makes -0.0 read +0.0, as when accumulating onto zeros
+    np.add(prev, 0.0, out=mid)
+    mid -= nxt
+    np.subtract(0.0, w1, out=first)
+    first -= w0
+    np.add(w_2, 0.0, out=last)
+    last += w_1
     adj /= 2.0 * h
     return adj
 
 
 def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Central second difference (u[i+1] - 2u[i] + u[i-1]) / h^2, replicate boundary."""
-    _check_axis(a, axis)
-    nd = a.ndim
-    out = _out(a, out)
-    mid = out[_sl(nd, axis, slice(1, -1))]
-    np.multiply(a[_sl(nd, axis, slice(1, -1))], 2.0, out=mid)
-    np.subtract(a[_sl(nd, axis, slice(2, None))], mid, out=mid)
-    mid += a[_sl(nd, axis, slice(None, -2))]
-    np.subtract(a[_sl(nd, axis, slice(1, 2))], a[_sl(nd, axis, slice(0, 1))], out=out[_sl(nd, axis, slice(0, 1))])
-    np.subtract(a[_sl(nd, axis, slice(-2, -1))], a[_sl(nd, axis, slice(-1, None))],
-                out=out[_sl(nd, axis, slice(-1, None))])
+    out, mid, (prev, cur, nxt), (a0, a1, a_2, a_1), (first, last) = _flat(a, axis, out)
+    np.multiply(cur, 2.0, out=mid)
+    np.subtract(nxt, mid, out=mid)
+    mid += prev
+    np.subtract(a1, a0, out=first)
+    np.subtract(a_2, a_1, out=last)
     out /= h * h
     return out
 
 
 def d2_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of :func:`d2` (the replicate-boundary stencil is symmetric)."""
-    _check_axis(w, axis)
-    nd = w.ndim
-    adj = np.multiply(w, -2.0, out=_out(w, out))
-    adj[_sl(nd, axis, slice(1, None))] += w[_sl(nd, axis, slice(None, -1))]
-    adj[_sl(nd, axis, slice(None, -1))] += w[_sl(nd, axis, slice(1, None))]
-    adj[_sl(nd, axis, slice(0, 1))] += w[_sl(nd, axis, slice(0, 1))]
-    adj[_sl(nd, axis, slice(-1, None))] += w[_sl(nd, axis, slice(-1, None))]
+    adj, mid, (prev, cur, nxt), (w0, w1, w_2, w_1), (first, last) = _flat(w, axis, out)
+    np.multiply(cur, -2.0, out=mid)
+    mid += prev
+    mid += nxt
+    for edge, wi, wj in ((first, w0, w1), (last, w_1, w_2)):
+        np.multiply(wi, -2.0, out=edge)
+        edge += wj
+        edge += wi
     adj /= h * h
     return adj
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,10 +58,7 @@ class ScalarField:
     @property
     def voxel_measure(self) -> float:
         """Product of spacings: the area (2D) or volume (3D) of one cell."""
-        out = 1.0
-        for s in self.spacing:
-            out *= s
-        return out
+        return math.prod(self.spacing)
 
     def with_data(self, data: np.ndarray) -> "ScalarField":
         """New field with the same spacing and the given values."""

@@ -165,6 +165,8 @@ def gradcheck(shape: tuple[int, ...], trials: int, seed: int, params: EnergyPara
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 < tol < math.inf:  # also rejects NaN: a gate at inf could not fail
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     rng = np.random.default_rng(seed)
     spacing = (1.0,) * len(shape)
     max_abs = 0.0

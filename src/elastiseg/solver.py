@@ -53,14 +53,18 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not self.step_size > 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0.0 < self.step_size < math.inf:  # also rejects NaN
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not math.isfinite(self.momentum):
+            raise ValueError(f"momentum must be finite, got {self.momentum}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.parameterization not in PARAMETERIZATIONS:
             raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}, got {self.parameterization!r}")
         if self.region_mode not in REGION_MODES:
             raise ValueError(f"region_mode must be one of {REGION_MODES}, got {self.region_mode!r}")
+        if not 0.0 <= self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol}")
         if self.stop_window < 1:
             raise ValueError(f"stop_window must be >= 1, got {self.stop_window}")
 

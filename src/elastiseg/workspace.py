@@ -20,19 +20,19 @@ class Workspace:
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
-        self._arrays: list[np.ndarray] = []  # every array this workspace allocated
-        self._free: list[np.ndarray] = []
+        self._owned: dict[int, np.ndarray] = {}  # by id(), unique while the array is held here
+        self._free: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         """Number of full-size arrays allocated so far."""
-        return len(self._arrays)
+        return len(self._owned)
 
     def take(self) -> np.ndarray:
         """A free array (contents undefined), allocating one when none is free."""
         if self._free:
-            return self._free.pop()
+            return self._free.popitem()[1]
         arr = np.empty(self.shape)
-        self._arrays.append(arr)
+        self._owned[id(arr)] = arr
         return arr
 
     def give(self, *arrays) -> None:
@@ -43,5 +43,5 @@ class Workspace:
         give back everything it holds without tracking which is which.
         """
         for arr in arrays:
-            if any(arr is own for own in self._arrays) and not any(arr is f for f in self._free):
-                self._free.append(arr)
+            if id(arr) in self._owned:
+                self._free[id(arr)] = arr

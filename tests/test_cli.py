@@ -208,3 +208,22 @@ def test_gradcheck_rejects_non_finite_weights(flag, value, capsys):
     captured = capsys.readouterr()
     assert "passed=True" not in captured.out
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-5"])
+def test_gradcheck_rejects_a_tol_that_cannot_gate(tol, capsys):
+    assert run(["gradcheck", "--shape", "5,5", "--trials", "1", f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert "passed=" not in captured.out
+    assert "tol must be finite and > 0" in captured.err
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_segment_rejects_a_non_finite_step_before_the_solve(step, tmp_path, capsys):
+    case_dir = tmp_path / "case"
+    run(["synth", "--case", "disk", "--shape", "32,32", "--radius", "7", "--out", str(case_dir)])
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "5", "--step", step,
+                "--out", str(out)]) == 1
+    assert "step_size must be finite" in capsys.readouterr().err
+    assert not (out / "mask.vf32").exists()

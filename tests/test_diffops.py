@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastiseg import FieldError, NumericConfig, ScalarField, deriv1, deriv2, deriv_mixed, grad_mag, make_field, tv_length
 from elastiseg.diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj, grad_mag_raw
@@ -185,6 +187,120 @@ def test_out_must_not_overlap_the_input():
             fn(a, 1, 1.0, out=a)
     with pytest.raises(FieldError):
         d1(a, 0, 1.0, out=np.empty((5, 5)))
+
+
+def test_out_must_be_c_contiguous():
+    a = np.random.default_rng(34).random((5, 6))
+    for out in (np.empty((5, 6), order="F"), np.empty((10, 6))[::2], np.empty((6, 5)).T):
+        for fn in (d1, d1_adj, d2, d2_adj):
+            with pytest.raises(FieldError, match="C-contiguous"):
+                fn(a, 0, 1.0, out=out)
+
+
+# The slice-per-axis kernels the flat-shift kernels replaced, kept as the
+# reference they must match bit for bit.
+def _sl(ndim, axis, s):
+    idx = [slice(None)] * ndim
+    idx[axis] = s
+    return tuple(idx)
+
+
+def ref_d1(a, axis, h):
+    nd, out = a.ndim, np.empty_like(a)
+    np.subtract(a[_sl(nd, axis, slice(2, None))], a[_sl(nd, axis, slice(None, -2))],
+                out=out[_sl(nd, axis, slice(1, -1))])
+    np.subtract(a[_sl(nd, axis, slice(1, 2))], a[_sl(nd, axis, slice(0, 1))], out=out[_sl(nd, axis, slice(0, 1))])
+    np.subtract(a[_sl(nd, axis, slice(-1, None))], a[_sl(nd, axis, slice(-2, -1))],
+                out=out[_sl(nd, axis, slice(-1, None))])
+    out /= 2.0 * h
+    return out
+
+
+def ref_d1_adj(w, axis, h):
+    nd, adj = w.ndim, np.empty_like(w)
+    adj[_sl(nd, axis, slice(0, 1))] = 0.0
+    np.add(w[_sl(nd, axis, slice(None, -1))], 0.0, out=adj[_sl(nd, axis, slice(1, None))])
+    adj[_sl(nd, axis, slice(None, -1))] -= w[_sl(nd, axis, slice(1, None))]
+    adj[_sl(nd, axis, slice(0, 1))] -= w[_sl(nd, axis, slice(0, 1))]
+    adj[_sl(nd, axis, slice(-1, None))] += w[_sl(nd, axis, slice(-1, None))]
+    adj /= 2.0 * h
+    return adj
+
+
+def ref_d2(a, axis, h):
+    nd, out = a.ndim, np.empty_like(a)
+    mid = out[_sl(nd, axis, slice(1, -1))]
+    np.multiply(a[_sl(nd, axis, slice(1, -1))], 2.0, out=mid)
+    np.subtract(a[_sl(nd, axis, slice(2, None))], mid, out=mid)
+    mid += a[_sl(nd, axis, slice(None, -2))]
+    np.subtract(a[_sl(nd, axis, slice(1, 2))], a[_sl(nd, axis, slice(0, 1))], out=out[_sl(nd, axis, slice(0, 1))])
+    np.subtract(a[_sl(nd, axis, slice(-2, -1))], a[_sl(nd, axis, slice(-1, None))],
+                out=out[_sl(nd, axis, slice(-1, None))])
+    out /= h * h
+    return out
+
+
+def ref_d2_adj(w, axis, h):
+    nd = w.ndim
+    adj = np.multiply(w, -2.0)
+    adj[_sl(nd, axis, slice(1, None))] += w[_sl(nd, axis, slice(None, -1))]
+    adj[_sl(nd, axis, slice(None, -1))] += w[_sl(nd, axis, slice(1, None))]
+    adj[_sl(nd, axis, slice(0, 1))] += w[_sl(nd, axis, slice(0, 1))]
+    adj[_sl(nd, axis, slice(-1, None))] += w[_sl(nd, axis, slice(-1, None))]
+    adj /= h * h
+    return adj
+
+
+def _layouts(a):
+    """The array itself, Fortran-ordered, a strided view and a transpose, each with its name."""
+    views = [("C", a), ("F", np.asfortranarray(a)), ("T", a.T)]
+    if a.shape[0] >= 6:
+        views.append(("::2", a[::2]))
+    return views
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (3, 3), (6, 3), (9, 7), (3, 3, 3), (6, 5, 7), (7, 3, 4),
+                                   (3, 4, 3, 5), (6, 3, 3, 4)])
+def test_flat_kernels_match_the_slice_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(35)
+    base = rng.standard_normal(shape)
+    base[rng.random(shape) < 0.2] = 0.0
+    base[rng.random(shape) < 0.2] = -0.0
+    pairs = [(d1, ref_d1), (d1_adj, ref_d1_adj), (d2, ref_d2), (d2_adj, ref_d2_adj)]
+    for layout, a in _layouts(base):
+        h = tuple(rng.uniform(0.3, 3.0, a.ndim))
+        for ax in range(a.ndim):
+            if a.shape[ax] < 3:
+                continue
+            for fn, ref in pairs:
+                expected = ref(a, ax, h[ax]).tobytes()
+                got = fn(a, ax, h[ax])
+                assert got.flags.c_contiguous
+                assert got.tobytes() == expected, (layout, fn.__name__, ax)
+                assert fn(a, ax, h[ax], out=np.full(a.shape, np.nan)).tobytes() == expected, (layout, fn.__name__, ax)
+        for i, j in itertools.combinations(range(a.ndim), 2):
+            if min(a.shape[i], a.shape[j]) < 3:
+                continue
+            assert (dmixed(a, i, j, h[i], h[j]).tobytes()
+                    == ref_d1(ref_d1(a, i, h[i]), j, h[j]).tobytes()), (layout, i, j)
+            assert (dmixed_adj(a, i, j, h[i], h[j]).tobytes()
+                    == ref_d1_adj(ref_d1_adj(a, j, h[j]), i, h[i]).tobytes()), (layout, i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(3, 7), min_size=1, max_size=4), data=st.data())
+def test_adjoint_identities_hold_for_random_shapes_axes_and_spacings(shape, data):
+    shape = tuple(shape)
+    axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
+    h = data.draw(st.floats(0.25, 4.0), label="h")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    fwd, back = np.empty(shape), np.empty(shape)
+    for op, adj in ((d1, d1_adj), (d2, d2_adj)):
+        for _ in range(2):  # the second round writes over the first round's buffers
+            u, w = rng.standard_normal(shape), rng.standard_normal(shape)
+            lhs = float(np.sum(op(u, axis, h, out=fwd) * w))
+            rhs = float(np.sum(u * adj(w, axis, h, out=back)))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-12), op.__name__
 
 
 def test_adjoint_identities_through_reused_out_buffers():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,25 @@ def test_directional_derivative_at_realistic_sizes(mode, beta):
 def test_gradcheck_rejects_bad_trials():
     with pytest.raises(ValueError):
         gradcheck((8, 8), trials=0, seed=0, params=EnergyParams())
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-5])
+def test_gradcheck_rejects_a_tol_that_cannot_gate(tol):
+    with pytest.raises(ValueError, match="tol"):
+        gradcheck((5, 5), trials=1, seed=0, params=EnergyParams(), tol=tol)
+
+
+def test_workspace_ignores_double_and_foreign_gives():
+    ws = Workspace((3, 4))
+    a, b = ws.take(), ws.take()
+    ws.give(a)
+    ws.give(a, np.empty((3, 4)), 2.0, a.copy(), a)
+    # the pool holds a once and nothing else: the second take allocates
+    assert ws.take() is a
+    c = ws.take()
+    assert c is not b and len(ws) == 3
+    ws.give(b)
+    assert ws.take() is b
 
 
 def test_fd_cost_is_documented_but_small_fields_fast():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,14 @@ def test_config_validation():
         SolverConfig(parameterization="raw")
     with pytest.raises(ValueError):
         SolverConfig(region_mode="other")
+
+
+@pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan),
+                                         ("momentum", math.inf), ("momentum", -math.inf), ("momentum", math.nan),
+                                         ("stop_tol", math.inf), ("stop_tol", math.nan), ("stop_tol", -1e-9)])
+def test_config_rejects_non_finite_or_negative_knobs(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_converged_flag_on_flat_problem():
