@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import CurvatureMode, curvature
 from .energy import EnergyParams, segmentation_energy
-from .field import FieldError, ScalarField, check_ndim, make_field
+from .field import FieldError, ScalarField, check_ndim, check_same_shape, make_field
 from .gradients import gradcheck
 from .metrics import MetricsError, count_components, dice, evaluate_pair, hd95
 from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, check_threshold, segment, threshold
@@ -219,6 +219,9 @@ def cmd_segment(args) -> int:
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
                        parameterization=args.param, region_mode=args.region_mode)
     check_threshold(args.threshold)
+    gt = _load_mask_or_volume(args.gt) if args.gt else None
+    if gt is not None:
+        check_same_shape(image, gt)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
@@ -252,8 +255,7 @@ def cmd_segment(args) -> int:
         "stage_load_s": f"{load_s:.6f}", "stage_solve_s": f"{solve_s:.6f}",
     }
 
-    if args.gt:
-        gt = _load_mask_or_volume(args.gt)
+    if gt is not None:
         try:
             report = evaluate_pair(binary, gt)
             write_metrics_csv([("segment", report)], os.path.join(args.out, "metrics.csv"))

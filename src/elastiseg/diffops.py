@@ -1,10 +1,10 @@
 """Central finite-difference stencils, their adjoints, and total-variation length.
 
 All stencils use replicate (nearest-edge) boundary handling, i.e. zero normal
-derivative at the border, and divide by the grid spacing (1/(2h) for first
-derivatives, 1/h^2 for second). The raw kernels operate on ndarrays and are
-shared by the energy and gradient code; the field-level wrappers validate
-preconditions and carry spacing.
+derivative at the border, and divide by c = 2h (first derivatives) or h^2
+(second) with the bits of ``/= c``, multiplying only by an exact reciprocal. The
+raw kernels operate on ndarrays and are shared by the energy and gradient code;
+the field-level wrappers validate preconditions and carry spacing.
 
 Every raw stencil and adjoint is one flat-shift kernel for all axes. In the
 flattened C-ordered array a step along ``axis`` is a shift by
@@ -71,13 +71,22 @@ def _flat(a: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
             (at[0, ...], at[1, ...], at[-2, ...], at[-1, ...]), (ot[0, ...], ot[-1, ...]))
 
 
+def _scale(out: np.ndarray, c: float) -> None:
+    """``out /= c``, bit for bit: x * (1/c) rounds the same real as x / c when 1/c is exact, i.e.
+    c is a power of two whose reciprocal does not overflow (a subnormal c = 2**-1040 has 1/c = inf)."""
+    if math.frexp(c)[0] != 0.5 or not math.isfinite(1.0 / float(c)):
+        out /= c
+    elif c != 1.0:
+        out *= 1.0 / c
+
+
 def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Central first difference (u[i+1] - u[i-1]) / (2h), replicate boundary."""
     out, mid, (prev, _, nxt), (a0, a1, a_2, a_1), (first, last) = _flat(a, axis, out)
     np.subtract(nxt, prev, out=mid)
     np.subtract(a1, a0, out=first)
     np.subtract(a_1, a_2, out=last)
-    out /= 2.0 * h
+    _scale(out, 2.0 * h)
     return out
 
 
@@ -91,7 +100,7 @@ def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = No
     first -= w0
     np.add(w_2, 0.0, out=last)
     last += w_1
-    adj /= 2.0 * h
+    _scale(adj, 2.0 * h)
     return adj
 
 
@@ -103,7 +112,7 @@ def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) 
     mid += prev
     np.subtract(a1, a0, out=first)
     np.subtract(a_2, a_1, out=last)
-    out /= h * h
+    _scale(out, h * h)
     return out
 
 
@@ -117,7 +126,7 @@ def d2_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = No
         np.multiply(wi, -2.0, out=edge)
         edge += wj
         edge += wi
-    adj /= h * h
+    _scale(adj, h * h)
     return adj
 
 
@@ -151,9 +160,9 @@ def grad_mag_raw(derivs: Sequence[np.ndarray], eps: float, out: np.ndarray | Non
     ``derivs`` are the first differences along every axis; ``tmp`` is scratch
     for their squares.
     """
-    mag = np.empty_like(derivs[0]) if out is None else out
-    mag.fill(eps * eps)
-    for g in derivs:
+    mag = np.multiply(derivs[0], derivs[0], out=out)
+    mag += eps * eps  # g0*g0 + eps*eps: the bits of accumulating onto eps*eps, as addition commutes
+    for g in derivs[1:]:
         mag += np.multiply(g, g, out=tmp)
     return np.sqrt(mag, out=mag)
 

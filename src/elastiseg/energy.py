@@ -178,11 +178,17 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     return fwd.weight * fwd.mag + reg
 
 
-def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams) -> EnergyBreakdown:
-    """Full energy of mask u against reference r, split into its components."""
+def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams,
+                        ws: Workspace | None = None) -> EnergyBreakdown:
+    """Full energy of mask u against reference r, by component; arrays taken from ``ws`` all go back."""
     check_same_shape(u, r)
-    region_in, region_out = region_terms(u, r, params.c1, params.c2)
-    elastica = elastica_term(u, params)
+    check_soft_mask(u)
+    check_ndim(u.ndim, params.mode)
+    ws = Workspace(u.shape) if ws is None else ws
+    with ws.scope():  # the costs go back before the forward pass takes its arrays
+        region_in, region_out = region_sums_raw(u.data, *region_costs_raw(r.data, params.c1, params.c2, ws), ws)
+    with ws.scope():  # the curvature pullback's arrays included
+        elastica = elastica_forward(u.data, u.spacing, params, ws).energy
     return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam)
 
 

@@ -127,8 +127,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     computed in it, in place. With beta = 0, N = ndim + 2 in every mode; with
     beta > 0, N = 10 in fast3d, 7 in lap3d, 8 in mean2d and 12 in mean3d.
     The mean modes' curvature formulas still allocate their pointwise
-    temporaries on every pass. The workspace is released before the exit
-    energy of a run that reaches ``max_iters``, so the two do not stack.
+    temporaries on every pass. The exit energy of a run that reaches
+    ``max_iters`` is evaluated in the same workspace, which it gives back.
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
@@ -165,15 +165,15 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             except DegenerateMaskError:
                 pass  # keep the previous constants
 
+    del velocity  # freed first, so that the output field's copy does not raise the peak memory
+    mask = image.with_data(u)
     if cfg.max_iters > 0 and not converged:
-        # no further gradient pass supplies the energy after the last update;
-        # the workspace is released first so that the two do not stack
-        del ws, g, velocity
+        # no further gradient pass supplies the energy after the last update
         with np.errstate(over="ignore", invalid="ignore"):
-            bd = segmentation_energy(image.with_data(u), image, params.with_constants(c1, c2))
+            bd = segmentation_energy(mask, image, params.with_constants(c1, c2), ws)
         converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
 
-    return image.with_data(u), SolverTrace(breakdowns, len(breakdowns), converged)
+    return mask, SolverTrace(breakdowns, len(breakdowns), converged)
 
 
 def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray,

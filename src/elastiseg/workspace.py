@@ -12,6 +12,8 @@ one: the code path is the same and every array it returns is fresh.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -45,3 +47,12 @@ class Workspace:
         for arr in arrays:
             if id(arr) in self._owned:
                 self._free[id(arr)] = arr
+
+    @contextmanager
+    def scope(self):
+        """Give back, on leaving the block, every array taken in it and not yet returned."""
+        held = self._owned.keys() - self._free.keys()
+        try:
+            yield
+        finally:
+            self.give(*(arr for key, arr in self._owned.items() if key not in held))

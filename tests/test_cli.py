@@ -227,3 +227,14 @@ def test_segment_rejects_a_non_finite_step_before_the_solve(step, tmp_path, caps
                 "--out", str(out)]) == 1
     assert "step_size must be finite" in capsys.readouterr().err
     assert not (out / "mask.vf32").exists()
+
+
+def test_segment_checks_the_reference_shape_before_the_solve(tmp_path, capsys):
+    run(["synth", "--case", "disk", "--shape", "16,16", "--radius", "5", "--out", str(tmp_path / "img")])
+    run(["synth", "--case", "sphere", "--shape", "8,8,8", "--radius", "3", "--out", str(tmp_path / "ref")])
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(tmp_path / "img" / "image.vf32"), "--iters", "5",
+                "--gt", str(tmp_path / "ref" / "gt.vf32"), "--out", str(out)]) == 1
+    assert "shape mismatch" in capsys.readouterr().err
+    assert not (out / "mask.vf32").exists()
+    assert not (out / "trace.csv").exists()

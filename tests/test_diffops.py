@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +260,32 @@ def _layouts(a):
     return views
 
 
+# Spacings whose scale c = 2h or h^2 is a power of two, so the kernels multiply by
+# 1/c or, at c = 1, skip the pass; (2**-520)**2 is subnormal with 1/c = inf, so d2
+# must divide there, as at 0 and inf.
+DYADIC_SPACINGS = (0.25, 0.5, 1.0, 2.0, 4.0, 2.0**500, 2.0**-500, 2.0**-520, 0.0, math.inf)
+
+
+def _match_the_reference(a, h, tag):
+    pairs = [(d1, ref_d1), (d1_adj, ref_d1_adj), (d2, ref_d2), (d2_adj, ref_d2_adj)]
+    for ax in range(a.ndim):
+        if a.shape[ax] < 3:
+            continue
+        for fn, ref in pairs:
+            expected = ref(a, ax, h[ax]).tobytes()
+            got = fn(a, ax, h[ax])
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected, (tag, fn.__name__, ax)
+            assert fn(a, ax, h[ax], out=np.full(a.shape, np.nan)).tobytes() == expected, (tag, fn.__name__, ax)
+    for i, j in itertools.combinations(range(a.ndim), 2):
+        if min(a.shape[i], a.shape[j]) < 3:
+            continue
+        assert (dmixed(a, i, j, h[i], h[j]).tobytes()
+                == ref_d1(ref_d1(a, i, h[i]), j, h[j]).tobytes()), (tag, i, j)
+        assert (dmixed_adj(a, i, j, h[i], h[j]).tobytes()
+                == ref_d1_adj(ref_d1_adj(a, j, h[j]), i, h[i]).tobytes()), (tag, i, j)
+
+
 @pytest.mark.parametrize("shape", [(3,), (8,), (3, 3), (6, 3), (9, 7), (3, 3, 3), (6, 5, 7), (7, 3, 4),
                                    (3, 4, 3, 5), (6, 3, 3, 4)])
 def test_flat_kernels_match_the_slice_reference_bit_for_bit(shape):
@@ -266,25 +293,11 @@ def test_flat_kernels_match_the_slice_reference_bit_for_bit(shape):
     base = rng.standard_normal(shape)
     base[rng.random(shape) < 0.2] = 0.0
     base[rng.random(shape) < 0.2] = -0.0
-    pairs = [(d1, ref_d1), (d1_adj, ref_d1_adj), (d2, ref_d2), (d2_adj, ref_d2_adj)]
     for layout, a in _layouts(base):
-        h = tuple(rng.uniform(0.3, 3.0, a.ndim))
-        for ax in range(a.ndim):
-            if a.shape[ax] < 3:
-                continue
-            for fn, ref in pairs:
-                expected = ref(a, ax, h[ax]).tobytes()
-                got = fn(a, ax, h[ax])
-                assert got.flags.c_contiguous
-                assert got.tobytes() == expected, (layout, fn.__name__, ax)
-                assert fn(a, ax, h[ax], out=np.full(a.shape, np.nan)).tobytes() == expected, (layout, fn.__name__, ax)
-        for i, j in itertools.combinations(range(a.ndim), 2):
-            if min(a.shape[i], a.shape[j]) < 3:
-                continue
-            assert (dmixed(a, i, j, h[i], h[j]).tobytes()
-                    == ref_d1(ref_d1(a, i, h[i]), j, h[j]).tobytes()), (layout, i, j)
-            assert (dmixed_adj(a, i, j, h[i], h[j]).tobytes()
-                    == ref_d1_adj(ref_d1_adj(a, j, h[j]), i, h[i]).tobytes()), (layout, i, j)
+        _match_the_reference(a, tuple(rng.uniform(0.3, 3.0, a.ndim)), layout)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the extreme spacings
+            for h in DYADIC_SPACINGS:
+                _match_the_reference(a, (h,) * a.ndim, (layout, h))
 
 
 @settings(max_examples=60, deadline=None)

@@ -190,6 +190,23 @@ def test_workspace_ignores_double_and_foreign_gives():
     assert ws.take() is b
 
 
+def test_workspace_scope_gives_back_what_the_block_took():
+    ws = Workspace((3, 4))
+    outer = ws.take()
+    with ws.scope():
+        kept, inner = ws.take(), ws.take()
+        ws.give(kept)
+        ws.take()
+    with pytest.raises(RuntimeError):
+        with ws.scope():
+            ws.take()
+            raise RuntimeError
+    # outer stays handed out; both arrays the blocks took are free again
+    assert len(ws) == 3
+    assert {id(ws.take()), id(ws.take())} == {id(kept), id(inner)}
+    assert ws.take() is not outer and len(ws) == 4
+
+
 def test_fd_cost_is_documented_but_small_fields_fast():
     # definitional: 2*n energy evaluations; just confirm it runs on a tiny field
     u = ScalarField(np.full((4, 4), 0.5), 1.0)

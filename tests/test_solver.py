@@ -24,6 +24,7 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
+from elastiseg.workspace import Workspace
 
 
 def small_disk(seed=0):
@@ -351,3 +352,28 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
             cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
             segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
             assert len(made[-1]) == n, (mode, beta, opt, par)
+
+
+@pytest.mark.parametrize("mode, beta", [(CurvatureMode.MEAN_2D, 0.0), (CurvatureMode.MEAN_2D, 0.5),
+                                        (CurvatureMode.MEAN_3D, 0.5), (CurvatureMode.FAST_3D, 0.5),
+                                        (CurvatureMode.LAPLACIAN_3D, 0.5)])
+def test_max_iters_solve_evaluates_its_exit_energy_in_its_one_workspace(monkeypatch, mode, beta):
+    made = []
+    real_init = Workspace.__init__
+
+    def recording_init(self, shape):
+        real_init(self, shape)
+        made.append(self)
+
+    monkeypatch.setattr(Workspace, "__init__", recording_init)
+    shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
+    image = ScalarField(np.random.default_rng(9).random(shape), 1.0)
+    cfg = SolverConfig(max_iters=3, region_mode="cv-means", stop_tol=0.0)
+    _, trace = segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
+    assert trace.iterations_run == 3 and not trace.converged
+    assert len(made) == 1
+    # the exit energy gave every array back: taking them all allocates none
+    ws = made[0]
+    n = len(ws)
+    arrays = [ws.take() for _ in range(n)]
+    assert len(ws) == n and len({id(a) for a in arrays}) == n
