@@ -15,7 +15,7 @@ from .curvature import (
     mean_curvature_2d,
     mean_curvature_3d,
 )
-from .diffops import NumericConfig, deriv1, deriv2, deriv_mixed, grad_mag, tv_length
+from .diffops import deriv1, deriv2, deriv_mixed, grad_mag, tv_length
 from .energy import (
     DegenerateMaskError,
     EnergyBreakdown,
@@ -44,7 +44,6 @@ __all__ = [
     "MetricsError",
     "MetricsReport",
     "NonFiniteEnergyError",
-    "NumericConfig",
     "ScalarField",
     "SolverConfig",
     "SolverTrace",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import CurvatureMode, curvature
 from .energy import EnergyParams, segmentation_energy
-from .field import FieldError, ScalarField, check_ndim, check_same_shape, make_field
+from .field import FieldError, ScalarField, check_ndim, check_same_shape, is_binary, make_field
 from .gradients import gradcheck
 from .metrics import MetricsError, count_components, dice, evaluate_pair, hd95
 from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, check_threshold, segment, threshold
@@ -77,23 +77,30 @@ def _resolve_mode(name: str, ndim: int) -> CurvatureMode:
     return mode
 
 
+def _case_flags(args, choice: str, defaults: dict, used: bool) -> None:
+    """Fill in ``defaults`` for flags the chosen case reads; reject any of them given to one that does not."""
+    for name, default in defaults.items():
+        if not used and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {choice}")
+        if used and getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     shape = args.shape
-    if args.case == "disk":
-        if len(shape) != 2:
-            raise FieldError("disk case needs a 2D shape")
-        center = args.center or tuple((n - 1) / 2.0 for n in shape)
-        radius = args.radius if args.radius is not None else min(shape) / 4.0
-        case = disk_case(shape, center, radius, args.fg, args.bg, args.noise, args.seed)
-    elif args.case == "sphere":
-        if len(shape) != 3:
-            raise FieldError("sphere case needs a 3D shape")
-        center = args.center or tuple((n - 1) / 2.0 for n in shape)
-        radius = args.radius if args.radius is not None else min(shape) / 4.0
-        case = sphere_case_3d(shape, center, radius, args.fg, args.bg, args.noise, args.seed)
-    else:
+    tube = args.case == "tube"
+    _case_flags(args, f"--case {args.case}", {"radius": None, "center": None, "fg": 0.8, "bg": 0.2}, not tube)
+    _case_flags(args, f"--case {args.case}", {"width": 5, "gaps": 2, "gap_len": 3}, tube)
+    if tube:
         case = broken_tube_case(shape, args.width, args.gaps, args.gap_len, args.noise, args.seed)
+    else:
+        ndim, make = (2, disk_case) if args.case == "disk" else (3, sphere_case_3d)
+        if len(shape) != ndim:
+            raise FieldError(f"{args.case} case needs a {ndim}D shape")
+        center = args.center or tuple((n - 1) / 2.0 for n in shape)
+        radius = args.radius if args.radius is not None else min(shape) / 4.0
+        case = make(shape, center, radius, args.fg, args.bg, args.noise, args.seed)
     gen_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -153,6 +160,7 @@ def cmd_curvbench(args) -> int:
     mode = CurvatureMode.parse(args.mode)
     shape = args.shape
     check_ndim(len(shape), mode)
+    _case_flags(args, f"--mode {mode.value}", {"radius": 40.0}, mode is CurvatureMode.MEAN_2D)
 
     if mode is CurvatureMode.MEAN_2D:
         field = hemisphere_field(shape, args.radius)
@@ -219,9 +227,14 @@ def cmd_segment(args) -> int:
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
                        parameterization=args.param, region_mode=args.region_mode)
     check_threshold(args.threshold)
-    gt = _load_mask_or_volume(args.gt) if args.gt else None
-    if gt is not None:
-        check_same_shape(image, gt)
+    gt = None
+    if args.gt:
+        ref = _load_mask_or_volume(args.gt)
+        check_same_shape(image, ref)
+        if not is_binary(ref):
+            raise MetricsError("--gt must be binary (values exactly 0 or 1)")
+        gt = ref.data != 0.0, ref.spacing  # the solve holds a bool mask, not the float64 field
+        del ref
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.csv")
@@ -257,7 +270,7 @@ def cmd_segment(args) -> int:
 
     if gt is not None:
         try:
-            report = evaluate_pair(binary, gt)
+            report = evaluate_pair(binary, ScalarField(*gt))
             write_metrics_csv([("segment", report)], os.path.join(args.out, "metrics.csv"))
             print(format_metrics_row("segment", report.dice, report.hd95,
                                      report.components_pred, report.components_gt))
@@ -351,19 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--center", type=_parse_center, default=None)
-    p.add_argument("--fg", type=float, default=0.8)
-    p.add_argument("--bg", type=float, default=0.2)
-    p.add_argument("--width", type=int, default=5, help="tube width in voxels")
-    p.add_argument("--gaps", type=int, default=2, help="number of erased tube segments")
-    p.add_argument("--gap-len", type=int, default=3, dest="gap_len")
+    p.add_argument("--radius", type=float, default=None, help="disk/sphere; default min(shape)/4")
+    p.add_argument("--center", type=_parse_center, default=None, help="disk/sphere; default the grid centre")
+    p.add_argument("--fg", type=float, default=None, help="disk/sphere foreground level; default 0.8")
+    p.add_argument("--bg", type=float, default=None, help="disk/sphere background level; default 0.2")
+    p.add_argument("--width", type=int, default=None, help="tube width in voxels; default 5")
+    p.add_argument("--gaps", type=int, default=None, help="number of erased tube segments; default 2")
+    p.add_argument("--gap-len", type=int, default=None, dest="gap_len", help="tube gap length; default 3")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("curvbench", help="curvature accuracy and timing benchmark")
     p.add_argument("--mode", choices=[m.value for m in CurvatureMode], required=True)
     p.add_argument("--shape", type=_parse_shape, required=True)
-    p.add_argument("--radius", type=float, default=40.0)
+    p.add_argument("--radius", type=float, default=None, help="mean2d hemisphere radius; default 40")
     p.add_argument("--repeat", type=int, default=5)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curvbench)

@@ -4,7 +4,8 @@ All stencils use replicate (nearest-edge) boundary handling, i.e. zero normal
 derivative at the border, and divide by c = 2h (first derivatives) or h^2
 (second) with the bits of ``/= c``, multiplying only by an exact reciprocal. The
 raw kernels operate on ndarrays and are shared by the energy and gradient code;
-the field-level wrappers validate preconditions and carry spacing.
+the field-level wrappers validate preconditions and carry spacing. The
+gradient magnitude is Charbonnier-smoothed by the fixed constant :data:`EPS`.
 
 Every raw stencil and adjoint is one flat-shift kernel for all axes. In the
 flattened C-ordered array a step along ``axis`` is a shift by
@@ -21,28 +22,15 @@ inner first difference of :func:`dmixed`/:func:`dmixed_adj` (off the solver path
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .field import FieldError, ScalarField
 
-
-@dataclass(frozen=True)
-class NumericConfig:
-    """Numerical smoothing settings.
-
-    ``eps`` is the Charbonnier constant: |g| is replaced by sqrt(g^2 + eps^2)
-    in the gradient magnitude so the energy is differentiable everywhere. The
-    same smoothing is used in the energy and in its analytic gradient.
-    """
-
-    eps: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+# Charbonnier constant: |g| is replaced by sqrt(g^2 + EPS^2) in the gradient magnitude,
+# in the energy and its analytic gradient alike, so the energy is differentiable everywhere.
+EPS = 1e-6
 
 
 def _check_axis(a: np.ndarray, axis: int) -> None:
@@ -153,15 +141,15 @@ def dmixed_adj(w: np.ndarray, axis_a: int, axis_b: int, h_a: float = 1.0, h_b: f
     return d1_adj(d1_adj(w, hi, h_hi), lo, h_lo, out=out)
 
 
-def grad_mag_raw(derivs: Sequence[np.ndarray], eps: float, out: np.ndarray | None = None,
+def grad_mag_raw(derivs: Sequence[np.ndarray], out: np.ndarray | None = None,
                  tmp: np.ndarray | None = None) -> np.ndarray:
-    """Charbonnier-smoothed gradient magnitude sqrt(sum_axes d1^2 + eps^2).
+    """Charbonnier-smoothed gradient magnitude sqrt(sum_axes d1^2 + EPS^2).
 
     ``derivs`` are the first differences along every axis; ``tmp`` is scratch
     for their squares.
     """
     mag = np.multiply(derivs[0], derivs[0], out=out)
-    mag += eps * eps  # g0*g0 + eps*eps: the bits of accumulating onto eps*eps, as addition commutes
+    mag += EPS * EPS  # g0*g0 + EPS*EPS: the bits of accumulating onto EPS*EPS, as addition commutes
     for g in derivs[1:]:
         mag += np.multiply(g, g, out=tmp)
     return np.sqrt(mag, out=mag)
@@ -192,15 +180,15 @@ def deriv_mixed(field: ScalarField, axis_a: int, axis_b: int) -> ScalarField:
     )
 
 
-def grad_mag(field: ScalarField, cfg: NumericConfig = NumericConfig()) -> ScalarField:
+def grad_mag(field: ScalarField) -> ScalarField:
     """Smoothed per-voxel gradient magnitude; strictly positive everywhere."""
-    return field.with_data(grad_mag_raw(_slopes(field.data, field.spacing), cfg.eps))
+    return field.with_data(grad_mag_raw(_slopes(field.data, field.spacing)))
 
 
-def tv_length(field: ScalarField, cfg: NumericConfig = NumericConfig()) -> float:
+def tv_length(field: ScalarField) -> float:
     """Total-variation length/area: sum of grad_mag times the voxel measure.
 
     The reduction is a single ``np.sum`` over the magnitude field (pairwise
     summation), so the value is deterministic for a given input.
     """
-    return float(np.sum(grad_mag_raw(_slopes(field.data, field.spacing), cfg.eps))) * field.voxel_measure
+    return float(np.sum(grad_mag_raw(_slopes(field.data, field.spacing)))) * field.voxel_measure

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import CurvatureMode, Pullback, curvature_forward
-from .diffops import NumericConfig, d1, grad_mag_raw
+from .diffops import d1, grad_mag_raw
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
 from .workspace import Workspace
 
@@ -52,7 +52,6 @@ class EnergyParams:
     c1: float = 1.0
     c2: float = 0.0
     mode: CurvatureMode = CurvatureMode.MEAN_2D
-    cfg: NumericConfig = NumericConfig()
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "lam", "c1", "c2"):
@@ -140,7 +139,7 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
     measure = math.prod(spacing)
     derivs = [d1(a, ax, spacing[ax], out=ws.take()) for ax in range(a.ndim)]
     tmp = ws.take()
-    mag = grad_mag_raw(derivs, params.cfg.eps, out=ws.take(), tmp=tmp)
+    mag = grad_mag_raw(derivs, out=ws.take(), tmp=tmp)
     ws.give(tmp)
     if params.beta == 0.0:
         energy = params.alpha * (float(np.sum(mag)) * measure)

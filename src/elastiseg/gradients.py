@@ -6,11 +6,13 @@ curvature (through the active mode's own pullback in :mod:`curvature`) land
 on the first and second stencil outputs, and each stencil's adjoint,
 including its replicate-boundary corrections, carries them back to u. Every
 adjoint can be validated by a dot-product test. The region part is linear in
-the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u.
-The pass takes every intermediate from a :class:`~elastiseg.workspace.Workspace`
-and writes cotangents over the forward buffers that have died, so with a
-workspace reused across calls it allocates no full-size array outside the
-mean curvature modes' pointwise formulas.
+the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u,
+and the fused :func:`energy_and_gradient_raw` writes it over the region cost
+it already holds. The pass takes every intermediate from a
+:class:`~elastiseg.workspace.Workspace` and writes cotangents over the
+forward buffers that have died, so with a workspace reused across calls it
+allocates no full-size array outside the mean curvature modes' pointwise
+formulas. The finite-difference oracle steps by the fixed :data:`FD_STEP`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_dens
 from .field import ScalarField, check_same_shape, check_soft_mask
 from .workspace import Workspace
 
+FD_STEP = 1e-6  # step h of the finite-difference oracle
+
 
 @dataclass(frozen=True)
 class GradCheckReport:
@@ -35,19 +39,6 @@ class GradCheckReport:
     max_rel_error: float
     worst_voxel: tuple[int, ...]
     passed: bool
-
-
-def region_gradient_raw(r: np.ndarray, lam: float, c1: float, c2: float,
-                        costs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Region part of dE/du, lam*((c1-r)^2 - (c2-r)^2); independent of the mask.
-
-    ``costs`` are the two region costs of :func:`energy.region_costs_raw` when
-    the caller already holds them; the result is then written over the first.
-    """
-    cost_in, cost_out = region_costs_raw(r, c1, c2, Workspace(r.shape)) if costs is None else costs
-    cost_in -= cost_out
-    cost_in *= lam
-    return cost_in
 
 
 def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
@@ -88,10 +79,6 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     return fwd.energy, grad
 
 
-def elastica_gradient_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams) -> np.ndarray:
-    return _elastica_energy_and_gradient(a, spacing, params, Workspace(a.shape))[1]
-
-
 def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
                             params: EnergyParams, ws: Workspace | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
     """Energy breakdown and dE/du at ``a`` from a single forward pass.
@@ -105,58 +92,54 @@ def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, 
     """
     ws = Workspace(a.shape) if ws is None else ws
     elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws)
-    costs = region_costs_raw(r, params.c1, params.c2, ws)
-    region_in, region_out = region_sums_raw(a, *costs, ws)
-    g += region_gradient_raw(r, params.lam, params.c1, params.c2, costs)
-    ws.give(*costs)
+    cost_in, cost_out = region_costs_raw(r, params.c1, params.c2, ws)
+    region_in, region_out = region_sums_raw(a, cost_in, cost_out, ws)
+    # region part of dE/du, lam*((c1-r)^2 - (c2-r)^2), written over the inside cost
+    cost_in -= cost_out
+    cost_in *= params.lam
+    g += cost_in
+    ws.give(cost_in, cost_out)
     return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam), g
-
-
-def energy_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
-                        params: EnergyParams) -> np.ndarray:
-    return energy_and_gradient_raw(a, r, spacing, params)[1]
 
 
 def energy_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> ScalarField:
     """dE/du at every voxel, by reverse accumulation through the operator chain."""
     check_same_shape(u, r)
     check_soft_mask(u)
-    return u.with_data(energy_gradient_raw(u.data, r.data, u.spacing, params))
+    return u.with_data(energy_and_gradient_raw(u.data, r.data, u.spacing, params)[1])
 
 
 def fd_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
-                    params: EnergyParams, h: float = 1e-6) -> np.ndarray:
-    if not h > 0.0:
-        raise ValueError(f"fd step must be > 0, got {h}")
+                    params: EnergyParams) -> np.ndarray:
     g = np.empty_like(a)
     work = a.copy()
     for idx in np.ndindex(a.shape):
         orig = work[idx]
-        work[idx] = orig + h
+        work[idx] = orig + FD_STEP
         dens_plus = energy_density(work, r, spacing, params)
-        work[idx] = orig - h
+        work[idx] = orig - FD_STEP
         dens_minus = energy_density(work, r, spacing, params)
         work[idx] = orig
         # Densities of voxels outside the perturbed stencil footprint are
         # bitwise identical, so the difference field is exactly zero there and
         # the central difference is free of global-sum cancellation.
-        g[idx] = np.sum(dens_plus - dens_minus) / (2.0 * h)
+        g[idx] = np.sum(dens_plus - dens_minus) / (2.0 * FD_STEP)
     return g
 
 
-def fd_gradient(u: ScalarField, r: ScalarField, params: EnergyParams, h: float = 1e-6) -> ScalarField:
-    """Central finite difference [E(u+h*e_p) - E(u-h*e_p)]/(2h) per voxel.
+def fd_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> ScalarField:
+    """Central finite difference [E(u+h*e_p) - E(u-h*e_p)]/(2h) per voxel, h = :data:`FD_STEP`.
 
     Evaluates the same Charbonnier-smoothed energy as the analytic path. Costs
     two full density evaluations per voxel, so keep fields small (<= 16^2 or
     8^3 in practice).
     """
     check_same_shape(u, r)
-    return u.with_data(fd_gradient_raw(u.data, r.data, u.spacing, params, h))
+    return u.with_data(fd_gradient_raw(u.data, r.data, u.spacing, params))
 
 
 def gradcheck(shape: tuple[int, ...], trials: int, seed: int, params: EnergyParams,
-              tol: float = 1e-5, h: float = 1e-6) -> GradCheckReport:
+              tol: float = 1e-5) -> GradCheckReport:
     """Compare analytic vs finite-difference gradients on seeded random pairs.
 
     Draws ``trials`` (u, r) pairs uniform on [0,1), reports the worst absolute
@@ -175,8 +158,8 @@ def gradcheck(shape: tuple[int, ...], trials: int, seed: int, params: EnergyPara
     for _ in range(trials):
         u = rng.random(shape)
         r = rng.random(shape)
-        ga = energy_gradient_raw(u, r, spacing, params)
-        gf = fd_gradient_raw(u, r, spacing, params, h)
+        ga = energy_and_gradient_raw(u, r, spacing, params)[1]
+        gf = fd_gradient_raw(u, r, spacing, params)
         abs_err = np.abs(ga - gf)
         denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
         rel = abs_err / denom

@@ -71,8 +71,8 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return edge & fg
 
 
-def hd95(a: ScalarField, b: ScalarField, spacing: tuple[float, ...] | None = None) -> float:
-    """95th percentile of the pooled directed boundary-to-boundary distances.
+def hd95(a: ScalarField, b: ScalarField) -> float:
+    """95th percentile of the pooled directed boundary-to-boundary distances, in ``a``'s spacing.
 
     Raises :class:`MetricsError` if either mask is empty (the quantity is
     undefined; no sentinel is returned).
@@ -82,7 +82,7 @@ def hd95(a: ScalarField, b: ScalarField, spacing: tuple[float, ...] | None = Non
     db = _binary_data(b, "b")
     if not da.any() or not db.any():
         raise MetricsError("hd95 requires both masks to be nonempty")
-    sp = np.asarray(spacing if spacing is not None else a.spacing, dtype=np.float64)
+    sp = np.asarray(a.spacing, dtype=np.float64)
     pa = np.argwhere(boundary_voxels(da)) * sp
     pb = np.argwhere(boundary_voxels(db)) * sp
     d_ab = cKDTree(pb).query(pa)[0]
@@ -91,19 +91,10 @@ def hd95(a: ScalarField, b: ScalarField, spacing: tuple[float, ...] | None = Non
     return float(np.percentile(pooled, 95.0))
 
 
-def count_components(mask: ScalarField, connectivity: str = "face") -> int:
-    """Number of connected foreground components.
-
-    ``face`` uses 4-adjacency in 2D / 6 in 3D; ``full`` includes diagonals.
-    """
+def count_components(mask: ScalarField) -> int:
+    """Number of face-connected foreground components (4-adjacency in 2D, 6 in 3D)."""
     data = _binary_data(mask, "mask")
-    if connectivity == "face":
-        structure = ndimage.generate_binary_structure(data.ndim, 1)
-    elif connectivity == "full":
-        structure = ndimage.generate_binary_structure(data.ndim, data.ndim)
-    else:
-        raise MetricsError(f"connectivity must be 'face' or 'full', got {connectivity!r}")
-    _, count = ndimage.label(data, structure=structure)
+    _, count = ndimage.label(data, structure=ndimage.generate_binary_structure(data.ndim, 1))
     return int(count)
 
 

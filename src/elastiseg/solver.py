@@ -7,6 +7,9 @@ foreground/background constants are re-estimated from the current mask after
 every update (alternating minimization); the first step uses the constants
 from the parameter set, which also breaks the symmetry of a uniform init
 (a uniform mask would otherwise yield equal means and zero region force).
+The momentum optimizer keeps a fixed fraction :data:`MOMENTUM` = 0.9 of its
+velocity, and the stop rule measures the energy change over a fixed window of
+:data:`STOP_WINDOW` = 10 iterations; only its tolerance is a setting.
 
 One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
@@ -37,6 +40,8 @@ from .workspace import Workspace
 OPTIMIZERS = ("gd", "momentum")
 PARAMETERIZATIONS = ("clipped", "logistic")
 REGION_MODES = ("fixed", "cv-means")
+MOMENTUM = 0.9  # velocity decay of the "momentum" optimizer
+STOP_WINDOW = 10  # iterations over which the stop rule measures the energy change
 
 
 @dataclass(frozen=True)
@@ -44,19 +49,15 @@ class SolverConfig:
     max_iters: int = 500
     step_size: float = 0.1
     optimizer: str = "gd"
-    momentum: float = 0.9
     parameterization: str = "clipped"
     region_mode: str = "fixed"
     stop_tol: float = 1e-7
-    stop_window: int = 10
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0.0 < self.step_size < math.inf:  # also rejects NaN
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if not math.isfinite(self.momentum):
-            raise ValueError(f"momentum must be finite, got {self.momentum}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.parameterization not in PARAMETERIZATIONS:
@@ -65,8 +66,6 @@ class SolverConfig:
             raise ValueError(f"region_mode must be one of {REGION_MODES}, got {self.region_mode!r}")
         if not 0.0 <= self.stop_tol < math.inf:
             raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol}")
-        if self.stop_window < 1:
-            raise ValueError(f"stop_window must be >= 1, got {self.stop_window}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     gradient, so the fused energy+gradient pass supplies it, and only a run
     that reaches ``max_iters`` evaluates the energy once more. The run is
     deterministic: identical inputs produce bit-identical outputs. Stops early
-    once the energy change over ``stop_window`` iterations is below
+    once the energy change over ``STOP_WINDOW`` iterations is below
     ``stop_tol`` in relative magnitude. The image is expected to be normalized
     to [0,1] by the caller. Raises :class:`NonFiniteEnergyError` if the state
     or energy leaves the finite range (the partial trace rides on the
@@ -187,9 +186,9 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
     g /= max(scale, 1e-30)
 
     if velocity is not None:
-        velocity *= cfg.momentum
+        velocity *= MOMENTUM
         g *= cfg.step_size
-        velocity -= g  # momentum*velocity - step*g
+        velocity -= g  # MOMENTUM*velocity - step*g
         delta = velocity
     else:
         g *= -cfg.step_size
@@ -209,8 +208,8 @@ def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg
     if not np.isfinite(bd.total):
         raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
     breakdowns.append(bd)
-    if len(breakdowns) > cfg.stop_window:
-        e_then = breakdowns[-1 - cfg.stop_window].total
+    if len(breakdowns) > STOP_WINDOW:
+        e_then = breakdowns[-1 - STOP_WINDOW].total
         e_now = breakdowns[-1].total
         # magnitude of the relative change: a transient energy increase
         # (cv-means constants still settling) must not read as converged

@@ -44,6 +44,23 @@ def test_synth_rejects_non_finite_geometry(flag, value, tmp_path, capsys):
     assert not (out / "gt.vf32").exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["synth", "--case", "tube", "--shape", "32,32", "--fg", "0.3"], "--fg"),
+    (["synth", "--case", "tube", "--shape", "32,32", "--bg", "0.7"], "--bg"),
+    (["synth", "--case", "tube", "--shape", "32,32", "--radius", "3"], "--radius"),
+    (["synth", "--case", "tube", "--shape", "32,32", "--center", "5,5"], "--center"),
+    (["synth", "--case", "disk", "--shape", "32,32", "--width", "3"], "--width"),
+    (["synth", "--case", "disk", "--shape", "32,32", "--gaps", "1"], "--gaps"),
+    (["synth", "--case", "sphere", "--shape", "8,8,8", "--gap-len", "2"], "--gap-len"),
+    (["curvbench", "--mode", "fast3d", "--shape", "8,8,8", "--radius", "3"], "--radius"),
+])
+def test_flags_the_case_ignores_are_rejected(argv, flag, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert f"{flag} does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["synth", "--case", "nope", "--shape", "8,8", "--out", "x"])
@@ -238,3 +255,12 @@ def test_segment_checks_the_reference_shape_before_the_solve(tmp_path, capsys):
     assert "shape mismatch" in capsys.readouterr().err
     assert not (out / "mask.vf32").exists()
     assert not (out / "trace.csv").exists()
+
+
+def test_segment_checks_the_reference_is_binary_before_the_solve(tmp_path, capsys):
+    run(["synth", "--case", "disk", "--shape", "16,16", "--radius", "5", "--out", str(tmp_path / "img")])
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(tmp_path / "img" / "image.vf32"), "--iters", "5",
+                "--gt", str(tmp_path / "img" / "image.vf32"), "--out", str(out)]) == 1
+    assert "--gt must be binary" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastiseg import FieldError, NumericConfig, ScalarField, deriv1, deriv2, deriv_mixed, grad_mag, make_field, tv_length
+from elastiseg import FieldError, ScalarField, deriv1, deriv2, deriv_mixed, grad_mag, make_field, tv_length
 from elastiseg.diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj, grad_mag_raw
 
 
@@ -109,31 +109,22 @@ def test_translation_equivariance_interior():
 
 
 def test_grad_mag_examples():
-    cfg = NumericConfig(eps=1e-6)
     const = make_field((6, 6), 1.0, 0.4)
-    np.testing.assert_array_equal(grad_mag(const, cfg).data, 1e-6)
+    np.testing.assert_array_equal(grad_mag(const).data, 1e-6)
     plane = coord_field((8, 8), lambda x, y: 3.0 * x + 4.0 * y)
-    m = grad_mag(plane, cfg).data
+    m = grad_mag(plane).data
     np.testing.assert_allclose(m[1:-1, 1:-1], np.sqrt(25.0 + 1e-12), rtol=1e-15)
     ramp = coord_field((8, 8), lambda x, y: x)
-    np.testing.assert_allclose(grad_mag(ramp, cfg).data[1:-1, 1:-1], np.sqrt(1.0 + 1e-12), rtol=1e-15)
-    assert np.all(grad_mag(ramp, cfg).data > 0.0)
-
-
-def test_numeric_config_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        NumericConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        NumericConfig(eps=-1e-6)
+    np.testing.assert_allclose(grad_mag(ramp).data[1:-1, 1:-1], np.sqrt(1.0 + 1e-12), rtol=1e-15)
+    assert np.all(grad_mag(ramp).data > 0.0)
 
 
 def test_tv_length_constant_and_lower_bound():
-    cfg = NumericConfig(eps=1e-6)
     const = make_field((10, 10), 1.0, 0.3)
-    assert tv_length(const, cfg) == pytest.approx(100 * 1e-6, rel=1e-13)
+    assert tv_length(const) == pytest.approx(100 * 1e-6, rel=1e-13)
     rng = np.random.default_rng(3)
     f = ScalarField(rng.random((9, 11)), (0.5, 2.0))
-    assert tv_length(f, cfg) >= 1e-6 * f.data.size * f.voxel_measure
+    assert tv_length(f) >= 1e-6 * f.data.size * f.voxel_measure
 
 
 def test_tv_length_matches_smooth_disk_perimeter():
@@ -145,7 +136,7 @@ def test_tv_length_matches_smooth_disk_perimeter():
     yy, xx = np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float), indexing="ij")
     rho = np.sqrt((xx - c) ** 2 + (yy - c) ** 2)
     u = 0.5 * (1.0 - np.tanh((rho - r0) / w))
-    tv = tv_length(ScalarField(u, 1.0), NumericConfig(eps=1e-6))
+    tv = tv_length(ScalarField(u, 1.0))
 
     rr = np.linspace(0.0, c, 400_000)
     integrand = 0.5 / (w * np.cosh((rr - r0) / w) ** 2) * 2.0 * np.pi * rr
@@ -337,7 +328,7 @@ def test_grad_mag_raw_out_matches_fresh():
     rng = np.random.default_rng(33)
     a = rng.random((6, 5, 4))
     derivs = [d1(a, ax, 0.5 + ax) for ax in range(3)]
-    fresh = grad_mag_raw(derivs, 1e-6)
+    fresh = grad_mag_raw(derivs)
     out, tmp = np.full(a.shape, np.nan), np.empty(a.shape)
-    assert grad_mag_raw(derivs, 1e-6, out=out, tmp=tmp) is out
+    assert grad_mag_raw(derivs, out=out, tmp=tmp) is out
     assert out.tobytes() == fresh.tobytes()

@@ -14,7 +14,7 @@ from elastiseg import (
 )
 from elastiseg.diffops import d1, d1_adj, d2, d2_adj, dmixed, dmixed_adj
 from elastiseg.energy import elastica_forward
-from elastiseg.gradients import elastica_gradient_raw, energy_and_gradient_raw, energy_gradient_raw, region_gradient_raw
+from elastiseg.gradients import _elastica_energy_and_gradient, energy_and_gradient_raw
 from elastiseg.workspace import Workspace
 
 DOT_SHAPES = [(3, 3), (3, 3, 3), (7, 5), (4, 6, 5), (3, 9), (12, 3, 4)]
@@ -75,14 +75,19 @@ def test_region_gradient_closed_form():
     np.testing.assert_array_equal(g, np.where(v == 1.0, -1.0, 1.0))
 
 
+def region_gradient(r, p):
+    """Closed-form region part of dE/du; numpy squares ``**2`` as ``x*x``, so the bits are the pass's."""
+    return p.lam * ((p.c1 - r) ** 2 - (p.c2 - r) ** 2)
+
+
 def test_region_gradient_independent_of_mask():
     rng = np.random.default_rng(23)
     r = rng.random((7, 7))
     p = EnergyParams(alpha=0.0, beta=0.0, lam=1.7, c1=0.9, c2=0.2, mode=CurvatureMode.MEAN_2D)
-    g1 = energy_gradient_raw(rng.random((7, 7)), r, (1.0, 1.0), p)
-    g2 = energy_gradient_raw(rng.random((7, 7)), r, (1.0, 1.0), p)
+    g1 = energy_and_gradient_raw(rng.random((7, 7)), r, (1.0, 1.0), p)[1]
+    g2 = energy_and_gradient_raw(rng.random((7, 7)), r, (1.0, 1.0), p)[1]
     np.testing.assert_array_equal(g1, g2)
-    np.testing.assert_array_equal(g1, region_gradient_raw(r, 1.7, 0.9, 0.2))
+    np.testing.assert_array_equal(g1, region_gradient(r, p))
 
 
 def test_beta_zero_gradient_splits_into_tv_plus_region():
@@ -90,8 +95,8 @@ def test_beta_zero_gradient_splits_into_tv_plus_region():
     u = rng.random((8, 8))
     r = rng.random((8, 8))
     p = EnergyParams(alpha=0.05, beta=0.0, mode=CurvatureMode.MEAN_2D)
-    full = energy_gradient_raw(u, r, (1.0, 1.0), p)
-    parts = region_gradient_raw(r, p.lam, p.c1, p.c2) + elastica_gradient_raw(u, (1.0, 1.0), p)
+    full = energy_and_gradient_raw(u, r, (1.0, 1.0), p)[1]
+    parts = region_gradient(r, p) + _elastica_energy_and_gradient(u, (1.0, 1.0), p, Workspace(u.shape))[1]
     np.testing.assert_array_equal(full, parts)
 
 
@@ -113,7 +118,7 @@ def test_fd_gradient_matches_closed_form_linear_energy():
     r = ScalarField(rng.random((6, 6)), 1.0)
     p = EnergyParams(alpha=0.0, beta=0.0, lam=1.0, c1=1.0, c2=0.0, mode=CurvatureMode.MEAN_2D)
     gf = fd_gradient(u, r, p).data
-    np.testing.assert_allclose(gf, region_gradient_raw(r.data, 1.0, 1.0, 0.0), rtol=1e-8, atol=1e-9)
+    np.testing.assert_allclose(gf, region_gradient(r.data, p), rtol=1e-8, atol=1e-9)
 
 
 def test_gradcheck_2d_mean_curvature():
@@ -240,9 +245,9 @@ def test_workspace_free_calls_return_unaliased_arrays():
     rng = np.random.default_rng(41)
     u, r = rng.random((6, 7, 5)), rng.random((6, 7, 5))
     p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)
-    g1 = energy_gradient_raw(u, r, (1.0, 1.0, 1.0), p)
+    g1 = energy_and_gradient_raw(u, r, (1.0, 1.0, 1.0), p)[1]
     before = g1.copy()
-    g2 = energy_gradient_raw(u, r, (1.0, 1.0, 1.0), p)
+    g2 = energy_and_gradient_raw(u, r, (1.0, 1.0, 1.0), p)[1]
     assert not np.shares_memory(g1, g2)
     np.testing.assert_array_equal(g1, before)
     fwd1 = elastica_forward(u, (1.0, 1.0, 1.0), p)

@@ -127,18 +127,14 @@ def test_count_components():
     m[6, 6] = 1.0
     assert count_components(binfield(m)) == 3
     diag = np.eye(5)
-    assert count_components(binfield(diag), "face") == 5
-    assert count_components(binfield(diag), "full") == 1
-    with pytest.raises(MetricsError):
-        count_components(binfield(diag), "weird")
+    assert count_components(binfield(diag)) == 5
 
 
 def test_count_components_3d_face():
     m = np.zeros((4, 4, 4))
     m[0, 0, 0] = 1.0
     m[0, 1, 1] = 1.0  # diagonal in-plane: separate under 6-connectivity
-    assert count_components(binfield(m), "face") == 2
-    assert count_components(binfield(m), "full") == 1
+    assert count_components(binfield(m)) == 2
 
 
 def test_evaluate_pair():

@@ -145,7 +145,6 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan),
-                                         ("momentum", math.inf), ("momentum", -math.inf), ("momentum", math.nan),
                                          ("stop_tol", math.inf), ("stop_tol", math.nan), ("stop_tol", -1e-9)])
 def test_config_rejects_non_finite_or_negative_knobs(field, value):
     with pytest.raises(ValueError, match=field):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastiseg import MetricsReport, ScalarField, VolumeFormatError, make_field, read_pgm, read_volume, write_metrics_csv, write_pgm, write_volume
 
@@ -149,3 +154,59 @@ def test_metrics_csv_rows(tmp_path):
 
     with pytest.raises(ValueError):
         write_metrics_csv([], path)
+
+
+# header tokens near and past every check of the readers: magics, ndims, extents, spacings
+_TOKENS = st.one_of(
+    st.sampled_from(["VF32", "P5", "P2", "vf32", "2", "3", "4", "0", "-1", "255", "256",
+                     "nan", "inf", "-inf", "1e-320", "1e400", "0.5", "99999999999", "x", "\u00e9"]),
+    st.integers(-2, 6).map(str),
+    st.floats().map(repr),
+)
+_SPACES = st.sampled_from([" ", "\t", "\n", "\r", "  "])
+
+
+@st.composite
+def _vf32_bytes(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    spacing = st.one_of(st.floats(1e-3, 1e3).map(repr), _TOKENS)
+    tokens = ["VF32", str(len(shape)), *map(str, shape), *draw(st.lists(spacing, min_size=len(shape), max_size=len(shape)))]
+    tokens = draw(st.one_of(st.just(tokens), st.lists(_TOKENS, max_size=9)))
+    count = int(np.prod(shape))
+    words = st.sampled_from([b"\x00\x00\x80\x3f", b"\x00\x00\xc0\x7f", b"\x00\x00\x80\xff"])  # 1, NaN, -inf
+    payload = draw(st.one_of(st.binary(min_size=4 * count, max_size=4 * count), st.binary(max_size=4 * count + 8),
+                             st.lists(words, min_size=count, max_size=count).map(b"".join)))
+    return " ".join(tokens).encode("utf-8") + b"\n" + payload
+
+
+@st.composite
+def _pgm_bytes(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    tokens = draw(st.one_of(st.just(["P5", str(cols), str(rows), "255"]), st.lists(_TOKENS, max_size=5)))
+    header = "".join(draw(_SPACES) + t for t in tokens)[1:]
+    payload = draw(st.one_of(st.binary(min_size=rows * cols, max_size=rows * cols), st.binary(max_size=40)))
+    return header.encode("utf-8") + draw(_SPACES).encode() + payload
+
+
+def _read_or_reject(reader, blob: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz"
+        path.write_bytes(blob)
+        try:
+            field = reader(path)
+        except VolumeFormatError:
+            return
+    assert isinstance(field, ScalarField)
+    assert np.all(np.isfinite(field.data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=st.one_of(_vf32_bytes(), st.binary(max_size=64)))
+def test_fuzzed_vf32_bytes_read_as_a_finite_field_or_raise_volume_format_error(blob):
+    _read_or_reject(read_volume, blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=st.one_of(_pgm_bytes(), st.binary(max_size=64)))
+def test_fuzzed_pgm_bytes_read_as_a_finite_field_or_raise_volume_format_error(blob):
+    _read_or_reject(read_pgm, blob)
