@@ -309,20 +309,26 @@ def cmd_metrics(args) -> int:
         for side, name in orphans:
             print(f"error: {name} present only under --{side}", file=sys.stderr)
         return EXIT_FAIL
+    check_threshold(args.threshold)
     rows = []
     status = EXIT_OK
     for name, pred_path, gt_path in pairs:
-        pred = threshold(_load_mask_or_volume(pred_path), args.threshold)
-        gt = _load_mask_or_volume(gt_path)
-        d = dice(pred, gt)
-        cp = count_components(pred)
-        cg = count_components(gt)
+        try:
+            pred = threshold(_load_mask_or_volume(pred_path), args.threshold)
+            gt = _load_mask_or_volume(gt_path)
+            d = dice(pred, gt)
+            cp = count_components(pred)
+            cg = count_components(gt)
+        except (MetricsError, FieldError, VolumeFormatError) as exc:
+            print(f"error: case {name} ({pred_path} vs {gt_path}): {exc}", file=sys.stderr)
+            status = EXIT_FAIL
+            continue
         try:
             h = hd95(pred, gt)
-            rows.append(format_metrics_row(name, d, h, cp, cg))
-        except MetricsError:
-            rows.append(format_metrics_row(name, d, "error", cp, cg))
+        except MetricsError:  # an empty mask: the pair keeps its row, with no HD95
+            h = "error"
             status = EXIT_FAIL
+        rows.append(format_metrics_row(name, d, h, cp, cg))
     with open(args.out, "w", newline="\n") as fh:
         fh.write(METRICS_CSV_HEADER + "\n")
         for row in rows:

@@ -7,6 +7,10 @@ raw kernels operate on ndarrays and are shared by the energy and gradient code;
 the field-level wrappers validate preconditions and carry spacing. The
 gradient magnitude is Charbonnier-smoothed by the fixed constant :data:`EPS`.
 
+The replicate-boundary second difference is a symmetric matrix, so :func:`d2`
+is its own adjoint and cotangents of second differences return through it;
+only :func:`d1` and :func:`dmixed` have adjoint kernels.
+
 Every raw stencil and adjoint is one flat-shift kernel for all axes. In the
 flattened C-ordered array a step along ``axis`` is a shift by
 ``prod(shape[axis+1:])``, so the interior is one contiguous loop whatever the
@@ -81,19 +85,16 @@ def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) 
 def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of :func:`d1`, including the replicate-boundary rows."""
     adj, mid, (prev, _, nxt), (w0, w1, w_2, w_1), (first, last) = _flat(w, axis, out)
-    # (w[i-1] + 0.0) - w[i+1]: the + 0.0 makes -0.0 read +0.0, as when accumulating onto zeros
-    np.add(prev, 0.0, out=mid)
-    mid -= nxt
+    np.subtract(prev, nxt, out=mid)
     np.subtract(0.0, w1, out=first)
     first -= w0
-    np.add(w_2, 0.0, out=last)
-    last += w_1
+    np.add(w_2, w_1, out=last)
     _scale(adj, 2.0 * h)
     return adj
 
 
 def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """Central second difference (u[i+1] - 2u[i] + u[i-1]) / h^2, replicate boundary."""
+    """Central second difference (u[i+1] - 2u[i] + u[i-1]) / h^2, replicate boundary; self-adjoint."""
     out, mid, (prev, cur, nxt), (a0, a1, a_2, a_1), (first, last) = _flat(a, axis, out)
     np.multiply(cur, 2.0, out=mid)
     np.subtract(nxt, mid, out=mid)
@@ -102,20 +103,6 @@ def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) 
     np.subtract(a_2, a_1, out=last)
     _scale(out, h * h)
     return out
-
-
-def d2_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact adjoint of :func:`d2` (the replicate-boundary stencil is symmetric)."""
-    adj, mid, (prev, cur, nxt), (w0, w1, w_2, w_1), (first, last) = _flat(w, axis, out)
-    np.multiply(cur, -2.0, out=mid)
-    mid += prev
-    mid += nxt
-    for edge, wi, wj in ((first, w0, w1), (last, w_1, w_2)):
-        np.multiply(wi, -2.0, out=edge)
-        edge += wj
-        edge += wi
-    _scale(adj, h * h)
-    return adj
 
 
 def dmixed(a: np.ndarray, axis_a: int, axis_b: int, h_a: float = 1.0, h_b: float = 1.0,

@@ -3,8 +3,8 @@
 The elastica gradient is one mode-independent pullback of
 :func:`energy.elastica_forward`: the cotangent of |grad u| and of the
 curvature (through the active mode's own pullback in :mod:`curvature`) land
-on the first and second stencil outputs, and each stencil's adjoint,
-including its replicate-boundary corrections, carries them back to u. Every
+on the first and second stencil outputs; ``d1_adj`` carries the first ones
+back to u, and ``d2``, which is self-adjoint, the second ones. Every
 adjoint can be validated by a dot-product test. The region part is linear in
 the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u,
 and the fused :func:`energy_and_gradient_raw` writes it over the region cost
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import Cotangents
-from .diffops import d1_adj, d2_adj
+from .diffops import d1_adj, d2
 from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_density, region_costs_raw, region_sums_raw
 from .field import ScalarField, check_same_shape, check_soft_mask
 from .workspace import Workspace
@@ -67,7 +67,7 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
             ws.give(dax)
             yield adj
         for ax, c in cots.d2.items():
-            yield d2_adj(c, ax, spacing[ax], out=ws.take())
+            yield d2(c, ax, spacing[ax], out=ws.take())
 
     terms = adjoints()
     grad = next(terms)

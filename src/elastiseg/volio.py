@@ -79,7 +79,8 @@ def read_volume(path: str | os.PathLike) -> ScalarField:
         if available > 4 * count:
             raise VolumeFormatError("trailing bytes after payload")
         payload = fh.read(4 * count)
-        data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast; ScalarField rejects it
+            data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
     try:
         return ScalarField(data, spacing)
     except FieldError as exc:

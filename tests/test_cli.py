@@ -207,6 +207,27 @@ def test_metrics_empty_prediction_error_token(tmp_path):
     assert row[4] == "1"
 
 
+def test_metrics_skips_a_bad_pair_and_writes_the_good_rows(tmp_path, capsys):
+    pred_dir = tmp_path / "pred"
+    gt_dir = tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    m = np.zeros((16, 16))
+    m[4:9, 4:9] = 1.0
+    for d in (pred_dir, gt_dir):
+        write_volume(ScalarField(m, 1.0), d / "a.vf32")
+    write_volume(ScalarField(m, 1.0), pred_dir / "b.vf32")
+    write_volume(ScalarField(0.7 * m, 1.0), gt_dir / "b.vf32")  # not binary
+    out = tmp_path / "m.csv"
+    rc = run(["metrics", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)])
+    assert rc == 1
+    assert out.read_text().splitlines() == ["case,dice,hd95,components_pred,components_gt",
+                                            "a,1.000000,0.000000,1,1"]
+    err = capsys.readouterr().err
+    assert "case b" in err and str(pred_dir / "b.vf32") in err and str(gt_dir / "b.vf32") in err
+    assert "case a" not in err
+
+
 def test_segment_deterministic_outputs(tmp_path):
     case_dir = tmp_path / "case"
     run(["synth", "--case", "disk", "--shape", "48,48", "--radius", "10", "--seed", "9", "--out", str(case_dir)])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elastiseg import MetricsReport, ScalarField, VolumeFormatError, make_field, read_pgm, read_volume, write_metrics_csv, write_pgm, write_volume
@@ -202,6 +202,7 @@ def _read_or_reject(reader, blob: bytes) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(blob=st.one_of(_vf32_bytes(), st.binary(max_size=64)))
+@example(blob=b"VF32 2 1 1 1.0 1.0\n\x00\x00\x81\x7f")  # a float32 signalling NaN
 def test_fuzzed_vf32_bytes_read_as_a_finite_field_or_raise_volume_format_error(blob):
     _read_or_reject(read_volume, blob)
 
