@@ -173,8 +173,8 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     unaffected voxels cancel exactly.
     """
     fwd = elastica_forward(u_data, spacing, params)
-    reg = params.lam * (u_data * (params.c1 - r_data) ** 2 + (1.0 - u_data) * (params.c2 - r_data) ** 2)
-    return fwd.weight * fwd.mag + reg
+    cost_in, cost_out = region_costs_raw(r_data, params.c1, params.c2, Workspace(u_data.shape))
+    return fwd.weight * fwd.mag + params.lam * (u_data * cost_in + (1.0 - u_data) * cost_out)
 
 
 def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams,

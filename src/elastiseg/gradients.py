@@ -12,7 +12,7 @@ it already holds. The pass takes every intermediate from a
 :class:`~elastiseg.workspace.Workspace` and writes cotangents over the
 forward buffers that have died, so with a workspace reused across calls it
 allocates no full-size array outside the mean curvature modes' pointwise
-formulas. The finite-difference oracle steps by the fixed :data:`FD_STEP`.
+formulas. The finite-difference oracle costs 2*3^d density calls at any size.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .field import ScalarField, check_same_shape, check_soft_mask
 from .workspace import Workspace
 
 FD_STEP = 1e-6  # step h of the finite-difference oracle
+FD_STRIDE = 2 * 1 + 1  # a density reads u within Chebyshev distance 1: voxels 3 apart share no footprint
 
 
 @dataclass(frozen=True)
@@ -111,28 +112,27 @@ def energy_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> Sca
 
 def fd_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
                     params: EnergyParams) -> np.ndarray:
+    stride = FD_STRIDE
+    reach = (stride - 1) // 2
     g = np.empty_like(a)
-    work = a.copy()
-    for idx in np.ndindex(a.shape):
-        orig = work[idx]
-        work[idx] = orig + FD_STEP
-        dens_plus = energy_density(work, r, spacing, params)
-        work[idx] = orig - FD_STEP
-        dens_minus = energy_density(work, r, spacing, params)
-        work[idx] = orig
-        # Densities of voxels outside the perturbed stencil footprint are
-        # bitwise identical, so the difference field is exactly zero there and
-        # the central difference is free of global-sum cancellation.
-        g[idx] = np.sum(dens_plus - dens_minus) / (2.0 * FD_STEP)
+    for offset in np.ndindex((stride,) * a.ndim):
+        members = tuple(slice(o, None, stride) for o in offset)
+        plus, minus = a.copy(), a.copy()
+        plus[members] += FD_STEP
+        minus[members] -= FD_STEP
+        diff = np.pad(energy_density(plus, r, spacing, params) - energy_density(minus, r, spacing, params), reach)
+        # sum each member's block, one shift at a time; outside the blocks diff is exactly 0
+        g[members] = sum(diff[tuple(slice(o + k, n + k, stride) for o, k, n in zip(offset, shift, a.shape))]
+                         for shift in np.ndindex((2 * reach + 1,) * a.ndim)) / (2.0 * FD_STEP)
     return g
 
 
 def fd_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> ScalarField:
     """Central finite difference [E(u+h*e_p) - E(u-h*e_p)]/(2h) per voxel, h = :data:`FD_STEP`.
 
-    Evaluates the same Charbonnier-smoothed energy as the analytic path. Costs
-    two full density evaluations per voxel, so keep fields small (<= 16^2 or
-    8^3 in practice).
+    Costs 2*3^d density calls (18 in 2D, 54 in 3D) at any size: each moves the voxels whose
+    indices agree modulo :data:`FD_STRIDE` on every axis, whose footprints are disjoint, and sums
+    the difference over each one's block (column grouping: Curtis, Powell and Reid, 1974).
     """
     check_same_shape(u, r)
     return u.with_data(fd_gradient_raw(u.data, r.data, u.spacing, params))

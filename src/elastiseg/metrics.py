@@ -40,8 +40,8 @@ def _binary_data(field: ScalarField, name: str) -> np.ndarray:
 def dice(a: ScalarField, b: ScalarField) -> float:
     """2|A & B| / (|A| + |B|); defined as 1.0 when both masks are empty."""
     check_same_shape(a, b)
-    da = _binary_data(a, "a")
-    db = _binary_data(b, "b")
+    da = _binary_data(a, "prediction")
+    db = _binary_data(b, "reference")
     na = int(da.sum())
     nb = int(db.sum())
     if na + nb == 0:
@@ -78,8 +78,8 @@ def hd95(a: ScalarField, b: ScalarField) -> float:
     undefined; no sentinel is returned).
     """
     check_same_shape(a, b)
-    da = _binary_data(a, "a")
-    db = _binary_data(b, "b")
+    da = _binary_data(a, "prediction")
+    db = _binary_data(b, "reference")
     if not da.any() or not db.any():
         raise MetricsError("hd95 requires both masks to be nonempty")
     sp = np.asarray(a.spacing, dtype=np.float64)

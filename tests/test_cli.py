@@ -102,6 +102,11 @@ def test_gradcheck_cli_pass_and_fail(capsys):
     assert exc.value.code == 2
 
 
+def test_gradcheck_cli_passes_a_3d_field(capsys):
+    assert run(["gradcheck", "--shape", "16,16,16", "--mode", "mean3d", "--trials", "2"]) == 0
+    assert "passed=True" in capsys.readouterr().out
+
+
 def test_segment_end_to_end_with_metrics(tmp_path):
     case_dir = tmp_path / "case"
     assert run(["synth", "--case", "disk", "--shape", "64,64", "--radius", "14",
@@ -225,6 +230,7 @@ def test_metrics_skips_a_bad_pair_and_writes_the_good_rows(tmp_path, capsys):
                                             "a,1.000000,0.000000,1,1"]
     err = capsys.readouterr().err
     assert "case b" in err and str(pred_dir / "b.vf32") in err and str(gt_dir / "b.vf32") in err
+    assert "reference must be binary" in err and "b must be binary" not in err
     assert "case a" not in err
 
 

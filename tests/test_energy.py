@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastiseg import (
     CurvatureMode,
@@ -64,6 +66,24 @@ def test_region_terms_examples():
     ri, ro = region_terms(half, gt, 1.0, 0.0)
     assert ri == pytest.approx(0.5 * n0, rel=1e-14)
     assert ro == pytest.approx(0.5 * n1, rel=1e-14)
+
+
+# |c - r| <= 2e150 keeps each squared cost, and a sum of up to 6^3 of them, below the float64 maximum
+_FINITE = st.floats(-1e150, 1e150)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=2, max_size=3), c1=_FINITE, c2=_FINITE, data=st.data())
+def test_region_terms_are_never_negative_and_their_abs_is_a_no_op(shape, c1, c2, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    spacing = tuple(data.draw(st.floats(0.25, 4.0), label="spacing") for _ in shape)
+    u = rng.random(shape)
+    u[rng.random(shape) < 0.3] = data.draw(st.sampled_from([0.0, 1.0]), label="hard value")
+    r = rng.uniform(-1.0, 1.0, shape) * data.draw(_FINITE, label="reference scale")
+    region_in, region_out = region_terms(ScalarField(u, spacing), ScalarField(r, spacing), c1, c2)
+    assert region_in >= 0.0 and region_out >= 0.0
+    # each summand is nonnegative, so the plain sums are the region terms bit for bit
+    assert (region_in, region_out) == (float(np.sum(u * (c1 - r) ** 2)), float(np.sum((1.0 - u) * (c2 - r) ** 2)))
 
 
 def test_region_terms_shape_mismatch():

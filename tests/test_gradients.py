@@ -12,12 +12,37 @@ from elastiseg import (
     gradcheck,
     segmentation_energy,
 )
+from elastiseg import gradients
 from elastiseg.diffops import d1, d1_adj, d2, dmixed, dmixed_adj
-from elastiseg.energy import elastica_forward
-from elastiseg.gradients import _elastica_energy_and_gradient, energy_and_gradient_raw
+from elastiseg.energy import elastica_forward, energy_density
+from elastiseg.gradients import FD_STEP, _elastica_energy_and_gradient, energy_and_gradient_raw, fd_gradient_raw
 from elastiseg.workspace import Workspace
 
 DOT_SHAPES = [(3, 3), (3, 3, 3), (7, 5), (4, 6, 5), (3, 9), (12, 3, 4)]
+
+
+def ref_fd_gradient_raw(a, r, spacing, params):
+    """Frozen per-voxel oracle: two density calls per voxel, the colour-class oracle's reference."""
+    g = np.empty_like(a)
+    work = a.copy()
+    for idx in np.ndindex(a.shape):
+        orig = work[idx]
+        work[idx] = orig + FD_STEP
+        dens_plus = energy_density(work, r, spacing, params)
+        work[idx] = orig - FD_STEP
+        dens_minus = energy_density(work, r, spacing, params)
+        work[idx] = orig
+        # Densities of voxels outside the perturbed stencil footprint are
+        # bitwise identical, so the difference field is exactly zero there and
+        # the central difference is free of global-sum cancellation.
+        g[idx] = np.sum(dens_plus - dens_minus) / (2.0 * FD_STEP)
+    return g
+
+
+def max_rel_error(ga, gf):
+    """gradcheck's criterion: worst |ga - gf| / max(|ga|, |gf|, 1e-8)."""
+    denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
+    return float((np.abs(ga - gf) / denom).max())
 
 
 def dots(op, adj, shape, rng, h):
@@ -134,26 +159,35 @@ def test_gradcheck_3d_modes(mode):
     assert rep.passed, f"{mode}: max_rel={rep.max_rel_error} at {rep.worst_voxel}"
 
 
-def test_gradcheck_with_spacing_aware_energy():
-    # the analytic chain carries spacing through every stencil; check on an
-    # anisotropic grid via direct fd comparison
-    rng = np.random.default_rng(27)
-    spacing = (0.5, 2.0)
-    u = ScalarField(rng.random((9, 9)), spacing)
-    r = ScalarField(rng.random((9, 9)), spacing)
-    p = EnergyParams(alpha=0.01, beta=1.0, mode=CurvatureMode.MEAN_2D)
-    ga = energy_gradient(u, r, p).data
-    gf = fd_gradient(u, r, p).data
-    denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
-    assert float((np.abs(ga - gf) / denom).max()) < 1e-5
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_colour_class_oracle_matches_the_per_voxel_loop_bit_for_bit(mode, beta):
+    rng = np.random.default_rng(29)
+    shapes = [(9, 7), (8, 13)] if mode.required_ndim == 2 else [(5, 7, 6), (7, 4, 8)]
+    for shape in shapes:
+        spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+        u, r = rng.random(shape), rng.random(shape)
+        p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
+        assert fd_gradient_raw(u, r, spacing, p).tobytes() == ref_fd_gradient_raw(u, r, spacing, p).tobytes()
+
+
+@pytest.mark.parametrize("mode", [CurvatureMode.MEAN_2D, CurvatureMode.FAST_3D])
+def test_a_colour_stride_below_the_footprint_gives_a_wrong_gradient(mode, monkeypatch):
+    # at stride 2 neighbouring voxels of one class share footprints, and the block is the voxel alone
+    rng = np.random.default_rng(30)
+    shape = (9, 7) if mode.required_ndim == 2 else (5, 7, 6)
+    u, r = rng.random(shape), rng.random(shape)
+    p = EnergyParams(alpha=0.01, beta=2.0, mode=mode)
+    ref = ref_fd_gradient_raw(u, r, (1.0,) * len(shape), p)
+    monkeypatch.setattr(gradients, "FD_STRIDE", 2)
+    assert max_rel_error(fd_gradient_raw(u, r, (1.0,) * len(shape), p), ref) > 0.1
 
 
 @pytest.mark.parametrize("beta", [0.0, 2.0])
 @pytest.mark.parametrize("mode", list(CurvatureMode))
 def test_directional_derivative_at_realistic_sizes(mode, beta):
-    # one central difference along a random direction costs two energy
-    # evaluations, so unlike the per-voxel oracle it can check full-size
-    # fields on random anisotropic grids
+    # full-size fields on random anisotropic grids, elementwise against the
+    # colour-class oracle and along one random direction of the scalar energy
     rng = np.random.default_rng(28)
     shape = (64, 64) if mode.required_ndim == 2 else (24, 24, 24)
     spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
@@ -166,8 +200,10 @@ def test_directional_derivative_at_realistic_sizes(mode, beta):
     def energy(a):
         return segmentation_energy(u.with_data(a), r, p).total
 
+    ga = energy_gradient(u, r, p).data
+    assert max_rel_error(ga, fd_gradient(u, r, p).data) < 1e-5
     fd = (energy(u.data + h * v) - energy(u.data - h * v)) / (2.0 * h)
-    analytic = float(np.sum(energy_gradient(u, r, p).data * v))
+    analytic = float(np.sum(ga * v))
     assert abs(fd - analytic) < 1e-6 * max(abs(fd), abs(analytic))
 
 
@@ -212,12 +248,14 @@ def test_workspace_scope_gives_back_what_the_block_took():
     assert ws.take() is not outer and len(ws) == 4
 
 
-def test_fd_cost_is_documented_but_small_fields_fast():
-    # definitional: 2*n energy evaluations; just confirm it runs on a tiny field
-    u = ScalarField(np.full((4, 4), 0.5), 1.0)
+@pytest.mark.parametrize("shape", [(4, 4), (40, 23), (3, 3, 3), (10, 11, 12)])
+def test_fd_gradient_costs_two_density_calls_per_colour_class(shape, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gradients, "energy_density", lambda *args: calls.append(1) or energy_density(*args))
+    u = ScalarField(np.full(shape, 0.5), 1.0)
     p = EnergyParams(alpha=0.0, beta=0.0, lam=1.0)
-    g = fd_gradient(u, u, p)
-    assert g.shape == (4, 4)
+    assert fd_gradient(u, u, p).shape == shape
+    assert len(calls) == 2 * 3 ** len(shape)
 
 
 @pytest.mark.parametrize("mode", list(CurvatureMode))
