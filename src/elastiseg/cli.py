@@ -2,9 +2,12 @@
 
 Exit codes: 0 on success, 1 for validation or check failures (bad geometry,
 failed gradcheck, unmatched files, empty-mask HD95, non-finite energy),
-2 for usage errors. Every subcommand that takes a seed is bit-reproducible;
-runs that produce files also write a plain key=value manifest recording the
-resolved flags and per-stage wall time.
+2 for usage errors. Every subcommand that takes a seed is bit-reproducible.
+Every run that writes files, a failed solve included, also writes a plain
+key=value manifest: ``subcommand``, then every flag the run resolved under
+the flag's own name (``lambda``, ``region_mode``; the value the run used,
+such as ``mode=mean2d`` for ``auto``), then its results and per-stage wall
+times. A flag that does not apply to the run is absent.
 """
 
 from __future__ import annotations
@@ -19,10 +22,20 @@ import numpy as np
 
 from .curvature import CurvatureMode, curvature
 from .energy import EnergyParams, segmentation_energy
-from .field import FieldError, ScalarField, check_ndim, check_same_shape, is_binary, make_field
+from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask, is_binary, make_field
 from .gradients import gradcheck
-from .metrics import MetricsError, count_components, dice, evaluate_pair, hd95
-from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, check_threshold, segment, threshold
+from .metrics import MetricsError, count_components, dice, hd95
+from .solver import (
+    OPTIMIZERS,
+    PARAMETERIZATIONS,
+    REGION_MODES,
+    NonFiniteEnergyError,
+    SolverConfig,
+    SolverTrace,
+    check_threshold,
+    segment,
+    threshold,
+)
 from .synth import broken_tube_case, disk_case, hemisphere_field, sphere_case_3d
 from .volio import (
     METRICS_CSV_HEADER,
@@ -30,7 +43,6 @@ from .volio import (
     format_metrics_row,
     read_pgm,
     read_volume,
-    write_metrics_csv,
     write_pgm,
     write_volume,
 )
@@ -57,10 +69,14 @@ def _parse_center(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"center must be comma-separated numbers, got {text!r}")
 
 
-def write_manifest(path, entries: dict) -> None:
+def write_manifest(path, args, **results) -> None:
+    """Write ``subcommand``, every flag ``args`` holds a value for, then ``results``; tuples comma-joined."""
     with open(path, "w", newline="\n") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
+        fh.write(f"subcommand={args.command}\n")
+        for key, value in {**vars(args), **results}.items():
+            if key not in ("command", "func") and value is not None:
+                text = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
+                fh.write(f"{key}={text}\n")
 
 
 def _load_mask_or_volume(path: str) -> ScalarField:
@@ -90,17 +106,17 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     shape = args.shape
     tube = args.case == "tube"
-    _case_flags(args, f"--case {args.case}", {"radius": None, "center": None, "fg": 0.8, "bg": 0.2}, not tube)
-    _case_flags(args, f"--case {args.case}", {"width": 5, "gaps": 2, "gap_len": 3}, tube)
+    choice = f"--case {args.case}"
+    _case_flags(args, choice, {"radius": min(shape) / 4.0, "center": tuple((n - 1) / 2.0 for n in shape),
+                               "fg": 0.8, "bg": 0.2}, not tube)
+    _case_flags(args, choice, {"width": 5, "gaps": 2, "gap_len": 3}, tube)
     if tube:
         case = broken_tube_case(shape, args.width, args.gaps, args.gap_len, args.noise, args.seed)
     else:
         ndim, make = (2, disk_case) if args.case == "disk" else (3, sphere_case_3d)
         if len(shape) != ndim:
             raise FieldError(f"{args.case} case needs a {ndim}D shape")
-        center = args.center or tuple((n - 1) / 2.0 for n in shape)
-        radius = args.radius if args.radius is not None else min(shape) / 4.0
-        case = make(shape, center, radius, args.fg, args.bg, args.noise, args.seed)
+        case = make(shape, args.center, args.radius, args.fg, args.bg, args.noise, args.seed)
     gen_s = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -111,16 +127,8 @@ def cmd_synth(args) -> int:
         write_pgm(case.ground_truth, os.path.join(args.out, "gt.pgm"))
     write_s = time.perf_counter() - t1
 
-    write_manifest(os.path.join(args.out, "manifest.txt"), {
-        "subcommand": "synth",
-        "case": args.case,
-        "shape": ",".join(str(n) for n in shape),
-        "descriptor": case.descriptor,
-        "seed": args.seed,
-        "noise": args.noise,
-        "stage_generate_s": f"{gen_s:.6f}",
-        "stage_write_s": f"{write_s:.6f}",
-    })
+    write_manifest(os.path.join(args.out, "manifest.txt"), args, descriptor=case.descriptor,
+                   stage_generate_s=f"{gen_s:.6f}", stage_write_s=f"{write_s:.6f}")
     print(f"wrote {case.descriptor} to {args.out}")
     return EXIT_OK
 
@@ -202,11 +210,7 @@ def cmd_curvbench(args) -> int:
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(header + "\n" + row + "\n")
-        write_manifest(args.out + ".manifest.txt", {
-            "subcommand": "curvbench", "mode": mode.value,
-            "shape": ",".join(str(n) for n in shape),
-            "radius": radius_col, "repeat": args.repeat,
-        })
+        write_manifest(args.out + ".manifest.txt", args)
     print(header)
     print(row)
     return EXIT_OK
@@ -219,10 +223,13 @@ def cmd_segment(args) -> int:
         init = make_field(image.shape, image.spacing, 0.5)
     else:
         init = _load_mask_or_volume(args.init)
+        check_same_shape(image, init)
+        check_soft_mask(init, "init")
     load_s = time.perf_counter() - t0
 
     mode = _resolve_mode(args.mode, image.ndim)
-    params = EnergyParams(alpha=args.alpha, beta=args.beta, lam=args.lam,
+    args.mode = mode.value  # the manifest records the mode the run used
+    params = EnergyParams(alpha=args.alpha, beta=args.beta, lam=getattr(args, "lambda"),
                           c1=args.c1, c2=args.c2, mode=mode)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
                        parameterization=args.param, region_mode=args.region_mode)
@@ -240,48 +247,34 @@ def cmd_segment(args) -> int:
     trace_path = os.path.join(args.out, "trace.csv")
 
     t1 = time.perf_counter()
-    status = EXIT_OK
+    failure = None
     try:
         mask, trace = segment(image, init, params, cfg)
     except NonFiniteEnergyError as exc:
-        _write_trace(trace_path, exc.trace)
-        print(f"error: {exc}; partial trace written to {trace_path}", file=sys.stderr)
-        return EXIT_FAIL
+        failure, trace = exc, exc.trace
     solve_s = time.perf_counter() - t1
 
     _write_trace(trace_path, trace)
+    write_manifest(os.path.join(args.out, "manifest.txt"), args,
+                   iterations_run=trace.iterations_run, converged=trace.converged,
+                   stage_load_s=f"{load_s:.6f}", stage_solve_s=f"{solve_s:.6f}")
+    if failure is not None:
+        print(f"error: {failure}; partial trace written to {trace_path}", file=sys.stderr)
+        return EXIT_FAIL
     write_volume(mask, os.path.join(args.out, "mask.vf32"))
     binary = threshold(mask, args.threshold)
     write_volume(binary, os.path.join(args.out, "mask_bin.vf32"))
     if binary.ndim == 2:
         write_pgm(binary, os.path.join(args.out, "mask_bin.pgm"))
 
-    entries = {
-        "subcommand": "segment",
-        "image": args.image, "init": args.init,
-        "alpha": args.alpha, "beta": args.beta, "lambda": args.lam,
-        "c1": args.c1, "c2": args.c2, "mode": mode.value,
-        "iters": args.iters, "step": args.step, "optimizer": args.optimizer,
-        "param": args.param, "region_mode": args.region_mode,
-        "threshold": args.threshold,
-        "iterations_run": trace.iterations_run, "converged": trace.converged,
-        "stage_load_s": f"{load_s:.6f}", "stage_solve_s": f"{solve_s:.6f}",
-    }
-
+    ok = True
     if gt is not None:
-        try:
-            report = evaluate_pair(binary, ScalarField(*gt))
-            write_metrics_csv([("segment", report)], os.path.join(args.out, "metrics.csv"))
-            print(format_metrics_row("segment", report.dice, report.hd95,
-                                     report.components_pred, report.components_gt))
-        except MetricsError as exc:
-            print(f"error: metrics failed: {exc}", file=sys.stderr)
-            status = EXIT_FAIL
-
-    write_manifest(os.path.join(args.out, "manifest.txt"), entries)
+        row, ok = _metrics_row("segment", binary, ScalarField(*gt))
+        _write_metrics(os.path.join(args.out, "metrics.csv"), [row])
+        print(row)
     final = trace.breakdowns[-1].total if trace.breakdowns else segmentation_energy(mask, image, params).total
     print(f"ran {trace.iterations_run} iterations (converged={trace.converged}), final energy {final:.6g}")
-    return status
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _write_trace(path: str, trace: SolverTrace) -> None:
@@ -315,31 +308,35 @@ def cmd_metrics(args) -> int:
     for name, pred_path, gt_path in pairs:
         try:
             pred = threshold(_load_mask_or_volume(pred_path), args.threshold)
-            gt = _load_mask_or_volume(gt_path)
-            d = dice(pred, gt)
-            cp = count_components(pred)
-            cg = count_components(gt)
+            row, ok = _metrics_row(name, pred, _load_mask_or_volume(gt_path))
         except (MetricsError, FieldError, VolumeFormatError) as exc:
             print(f"error: case {name} ({pred_path} vs {gt_path}): {exc}", file=sys.stderr)
             status = EXIT_FAIL
             continue
-        try:
-            h = hd95(pred, gt)
-        except MetricsError:  # an empty mask: the pair keeps its row, with no HD95
-            h = "error"
+        rows.append(row)
+        if not ok:
             status = EXIT_FAIL
-        rows.append(format_metrics_row(name, d, h, cp, cg))
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(METRICS_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    write_manifest(args.out + ".manifest.txt", {
-        "subcommand": "metrics", "pred": args.pred, "gt": args.gt,
-        "threshold": args.threshold, "cases": len(rows),
-    })
+    _write_metrics(args.out, rows)
+    write_manifest(args.out + ".manifest.txt", args, cases=len(rows))
     for row in rows:
         print(row)
     return status
+
+
+def _metrics_row(name: str, pred: ScalarField, gt: ScalarField) -> tuple[str, bool]:
+    """The metrics-CSV row of one binary pair, and False when its HD95 is undefined (an empty mask)."""
+    d, cp, cg = dice(pred, gt), count_components(pred), count_components(gt)
+    try:
+        return format_metrics_row(name, d, hd95(pred, gt), cp, cg), True
+    except MetricsError:  # the pair keeps its row, with the error token for HD95
+        return format_metrics_row(name, d, "error", cp, cg), False
+
+
+def _write_metrics(path: str, rows: list[str]) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(METRICS_CSV_HEADER + "\n")
+        for row in rows:
+            fh.write(row + "\n")
 
 
 def _pair_files(pred: str, gt: str):
@@ -376,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bg", type=float, default=None, help="disk/sphere background level; default 0.2")
     p.add_argument("--width", type=int, default=None, help="tube width in voxels; default 5")
     p.add_argument("--gaps", type=int, default=None, help="number of erased tube segments; default 2")
-    p.add_argument("--gap-len", type=int, default=None, dest="gap_len", help="tube gap length; default 3")
+    p.add_argument("--gap-len", type=int, default=None, help="tube gap length; default 3")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("curvbench", help="curvature accuracy and timing benchmark")
@@ -392,17 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default="uniform", help="'uniform' or a mask file")
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
+    p.add_argument("--lambda", type=float, default=1.0)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=0.0)
     p.add_argument("--mode", default="auto",
                    choices=["auto"] + [m.value for m in CurvatureMode])
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--optimizer", choices=["gd", "momentum"], default="gd")
-    p.add_argument("--param", choices=["clipped", "logistic"], default="clipped")
-    p.add_argument("--region-mode", choices=["fixed", "cv-means"], default="cv-means",
-                   dest="region_mode")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="gd")
+    p.add_argument("--param", choices=PARAMETERIZATIONS, default="clipped")
+    p.add_argument("--region-mode", choices=REGION_MODES, default="cv-means")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.add_argument("--gt", default=None)

@@ -1,12 +1,24 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from elastiseg import ScalarField, make_field, read_volume, write_pgm, write_volume
-from elastiseg.cli import main
+from elastiseg.cli import build_parser, main
 
 
 def run(argv):
     return main(argv)
+
+
+def read_manifest(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def disk(tmp_path, shape="32,32", radius="8"):
+    case_dir = tmp_path / "case"
+    assert run(["synth", "--case", "disk", "--shape", shape, "--radius", radius, "--out", str(case_dir)]) == 0
+    return case_dir
 
 
 def test_synth_tube_writes_volumes_and_manifest(tmp_path):
@@ -291,3 +303,106 @@ def test_segment_checks_the_reference_is_binary_before_the_solve(tmp_path, capsy
                 "--gt", str(tmp_path / "img" / "image.vf32"), "--out", str(out)]) == 1
     assert "--gt must be binary" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_run_records_every_resolved_flag_under_its_name(tmp_path):
+    case_dir = tmp_path / "disk"
+    runs = [  # (argv, manifest path, flags the run does not resolve)
+        (["synth", "--case", "disk", "--shape", "32,32", "--out", str(case_dir)],
+         case_dir / "manifest.txt", {"width", "gaps", "gap_len"}),
+        (["synth", "--case", "tube", "--shape", "32,32", "--gap-len", "2", "--out", str(tmp_path / "tube")],
+         tmp_path / "tube" / "manifest.txt", {"radius", "center", "fg", "bg"}),
+        (["curvbench", "--mode", "mean2d", "--shape", "64,64", "--repeat", "1", "--out", str(tmp_path / "k.csv")],
+         tmp_path / "k.csv.manifest.txt", set()),
+        (["curvbench", "--mode", "fast3d", "--shape", "8,8,8", "--repeat", "1", "--out", str(tmp_path / "k3.csv")],
+         tmp_path / "k3.csv.manifest.txt", {"radius"}),
+        (["segment", "--image", str(case_dir / "image.vf32"), "--gt", str(case_dir / "gt.vf32"),
+          "--lambda", "0.5", "--region-mode", "fixed", "--iters", "5", "--out", str(tmp_path / "seg")],
+         tmp_path / "seg" / "manifest.txt", set()),
+        (["metrics", "--pred", str(case_dir / "gt.vf32"), "--gt", str(case_dir / "gt.pgm"),
+          "--out", str(tmp_path / "m.csv")],
+         tmp_path / "m.csv.manifest.txt", set()),
+    ]
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {argv[0] for argv, _, _ in runs} == set(subcommands) - {"gradcheck"}  # gradcheck writes no files
+    manifests = []
+    for argv, path, absent in runs:
+        assert run(argv) == 0
+        entries = read_manifest(path)
+        flags = [a.dest for a in subcommands[argv[0]]._actions if a.dest != "help"]
+        resolved = [f for f in flags if f not in absent]
+        keys = list(entries)
+        assert keys[0] == "subcommand" and entries["subcommand"] == argv[0]
+        assert keys[1:1 + len(resolved)] == resolved  # every resolved flag, in parser order, before the results
+        assert not set(keys[1 + len(resolved):]) & set(flags)
+        manifests.append(entries)
+
+    synth, tube, bench, _, seg, batch = manifests
+    assert (synth["shape"], synth["radius"], synth["center"], synth["fg"]) == ("32,32", "8.0", "15.5,15.5", "0.8")
+    assert tube["gap_len"] == "2"
+    assert bench["radius"] == "40.0"
+    assert (seg["mode"], seg["lambda"], seg["region_mode"]) == ("mean2d", "0.5", "fixed")
+    assert (seg["gt"], seg["out"], seg["iterations_run"]) == (str(case_dir / "gt.vf32"), str(tmp_path / "seg"), "5")
+    assert "stage_solve_s" in seg and seg["converged"] == "False"
+    assert batch["cases"] == "1"
+
+
+def test_segment_non_finite_run_writes_its_manifest(tmp_path, capsys):
+    case_dir = disk(tmp_path)
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--init", str(case_dir / "image.vf32"),
+                "--alpha", "1e308", "--iters", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite energy at iteration 0" in err and "partial trace written" in err
+    assert (out / "trace.csv").read_text() == "iter,elastica,region_in,region_out,total\n"
+    manifest = read_manifest(out / "manifest.txt")
+    assert (manifest["iterations_run"], manifest["converged"], manifest["alpha"]) == ("0", "False", "1e+308")
+    assert not (out / "mask.vf32").exists()
+
+
+def test_segment_empty_prediction_writes_the_hd95_error_token(tmp_path):
+    case_dir = disk(tmp_path)
+    write_volume(make_field((32, 32), 1.0, 0.0), tmp_path / "empty.vf32")
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--init", str(tmp_path / "empty.vf32"),
+                "--iters", "0", "--gt", str(case_dir / "gt.vf32"), "--out", str(out)]) == 1
+    assert (out / "metrics.csv").read_text().splitlines() == ["case,dice,hd95,components_pred,components_gt",
+                                                              "segment,0.000000,error,0,1"]
+    assert read_manifest(out / "manifest.txt")["iterations_run"] == "0"
+
+
+def test_segment_reads_a_pgm_init_and_an_explicit_mode(tmp_path):
+    case_dir = disk(tmp_path)
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--init", str(case_dir / "gt.pgm"),
+                "--mode", "mean2d", "--beta", "0.5", "--iters", "0", "--out", str(out)]) == 0
+    np.testing.assert_array_equal(read_volume(out / "mask.vf32").data, read_volume(case_dir / "gt.vf32").data)
+    manifest = read_manifest(out / "manifest.txt")
+    assert (manifest["init"], manifest["mode"]) == (str(case_dir / "gt.pgm"), "mean2d")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--mode", "fast3d"], "curvature mode fast3d requires 3D data, got 2D"),
+    (["--mode", "mean3d"], "curvature mode mean3d requires 3D data, got 2D"),
+    (["--init", "{other}"], "shape mismatch: (32, 32) vs (16, 16)"),
+    (["--init", "{bright}"], "init values must lie in [0,1], got range [2.0, 2.0]"),
+])
+def test_segment_rejects_a_mode_or_init_that_does_not_fit_before_any_output(flags, message, tmp_path, capsys):
+    case_dir = disk(tmp_path)
+    other = disk(tmp_path / "other", shape="16,16", radius="4")
+    out = tmp_path / "seg"
+    write_volume(make_field((32, 32), 1.0, 2.0), tmp_path / "bright.vf32")
+    flags = [f.format(other=other / "gt.vf32", bright=tmp_path / "bright.vf32") for f in flags]
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "5", *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_rejects_a_file_paired_with_a_directory(tmp_path, capsys):
+    case_dir = disk(tmp_path)
+    out = tmp_path / "m.csv"
+    assert run(["metrics", "--pred", str(case_dir / "gt.vf32"), "--gt", str(case_dir), "--out", str(out)]) == 1
+    assert "--pred and --gt must both be files or both be directories" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "m.csv.manifest.txt").exists()

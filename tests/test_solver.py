@@ -8,6 +8,7 @@ import pytest
 import elastiseg.solver
 from elastiseg import (
     CurvatureMode,
+    DegenerateMaskError,
     EnergyBreakdown,
     EnergyParams,
     FieldError,
@@ -107,12 +108,26 @@ def test_momentum_optimizer_converges():
     assert dice(threshold(mask), case.ground_truth) >= 0.95
 
 
-def test_cv_means_survives_degenerate_all_foreground_init():
-    case = small_disk(7)
-    init = make_field(case.image.shape, 1.0, 1.0)  # no background: first estimate degenerate
+def test_cv_means_survives_degenerate_all_foreground_init(monkeypatch):
+    raised = []
+    real = elastiseg.solver.region_means_raw
+
+    def counting(*args):
+        try:
+            return real(*args)
+        except DegenerateMaskError:
+            raised.append(None)
+            raise
+
+    monkeypatch.setattr(elastiseg.solver, "region_means_raw", counting)
+    # a uniform bright image pushes an all-foreground mask further up: it never gains a background
+    image = make_field((16, 16), 1.0, 1.0)
+    init = make_field((16, 16), 1.0, 1.0)
     p = EnergyParams(alpha=0.001, beta=0.0, mode=CurvatureMode.MEAN_2D)
-    mask, trace = segment(case.image, init, p, SolverConfig(max_iters=100, region_mode="cv-means"))
+    mask, trace = segment(image, init, p, SolverConfig(max_iters=100, region_mode="cv-means"))
+    np.testing.assert_array_equal(mask.data, 1.0)
     assert trace.iterations_run > 0
+    assert len(raised) == trace.iterations_run  # the fallback ran after every update
     assert np.isfinite([b.total for b in trace.breakdowns]).all()
 
 

@@ -79,6 +79,20 @@ def test_vf32_rejects_bad_extents_and_spacing(tmp_path, header):
         read_volume(path)
 
 
+@pytest.mark.parametrize("header,message", [
+    (b"VF32 2 " + b"1 " * 200, "header line too long"),
+    (b"VF32", "missing or invalid ndim"),
+    (b"VF32 two 4 4 1 1", "missing or invalid ndim"),
+    (b"VF32 2 4 4 1", "expected 6 header tokens, got 5"),
+    (b"VF32 3 4 4 4 1 1 1 1", "expected 8 header tokens, got 9"),
+])
+def test_vf32_rejects_a_malformed_header_line(tmp_path, header, message):
+    path = tmp_path / "bad.vf32"
+    path.write_bytes(header + b"\n" + b"\x00" * 64)
+    with pytest.raises(VolumeFormatError, match=message):
+        read_volume(path)
+
+
 def test_vf32_huge_declared_size_rejected_before_reading(tmp_path):
     # 1e10 voxels declared, 16 bytes present: must fail on the size check, not allocate
     path = tmp_path / "huge.vf32"
@@ -125,6 +139,14 @@ def test_pgm_rejects_non_positive_extents(tmp_path, dims):
     path = tmp_path / "neg.pgm"
     path.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 16)
     with pytest.raises(VolumeFormatError):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("dims", [b"2 x", b"2.0 2"])
+def test_pgm_rejects_a_non_integer_header_token(tmp_path, dims):
+    path = tmp_path / "tok.pgm"
+    path.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\x00" * 4)
+    with pytest.raises(VolumeFormatError, match="invalid PGM header token"):
         read_pgm(path)
 
 
