@@ -30,7 +30,7 @@ from .gradients import GradCheckReport, energy_gradient, fd_gradient, gradcheck
 from .metrics import MetricsError, MetricsReport, count_components, dice, evaluate_pair, hd95
 from .solver import NonFiniteEnergyError, SolverConfig, SolverTrace, segment, threshold
 from .synth import SynthCase, broken_tube_case, disk_case, hemisphere_field, sphere_case_3d
-from .volio import VolumeFormatError, read_pgm, read_volume, write_metrics_csv, write_pgm, write_volume
+from .volio import VolumeFormatError, read_pgm, read_volume, write_pgm, write_volume
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "sphere_case_3d",
     "threshold",
     "tv_length",
-    "write_metrics_csv",
     "write_pgm",
     "write_volume",
 ]

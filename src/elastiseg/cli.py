@@ -22,9 +22,9 @@ import numpy as np
 
 from .curvature import CurvatureMode, curvature
 from .energy import EnergyParams, segmentation_energy
-from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask, is_binary, make_field
+from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask, make_field
 from .gradients import gradcheck
-from .metrics import MetricsError, count_components, dice, hd95
+from .metrics import MetricsError, _binary_data, count_components_raw, dice_raw, hd95_raw
 from .solver import (
     OPTIMIZERS,
     PARAMETERIZATIONS,
@@ -238,9 +238,7 @@ def cmd_segment(args) -> int:
     if args.gt:
         ref = _load_mask_or_volume(args.gt)
         check_same_shape(image, ref)
-        if not is_binary(ref):
-            raise MetricsError("--gt must be binary (values exactly 0 or 1)")
-        gt = ref.data != 0.0, ref.spacing  # the solve holds a bool mask, not the float64 field
+        gt = _binary_data(ref, "--gt")  # the solve holds a bool mask, not the float64 field
         del ref
 
     os.makedirs(args.out, exist_ok=True)
@@ -269,7 +267,7 @@ def cmd_segment(args) -> int:
 
     ok = True
     if gt is not None:
-        row, ok = _metrics_row("segment", binary, ScalarField(*gt))
+        row, ok = _metrics_row("segment", mask.data >= args.threshold, gt, mask.spacing)
         _write_metrics(os.path.join(args.out, "metrics.csv"), [row])
         print(row)
     final = trace.breakdowns[-1].total if trace.breakdowns else segmentation_energy(mask, image, params).total
@@ -307,8 +305,11 @@ def cmd_metrics(args) -> int:
     status = EXIT_OK
     for name, pred_path, gt_path in pairs:
         try:
-            pred = threshold(_load_mask_or_volume(pred_path), args.threshold)
-            row, ok = _metrics_row(name, pred, _load_mask_or_volume(gt_path))
+            pred = _load_mask_or_volume(pred_path)
+            spacing, pred = pred.spacing, pred.data >= args.threshold  # the reference loads beside a bool mask
+            gt = _load_mask_or_volume(gt_path)
+            check_same_shape(pred, gt)
+            row, ok = _metrics_row(name, pred, _binary_data(gt, "reference"), spacing)
         except (MetricsError, FieldError, VolumeFormatError) as exc:
             print(f"error: case {name} ({pred_path} vs {gt_path}): {exc}", file=sys.stderr)
             status = EXIT_FAIL
@@ -323,11 +324,11 @@ def cmd_metrics(args) -> int:
     return status
 
 
-def _metrics_row(name: str, pred: ScalarField, gt: ScalarField) -> tuple[str, bool]:
-    """The metrics-CSV row of one binary pair, and False when its HD95 is undefined (an empty mask)."""
-    d, cp, cg = dice(pred, gt), count_components(pred), count_components(gt)
+def _metrics_row(name: str, pred: np.ndarray, gt: np.ndarray, spacing) -> tuple[str, bool]:
+    """The metrics-CSV row of one bool pair, HD95 in ``spacing``; False when HD95 is undefined (an empty mask)."""
+    d, cp, cg = dice_raw(pred, gt), count_components_raw(pred), count_components_raw(gt)
     try:
-        return format_metrics_row(name, d, hd95(pred, gt), cp, cg), True
+        return format_metrics_row(name, d, hd95_raw(pred, gt, spacing), cp, cg), True
     except MetricsError:  # the pair keeps its row, with the error token for HD95
         return format_metrics_row(name, d, "error", cp, cg), False
 

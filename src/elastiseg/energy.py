@@ -31,6 +31,10 @@ from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_
 from .workspace import Workspace
 
 
+# |c1|, |c2| bound: with |r| up to float32's maximum (all a VF32 file holds), (c - r)^2 <= ~1e200
+MAX_CONSTANT = 1e100
+
+
 class DegenerateMaskError(FieldError):
     """Mask is entirely foreground or entirely background."""
 
@@ -41,9 +45,10 @@ class EnergyParams:
 
     ``alpha`` weighs boundary length, ``beta`` squared curvature, ``lam`` the
     two region terms. ``c1``/``c2`` are the foreground/background reference
-    constants (1 and 0 for evaluation against a binary mask). Useful operating
-    ranges are alpha in [0.0001, 0.1] and beta in (0, 10]; beta = 0 drops the
-    curvature factor and leaves a pure length-plus-region energy.
+    constants (1 and 0 for evaluation against a binary mask), at most
+    ``MAX_CONSTANT`` in magnitude. Useful operating ranges are alpha in
+    [0.0001, 0.1] and beta in (0, 10]; beta = 0 drops the curvature factor and
+    leaves a pure length-plus-region energy.
     """
 
     alpha: float = 0.001
@@ -63,6 +68,9 @@ class EnergyParams:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
+        for name in ("c1", "c2"):
+            if abs(getattr(self, name)) > MAX_CONSTANT:
+                raise ValueError(f"{name} must lie in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}], got {getattr(self, name)}")
 
     def with_constants(self, c1: float, c2: float) -> "EnergyParams":
         return replace(self, c1=c1, c2=c2)

@@ -89,7 +89,7 @@ def check_soft_mask(field: ScalarField, name: str = "mask") -> None:
         raise FieldError(f"{name} values must lie in [0,1], got range [{lo}, {hi}]")
 
 
-def check_same_shape(a: ScalarField, b: ScalarField) -> None:
+def check_same_shape(a: ScalarField | np.ndarray, b: ScalarField | np.ndarray) -> None:
     if a.shape != b.shape:
         raise FieldError(f"shape mismatch: {a.shape} vs {b.shape}")
 

@@ -5,7 +5,12 @@ masks are pooled into one set and the 95th percentile is taken with linear
 interpolation between order statistics. Boundaries are foreground voxels with
 at least one face-adjacent background (or out-of-bounds) neighbor; distances
 are Euclidean between voxel centers, scaled per axis by the grid spacing and
-computed exactly (no chamfer approximation).
+computed exactly (no chamfer approximation). A voxel on both boundaries is at
+distance exactly 0 in both directions, so it enters the pool as two zeros
+without a query, and a mask's KD-tree is built only when the other mask has
+boundary voxels off its boundary. The public functions check each field once
+and then run the ``*_raw`` functions on bool arrays, which ``evaluate_pair``
+and the CLI share, so each mask is checked once per pair.
 """
 
 from __future__ import annotations
@@ -40,14 +45,15 @@ def _binary_data(field: ScalarField, name: str) -> np.ndarray:
 def dice(a: ScalarField, b: ScalarField) -> float:
     """2|A & B| / (|A| + |B|); defined as 1.0 when both masks are empty."""
     check_same_shape(a, b)
-    da = _binary_data(a, "prediction")
-    db = _binary_data(b, "reference")
-    na = int(da.sum())
-    nb = int(db.sum())
-    if na + nb == 0:
+    return dice_raw(_binary_data(a, "prediction"), _binary_data(b, "reference"))
+
+
+def dice_raw(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`dice` on two same-shape bool arrays."""
+    total = np.count_nonzero(a) + np.count_nonzero(b)
+    if total == 0:
         return 1.0
-    inter = int(np.logical_and(da, db).sum())
-    return 2.0 * inter / (na + nb)
+    return 2.0 * np.count_nonzero(a & b) / total
 
 
 def boundary_voxels(mask: np.ndarray) -> np.ndarray:
@@ -78,31 +84,41 @@ def hd95(a: ScalarField, b: ScalarField) -> float:
     undefined; no sentinel is returned).
     """
     check_same_shape(a, b)
-    da = _binary_data(a, "prediction")
-    db = _binary_data(b, "reference")
-    if not da.any() or not db.any():
+    return hd95_raw(_binary_data(a, "prediction"), _binary_data(b, "reference"), a.spacing)
+
+
+def hd95_raw(a: np.ndarray, b: np.ndarray, spacing: tuple[float, ...]) -> float:
+    """:func:`hd95` on two same-shape bool arrays at ``spacing``."""
+    if not a.any() or not b.any():
         raise MetricsError("hd95 requires both masks to be nonempty")
-    sp = np.asarray(a.spacing, dtype=np.float64)
-    pa = np.argwhere(boundary_voxels(da)) * sp
-    pb = np.argwhere(boundary_voxels(db)) * sp
-    d_ab = cKDTree(pb).query(pa)[0]
-    d_ba = cKDTree(pa).query(pb)[0]
-    pooled = np.concatenate([d_ab, d_ba])
-    return float(np.percentile(pooled, 95.0))
+    edge_a, edge_b = boundary_voxels(a), boundary_voxels(b)
+    ia, ib = np.argwhere(edge_a), np.argwhere(edge_b)
+    a_only, b_only = ~edge_b[tuple(ia.T)], ~edge_a[tuple(ib.T)]
+    sp = np.asarray(spacing, dtype=np.float64)
+    pa, pb = ia * sp, ib * sp
+    # a shared voxel is at 0.0 both ways: the pool stays the all-pairs multiset, and the percentile its bits
+    pooled = [np.zeros(2 * (len(ia) - np.count_nonzero(a_only)))]
+    if a_only.any():
+        pooled.append(cKDTree(pb).query(pa[a_only])[0])
+    if b_only.any():
+        pooled.append(cKDTree(pa).query(pb[b_only])[0])
+    return float(np.percentile(np.concatenate(pooled), 95.0))
 
 
 def count_components(mask: ScalarField) -> int:
     """Number of face-connected foreground components (4-adjacency in 2D, 6 in 3D)."""
-    data = _binary_data(mask, "mask")
-    _, count = ndimage.label(data, structure=ndimage.generate_binary_structure(data.ndim, 1))
+    return count_components_raw(_binary_data(mask, "mask"))
+
+
+def count_components_raw(mask: np.ndarray) -> int:
+    """:func:`count_components` on a bool array."""
+    _, count = ndimage.label(mask, structure=ndimage.generate_binary_structure(mask.ndim, 1))
     return int(count)
 
 
 def evaluate_pair(pred: ScalarField, gt: ScalarField) -> MetricsReport:
     """Bundle dice, hd95 and component counts for one prediction/reference pair."""
-    return MetricsReport(
-        dice=dice(pred, gt),
-        hd95=hd95(pred, gt),
-        components_pred=count_components(pred),
-        components_gt=count_components(gt),
-    )
+    check_same_shape(pred, gt)
+    a, b = _binary_data(pred, "prediction"), _binary_data(gt, "reference")
+    return MetricsReport(dice=dice_raw(a, b), hd95=hd95_raw(a, b, pred.spacing),
+                         components_pred=count_components_raw(a), components_gt=count_components_raw(b))

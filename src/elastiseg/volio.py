@@ -15,7 +15,6 @@ import os
 import numpy as np
 
 from .field import FieldError, ScalarField, is_binary
-from .metrics import MetricsReport
 
 
 class VolumeFormatError(ValueError):
@@ -139,12 +138,3 @@ def format_metrics_row(name: str, dice_value: float, hd95_value, components_pred
     hd = f"{hd95_value:.6f}" if isinstance(hd95_value, float) else str(hd95_value)
     return f"{name},{dice_value:.6f},{hd},{components_pred},{components_gt}"
 
-
-def write_metrics_csv(reports: list[tuple[str, MetricsReport]], path: str | os.PathLike) -> None:
-    """One row per case, floats with six decimal places, LF line endings."""
-    if not reports:
-        raise ValueError("no metric rows to write")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(METRICS_CSV_HEADER + "\n")
-        for name, rep in reports:
-            fh.write(format_metrics_row(name, rep.dice, rep.hd95, rep.components_pred, rep.components_gt) + "\n")

@@ -2,9 +2,12 @@ import argparse
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from elastiseg import ScalarField, make_field, read_volume, write_pgm, write_volume
+from elastiseg import (ScalarField, cli, evaluate_pair, is_binary, make_field, metrics, read_pgm, read_volume,
+                       threshold, write_pgm, write_volume)
 from elastiseg.cli import build_parser, main
+from elastiseg.volio import METRICS_CSV_HEADER, format_metrics_row
 
 
 def run(argv):
@@ -406,3 +409,60 @@ def test_metrics_rejects_a_file_paired_with_a_directory(tmp_path, capsys):
     assert "--pred and --gt must both be files or both be directories" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "m.csv.manifest.txt").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--c1", "1e200"), ("--c2", "-1e200")])
+def test_segment_rejects_region_constants_that_overflow_before_any_output(flag, value, tmp_path, capsys):
+    case_dir = disk(tmp_path)
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "5", f"{flag}={value}",
+                "--out", str(out)]) == 1
+    assert f"{flag[2:]} must lie in [-1e+100, 1e+100], got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _metrics_pairs(tmp_path, kind):
+    """Three soft-prediction/binary-reference pairs of one kind, under pred/ and gt/."""
+    rng = np.random.default_rng(40)
+    shape, spacing = ((14, 12, 10), (1.5, 1.0, 0.5)) if kind == "vf32-3d" else ((40, 36), (0.5, 2.0))
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    for i in range(3):
+        gt = ndimage.uniform_filter(rng.random(shape), 5) > 0.5
+        soft = np.clip(gt + rng.normal(0.0, 0.35, shape), 0.0, 1.0)
+        if kind == "pgm-2d":
+            write_pgm(ScalarField(soft >= 0.5, 1.0), pred_dir / f"c{i}.pgm")
+            write_pgm(ScalarField(gt, 1.0), gt_dir / f"c{i}.pgm")
+        else:
+            write_volume(ScalarField(soft, spacing), pred_dir / f"c{i}.vf32")
+            write_volume(ScalarField(gt, spacing), gt_dir / f"c{i}.vf32")
+    return pred_dir, gt_dir
+
+
+@pytest.mark.parametrize("kind", ["vf32-2d", "pgm-2d", "vf32-3d"])
+def test_metrics_rows_are_the_library_rows(kind, tmp_path):
+    pred_dir, gt_dir = _metrics_pairs(tmp_path, kind)
+    out = tmp_path / "m.csv"
+    assert run(["metrics", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out),
+                "--threshold", "0.3"]) == 0
+    load = read_pgm if kind == "pgm-2d" else read_volume
+    expect = [METRICS_CSV_HEADER]
+    for pred_path in sorted(pred_dir.iterdir()):
+        rep = evaluate_pair(threshold(load(pred_path), 0.3), load(gt_dir / pred_path.name))
+        expect.append(format_metrics_row(pred_path.stem, rep.dice, rep.hd95, rep.components_pred, rep.components_gt))
+    assert out.read_text().splitlines() == expect
+
+
+def test_metrics_checks_each_field_at_most_once_per_pair(tmp_path, monkeypatch):
+    pred_dir, gt_dir = _metrics_pairs(tmp_path, "vf32-2d")
+    checked = []
+
+    def counting(field):
+        checked.append(field)
+        return is_binary(field)
+
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "is_binary", counting, raising=False)
+    assert run(["metrics", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "m.csv")]) == 0
+    assert len(checked) <= 2 * 3

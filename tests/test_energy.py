@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,3 +219,36 @@ def test_params_validation():
 def test_params_reject_non_finite_weights(name, value):
     with pytest.raises(ValueError, match=name):
         EnergyParams(**{name: value})
+
+
+_F32_MAX = float(np.finfo(np.float32).max)  # the largest |r| a VF32 file can hold
+
+
+@settings(max_examples=120, deadline=None)
+@given(shape=st.lists(st.integers(3, 6), min_size=2, max_size=3), c1=st.floats(), c2=st.floats(), data=st.data())
+def test_params_reject_region_constants_or_give_a_finite_energy(shape, c1, c2, data):
+    mode = CurvatureMode.MEAN_2D if len(shape) == 2 else CurvatureMode.FAST_3D
+    try:
+        params = EnergyParams(c1=c1, c2=c2, mode=mode)
+    except ValueError:
+        assert not (abs(c1) <= 1e100 and abs(c2) <= 1e100)
+        return
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = rng.random(shape)
+    u[rng.random(shape) < 0.3] = data.draw(st.sampled_from([0.0, 1.0]), label="hard value")
+    r = rng.uniform(-1.0, 1.0, shape) * data.draw(st.floats(0.0, _F32_MAX), label="reference scale")
+    r[rng.random(shape) < 0.2] = data.draw(st.sampled_from([-_F32_MAX, _F32_MAX]), label="extreme reference")
+    bd = segmentation_energy(ScalarField(u, 1.0), ScalarField(r, 1.0), params)
+    assert all(math.isfinite(v) for v in (bd.elastica, bd.region_in, bd.region_out, bd.total))
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_params_region_constant_bound_is_tight(name):
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError, match=name):
+            EnergyParams(**{name: sign * math.nextafter(1e100, math.inf)})
+        params = EnergyParams(c1=sign * 1e100, c2=-sign * 1e100)
+        # every voxel at the far end of the float32 range, in a 6^3 grid, half in and half out
+        r = ScalarField(np.full((6, 6, 6), -sign * _F32_MAX), 1.0)
+        bd = segmentation_energy(make_field((6, 6, 6), 1.0, 0.5), r, replace(params, mode=CurvatureMode.FAST_3D))
+        assert math.isfinite(bd.total) and bd.region_in > 1e200

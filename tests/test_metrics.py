@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from elastiseg import MetricsError, ScalarField, count_components, dice, evaluate_pair, hd95, make_field
+from elastiseg import (MetricsError, MetricsReport, ScalarField, count_components, dice, evaluate_pair, hd95,
+                       make_field, metrics)
 from elastiseg.metrics import boundary_voxels
 
 
@@ -147,3 +151,68 @@ def test_evaluate_pair():
     assert rep.components_pred == 2
     assert rep.components_gt == 1
     assert rep.hd95 >= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(ndim=st.sampled_from([2, 3]), flip=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]), data=st.data())
+def test_hd95_equals_the_all_pairs_oracle_bit_for_bit(ndim, flip, data):
+    shape = tuple(data.draw(st.integers(1, 14 if ndim == 2 else 7), label="extent") for _ in range(ndim))
+    spacing = tuple(data.draw(st.floats(0.1, 10.0), label="spacing") for _ in range(ndim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.random(shape) < data.draw(st.floats(0.05, 0.95), label="density")
+    # b flips a fraction of a's voxels, from none (every boundary voxel shared) to all
+    b = a ^ (rng.random(shape) < flip)
+    assume(a.any() and b.any())
+    assert hd95(binfield(a, spacing), binfield(b, spacing)) == oracle_hd95(a, b, spacing)
+
+
+def _square(shape, lo, hi):
+    m = np.zeros(shape, dtype=bool)
+    m[lo[0]:hi[0], lo[1]:hi[1]] = True
+    return m
+
+
+def _single(shape, index):
+    m = np.zeros(shape, dtype=bool)
+    m[index] = True
+    return m
+
+
+@pytest.mark.parametrize("a,b,trees", [
+    (_square((16, 16), (2, 3), (9, 12)), _square((16, 16), (2, 3), (9, 12)), 0),     # identical: all shared
+    (_square((16, 16), (0, 0), (5, 5)), _square((16, 16), (9, 10), (16, 16)), 2),    # boundaries apart
+    (_square((16, 16), (2, 2), (14, 14)), _square((16, 16), (5, 6), (9, 10)), 2),    # strictly inside
+    (_square((16, 16), (2, 2), (14, 14)), _square((16, 16), (2, 2), (6, 14)), 2),    # inside, one side shared
+    (_single((9, 9), (4, 4)), _single((9, 9), (4, 4)), 0),                           # one voxel, shared
+    (_single((9, 9), (2, 3)), _square((9, 9), (2, 3), (7, 8)), 1),                   # one voxel on b's corner
+    (_single((9, 9), (0, 8)), _square((9, 9), (3, 0), (9, 4)), 2),                   # one voxel apart
+])
+def test_hd95_skips_shared_boundary_voxels_and_stays_exact(a, b, trees, monkeypatch):
+    built = []
+
+    def counting_tree(points):
+        built.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+    for spacing in ((1.0, 1.0), (0.7, 2.5)):
+        built.clear()
+        assert hd95(binfield(a, spacing), binfield(b, spacing)) == oracle_hd95(a, b, spacing)
+        assert len(built) == trees
+    if trees == 0:
+        assert hd95(binfield(a), binfield(b)) == 0.0
+
+
+def test_evaluate_pair_checks_each_field_once(monkeypatch):
+    checked = []
+    real = metrics.is_binary
+
+    def counting(field):
+        checked.append(field)
+        return real(field)
+
+    monkeypatch.setattr(metrics, "is_binary", counting)
+    pred, gt = binfield(_square((12, 12), (1, 1), (6, 7))), binfield(_square((12, 12), (2, 2), (8, 8)))
+    rep = evaluate_pair(pred, gt)
+    assert [id(f) for f in checked] == [id(pred), id(gt)]
+    assert rep == MetricsReport(dice(pred, gt), hd95(pred, gt), count_components(pred), count_components(gt))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elastiseg import MetricsReport, ScalarField, VolumeFormatError, make_field, read_pgm, read_volume, write_metrics_csv, write_pgm, write_volume
+from elastiseg import ScalarField, VolumeFormatError, make_field, read_pgm, read_volume, write_pgm, write_volume
 
 
 def test_vf32_header_and_payload_layout(tmp_path):
@@ -161,21 +161,6 @@ def test_pgm_rejects_non_binary_and_3d(tmp_path):
         write_pgm(make_field((3, 3), 1.0, 0.5), tmp_path / "x.pgm")
     with pytest.raises(VolumeFormatError):
         write_pgm(make_field((3, 3, 3), 1.0, 1.0), tmp_path / "y.pgm")
-
-
-def test_metrics_csv_rows(tmp_path):
-    path = tmp_path / "m.csv"
-    write_metrics_csv([("disk1", MetricsReport(1.0, 0.0, 1, 1))], path)
-    assert path.read_text() == "case,dice,hd95,components_pred,components_gt\ndisk1,1.000000,0.000000,1,1\n"
-
-    two = [("a", MetricsReport(0.5, 2.25, 2, 1)), ("b", MetricsReport(0.75, 1.5, 1, 1))]
-    write_metrics_csv(two, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1] == "a,0.500000,2.250000,2,1"
-
-    with pytest.raises(ValueError):
-        write_metrics_csv([], path)
 
 
 # header tokens near and past every check of the readers: magics, ndims, extents, spacings
