@@ -73,7 +73,7 @@ def make_field(shape: tuple[int, ...], spacing=1.0, fill: float = 0.0) -> Scalar
     fill = float(fill)
     if not np.isfinite(fill):
         raise FieldError(f"fill value must be finite, got {fill}")
-    return ScalarField(np.full(shape, fill, dtype=np.float64), spacing)
+    return ScalarField(np.broadcast_to(fill, shape), spacing)
 
 
 def clamp01(field: ScalarField) -> ScalarField:

@@ -91,13 +91,13 @@ def hd95_raw(a: np.ndarray, b: np.ndarray, spacing: tuple[float, ...]) -> float:
     """:func:`hd95` on two same-shape bool arrays at ``spacing``."""
     if not a.any() or not b.any():
         raise MetricsError("hd95 requires both masks to be nonempty")
-    edge_a, edge_b = boundary_voxels(a), boundary_voxels(b)
-    ia, ib = np.argwhere(edge_a), np.argwhere(edge_b)
-    a_only, b_only = ~edge_b[tuple(ia.T)], ~edge_a[tuple(ib.T)]
+    edge_a, edge_b = boundary_voxels(a).ravel(), boundary_voxels(b).ravel()
+    fa, fb = np.flatnonzero(edge_a), np.flatnonzero(edge_b)
+    a_only, b_only = ~edge_b[fa], ~edge_a[fb]
     sp = np.asarray(spacing, dtype=np.float64)
-    pa, pb = ia * sp, ib * sp
+    pa, pb = (np.column_stack(np.unravel_index(f, a.shape)) * sp for f in (fa, fb))
     # a shared voxel is at 0.0 both ways: the pool stays the all-pairs multiset, and the percentile its bits
-    pooled = [np.zeros(2 * (len(ia) - np.count_nonzero(a_only)))]
+    pooled = [np.zeros(2 * (len(fa) - np.count_nonzero(a_only)))]
     if a_only.any():
         pooled.append(cKDTree(pb).query(pa[a_only])[0])
     if b_only.any():

@@ -30,6 +30,7 @@ from .energy import (
     DegenerateMaskError,
     EnergyBreakdown,
     EnergyParams,
+    MAX_CONSTANT,
     region_means_raw,
     segmentation_energy,
 )
@@ -115,9 +116,10 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     deterministic: identical inputs produce bit-identical outputs. Stops early
     once the energy change over ``STOP_WINDOW`` iterations is below
     ``stop_tol`` in relative magnitude. The image is expected to be normalized
-    to [0,1] by the caller. Raises :class:`NonFiniteEnergyError` if the state
-    or energy leaves the finite range (the partial trace rides on the
-    exception).
+    to [0,1] by the caller; cv-means rejects one past ``MAX_CONSTANT`` up front
+    and holds a re-estimated mean that rounds past it at the bound. Raises
+    :class:`NonFiniteEnergyError` if the state or energy leaves the finite
+    range (the partial trace rides on the exception).
 
     Memory: besides the mask (and the velocity with momentum, the logit with
     the logistic parameterization) a solve holds one
@@ -132,6 +134,9 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     check_same_shape(image, init)
     check_soft_mask(init, "init")
     check_ndim(image.ndim, params.mode)
+    if cfg.region_mode == "cv-means" and max(-image.data.min(), image.data.max()) > MAX_CONSTANT:
+        # the re-estimated c1/c2 are means of the image, within its range
+        raise FieldError(f"cv-means needs image values in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}]")
 
     u = init.data.copy()
     z = _logit(u) if cfg.parameterization == "logistic" else None
@@ -160,7 +165,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
         if cfg.region_mode == "cv-means":
             try:
-                c1, c2 = region_means_raw(u, image.data, ws)
+                # a mean of values at the bound may round just past it
+                c1, c2 = (min(max(c, -MAX_CONSTANT), MAX_CONSTANT) for c in region_means_raw(u, image.data, ws))
             except DegenerateMaskError:
                 pass  # keep the previous constants
 
@@ -225,4 +231,4 @@ def check_threshold(t: float) -> None:
 def threshold(mask: ScalarField, t: float = 0.5) -> ScalarField:
     """Binarize a soft mask: 1.0 where value >= t (ties count as foreground)."""
     check_threshold(t)
-    return mask.with_data((mask.data >= t).astype(np.float64))
+    return mask.with_data(mask.data >= t)

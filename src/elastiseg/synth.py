@@ -35,10 +35,7 @@ def _noisy_image(base: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
 
 def _radius_squared(shape: tuple[int, ...], center: tuple[float, ...]) -> np.ndarray:
     grids = np.ogrid[tuple(slice(0, n) for n in shape)]
-    rho2 = np.zeros(shape, dtype=np.float64)
-    for g, c in zip(grids, center):
-        rho2 = rho2 + (g - float(c)) ** 2
-    return rho2
+    return sum((g - float(c)) ** 2 for g, c in zip(grids, center))
 
 
 def _ball_case(shape, center, radius, fg, bg, noise_sigma, seed, name) -> SynthCase:

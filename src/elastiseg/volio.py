@@ -5,7 +5,8 @@ followed by raw little-endian IEEE-754 float32 in row-major order (last axis
 fastest). PGM is binary 8-bit P5 with foreground 255 / background 0; on read,
 any value >= 128 counts as foreground. Integral spacings are serialized as
 integers, everything else with the shortest round-trip decimal, so headers
-round-trip exactly.
+round-trip exactly. A read casts once, in :class:`ScalarField`'s own copy of
+the float32 payload or the foreground bool mask.
 """
 
 from __future__ import annotations
@@ -40,16 +41,9 @@ def write_volume(field: ScalarField, path: str | os.PathLike) -> None:
 
 def read_volume(path: str | os.PathLike) -> ScalarField:
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise VolumeFormatError("unexpected end of file in header")
-            if ch == b"\n":
-                break
-            header += ch
-            if len(header) > 256:
-                raise VolumeFormatError("header line too long")
+        header = fh.readline(257)
+        if not header.endswith(b"\n"):
+            raise VolumeFormatError("header line too long" if len(header) > 256 else "unexpected end of file in header")
         tokens = header.decode("ascii", errors="replace").split()
         if not tokens or tokens[0] != "VF32":
             raise VolumeFormatError(f"bad magic: expected 'VF32', got {tokens[:1]}")
@@ -77,11 +71,10 @@ def read_volume(path: str | os.PathLike) -> ScalarField:
             raise VolumeFormatError(f"truncated payload: expected {4 * count} bytes, got {available}")
         if available > 4 * count:
             raise VolumeFormatError("trailing bytes after payload")
-        payload = fh.read(4 * count)
-        with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast; ScalarField rejects it
-            data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+        data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
     try:
-        return ScalarField(data, spacing)
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast; ScalarField rejects it
+            return ScalarField(data, spacing)
     except FieldError as exc:
         raise VolumeFormatError(str(exc)) from exc
 
@@ -122,11 +115,10 @@ def read_pgm(path: str | os.PathLike) -> ScalarField:
     if maxval != 255:
         raise VolumeFormatError(f"maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval
-    payload = blob[pos:]
+    payload = memoryview(blob)[pos:]
     if len(payload) != rows * cols:
         raise VolumeFormatError(f"payload size {len(payload)} does not match {rows}x{cols}")
-    data = (np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols) >= 128).astype(np.float64)
-    return ScalarField(data, 1.0)
+    return ScalarField(np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols) >= 128, 1.0)
 
 
 METRICS_CSV_HEADER = "case,dice,hd95,components_pred,components_gt"

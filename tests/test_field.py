@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from elastiseg import CurvatureMode, FieldError, ScalarField, clamp01, curvature, is_binary, make_field
 from elastiseg.energy import EnergyParams, elastica_term
-from elastiseg.solver import SolverConfig, segment
+from elastiseg.solver import SolverConfig, segment, threshold
 
 
 def test_make_field_constant_2d():
@@ -83,6 +84,20 @@ def test_data_is_read_only_and_copied():
     assert f.data[0, 0] == 0.0
     with pytest.raises(ValueError):
         f.data[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [lambda soft: make_field(soft.shape, 1.0, 0.5), lambda soft: threshold(soft)],
+                         ids=["make_field", "threshold"])
+def test_fill_and_threshold_allocate_one_field(make):
+    soft = ScalarField(np.random.default_rng(43).random((256, 256)), 1.0)
+    tracemalloc.start()
+    try:
+        field = make(soft)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a second float64 array would double the peak; bool temporaries add an eighth each
+    assert peak < 1.5 * field.data.nbytes, peak
 
 
 def test_spacing_broadcast_and_measure():

@@ -203,6 +203,39 @@ def test_hd95_skips_shared_boundary_voxels_and_stays_exact(a, b, trees, monkeypa
         assert hd95(binfield(a), binfield(b)) == 0.0
 
 
+def _hd95_by_argwhere(a, b, spacing):
+    """The grid-walking ``np.argwhere`` formulation ``hd95_raw`` replaced, kept as its reference."""
+    edge_a, edge_b = boundary_voxels(a), boundary_voxels(b)
+    ia, ib = np.argwhere(edge_a), np.argwhere(edge_b)
+    a_only, b_only = ~edge_b[tuple(ia.T)], ~edge_a[tuple(ib.T)]
+    sp = np.asarray(spacing, dtype=np.float64)
+    pa, pb = ia * sp, ib * sp
+    pooled = [np.zeros(2 * (len(ia) - np.count_nonzero(a_only)))]
+    if a_only.any():
+        pooled.append(cKDTree(pb).query(pa[a_only])[0])
+    if b_only.any():
+        pooled.append(cKDTree(pa).query(pb[b_only])[0])
+    return float(np.percentile(np.concatenate(pooled), 95.0))
+
+
+def _noisy_ball(shape, radius, flip, seed):
+    """A centred ball with a fraction ``flip`` of its voxels flipped: many components across the grid."""
+    rng = np.random.default_rng(seed)
+    grids = np.ogrid[tuple(slice(0, n) for n in shape)]
+    ball = sum((g - (n - 1) / 2.0) ** 2 for g, n in zip(grids, shape)) <= radius * radius
+    return ball ^ (rng.random(shape) < flip)
+
+
+@pytest.mark.parametrize("shape, radius, spacing", [((96, 80), 27.0, (0.7, 2.5)),
+                                                    ((24, 20, 28), 8.0, (1.5, 0.6, 3.0))])
+def test_hd95_equals_the_argwhere_formulation_bit_for_bit(shape, radius, spacing):
+    gt = _noisy_ball(shape, radius, 0.0, 0)
+    for flip, seed in ((0.0, 1), (0.01, 2), (0.08, 3), (0.3, 4)):
+        pred = _noisy_ball(shape, radius - 1.0, flip, seed)
+        for a, b in ((pred, gt), (gt, pred)):
+            assert metrics.hd95_raw(a, b, spacing).hex() == _hd95_by_argwhere(a, b, spacing).hex()
+
+
 def test_evaluate_pair_checks_each_field_once(monkeypatch):
     checked = []
     real = metrics.is_binary

@@ -24,6 +24,7 @@ from elastiseg import (
     sphere_case_3d,
     threshold,
 )
+from elastiseg.energy import MAX_CONSTANT
 from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
 from elastiseg.workspace import Workspace
 
@@ -144,6 +145,26 @@ def test_non_finite_energy_reports_iteration_and_partial_trace():
 def test_shape_mismatch_rejected():
     with pytest.raises(FieldError):
         segment(make_field((8, 8), 1.0, 0.5), make_field((9, 8), 1.0, 0.5), EnergyParams(), SolverConfig())
+
+
+def test_cv_means_rejects_an_image_past_the_constant_bound_before_solving(monkeypatch):
+    fg = np.zeros((8, 8))
+    fg.flat[::3] = 1.0
+    passes = []
+    monkeypatch.setattr(elastiseg.solver, "energy_and_gradient_raw", lambda *a: passes.append(a))
+    with pytest.raises(FieldError, match="cv-means needs image values"):
+        segment(ScalarField(1e120 * fg, 1.0), ScalarField(0.25 + 0.5 * fg, 1.0), EnergyParams(),
+                SolverConfig(max_iters=3, region_mode="cv-means"))
+    assert passes == []
+
+
+def test_cv_means_solves_an_image_at_the_constant_bound():
+    # the soft-weighted means of this image round to 1e100 * (1 + 2**-52) unless held at the bound
+    image = make_field((8, 8), 1.0, MAX_CONSTANT)
+    init = ScalarField(np.random.default_rng(3).random((8, 8)), 1.0)
+    _, trace = segment(image, init, EnergyParams(), SolverConfig(max_iters=3, region_mode="cv-means"))
+    assert trace.iterations_run == 3
+    assert all(math.isfinite(bd.total) for bd in trace.breakdowns)
 
 
 def test_config_validation():

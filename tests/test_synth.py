@@ -12,6 +12,7 @@ from elastiseg import (
     sphere_case_3d,
     threshold,
 )
+from elastiseg.synth import _radius_squared
 
 
 def test_disk_noise_free_is_two_valued():
@@ -113,3 +114,21 @@ def test_hemisphere_degenerate():
         hemisphere_field((64, 64), 4.0)
     with pytest.raises(FieldError):
         hemisphere_field((32, 32), 60.0)
+
+
+def _radius_squared_onto_zeros(shape, center):
+    """The full-size accumulation ``_radius_squared`` replaced, kept as its reference."""
+    grids = np.ogrid[tuple(slice(0, n) for n in shape)]
+    rho2 = np.zeros(shape, dtype=np.float64)
+    for g, c in zip(grids, center):
+        rho2 = rho2 + (g - float(c)) ** 2
+    return rho2
+
+
+@pytest.mark.parametrize("shape, center", [((37, 41), (17.3, 20.71)), ((1, 9), (0.0, 4.5)),
+                                           ((13, 11, 17), (6.25, 4.9, 8.125)), ((5, 6, 7), (2.0, 2.5, 3.0))])
+def test_radius_squared_matches_the_accumulation_onto_zeros_bit_for_bit(shape, center):
+    got = _radius_squared(shape, center)
+    want = _radius_squared_onto_zeros(shape, center)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()

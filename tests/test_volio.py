@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,46 @@ def test_vf32_rejects_a_malformed_header_line(tmp_path, header, message):
     path.write_bytes(header + b"\n" + b"\x00" * 64)
     with pytest.raises(VolumeFormatError, match=message):
         read_volume(path)
+
+
+def test_vf32_header_line_is_read_up_to_256_characters(tmp_path):
+    payload = np.arange(4, dtype="<f4").tobytes()
+    path = tmp_path / "h.vf32"
+    path.write_bytes(b"VF32 2 2 2 1 1".ljust(256) + b"\n" + payload)
+    np.testing.assert_array_equal(read_volume(path).data, [[0.0, 1.0], [2.0, 3.0]])
+    path.write_bytes(b"VF32 2 2 2 1 1".ljust(257) + b"\n" + payload)
+    with pytest.raises(VolumeFormatError, match="header line too long"):
+        read_volume(path)
+    for blob in (b"", b"VF32 2 2 2 1 1", b"VF32 2 2 2 1 1".ljust(256)):
+        path.write_bytes(blob)
+        with pytest.raises(VolumeFormatError, match="unexpected end of file in header"):
+            read_volume(path)
+
+
+def _traced_peak(read, path):
+    tracemalloc.start()
+    try:
+        field = read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return field, peak
+
+
+def test_read_volume_allocates_the_payload_and_one_field(tmp_path):
+    path = tmp_path / "big.vf32"
+    write_volume(ScalarField(np.random.default_rng(41).random((64, 64, 64)), 1.0), path)
+    field, peak = _traced_peak(read_volume, path)
+    # the float32 payload, the float64 field and ScalarField's one-byte-per-voxel finiteness mask
+    assert peak <= 4 * field.data.size + field.data.nbytes + field.data.size + 64 * 1024, peak
+
+
+def test_read_pgm_allocates_one_field(tmp_path):
+    path = tmp_path / "big.pgm"
+    write_pgm(ScalarField(np.random.default_rng(42).random((256, 256)) >= 0.5, 1.0), path)
+    field, peak = _traced_peak(read_pgm, path)
+    # besides the field only one-byte-per-voxel arrays: the file, the bool mask, the finiteness mask
+    assert peak < 1.5 * field.data.nbytes, peak
 
 
 def test_vf32_huge_declared_size_rejected_before_reading(tmp_path):
