@@ -118,8 +118,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     ``stop_tol`` in relative magnitude. The image is expected to be normalized
     to [0,1] by the caller; cv-means rejects one past ``MAX_CONSTANT`` up front
     and holds a re-estimated mean that rounds past it at the bound. Raises
-    :class:`NonFiniteEnergyError` if the state or energy leaves the finite
-    range (the partial trace rides on the exception).
+    :class:`NonFiniteEnergyError` if the energy or the gradient's scale
+    mean|g| is not finite (the partial trace rides on the exception).
 
     Memory: besides the mask (and the velocity with momentum, the logit with
     the logistic parameterization) a solve holds one
@@ -154,14 +154,11 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             if it > 0 and _record(breakdowns, bd, it - 1, cfg):
                 converged = True
                 break
-            _step(u, z, velocity, g, ws, cfg)
+            scale = _step(u, z, velocity, g, ws, cfg)
             ws.give(g)
-
-        lo, hi = float(u.min()), float(u.max())  # NaN propagates into both
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped or sigmoid u in [0,1]
+        if not math.isfinite(scale):
             raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
-        if lo < 0.0 or hi > 1.0:
-            raise FieldError(f"mask values must lie in [0,1], got range [{lo}, {hi}]")
 
         if cfg.region_mode == "cv-means":
             try:
@@ -182,8 +179,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
 
 def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray,
-          ws: Workspace, cfg: SolverConfig) -> None:
-    """One descent update of ``u`` (and ``z``, ``velocity``) in place; ``g`` is overwritten."""
+          ws: Workspace, cfg: SolverConfig) -> float:
+    """One descent update of ``u`` (and ``z``, ``velocity``) in place; ``g`` is overwritten. Returns mean|g|."""
     tmp = ws.take()
     if cfg.parameterization == "logistic":
         g *= u
@@ -207,6 +204,7 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
         u += delta
         np.clip(u, 0.0, 1.0, out=u)
     ws.give(tmp)
+    return scale
 
 
 def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg: SolverConfig) -> bool:

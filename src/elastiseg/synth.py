@@ -29,8 +29,10 @@ def _rng(seed: int) -> np.random.Generator:
 def _noisy_image(base: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
     if noise_sigma < 0:
         raise FieldError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    noisy = base + noise_sigma * _rng(seed).standard_normal(base.shape)
-    return np.clip(noisy, 0.0, 1.0)
+    noisy = _rng(seed).standard_normal(base.shape)
+    noisy *= noise_sigma
+    noisy += base  # base + noise_sigma * noise, in one array
+    return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
 def _radius_squared(shape: tuple[int, ...], center: tuple[float, ...]) -> np.ndarray:
@@ -51,11 +53,10 @@ def _ball_case(shape, center, radius, fg, bg, noise_sigma, seed, name) -> SynthC
     for c, n in zip(center, shape):
         if c - radius < 0.0 or c + radius > n - 1:
             raise FieldError(f"{name} (center {center}, radius {radius}) does not fit inside shape {shape}")
-    gt = (_radius_squared(shape, center) <= radius * radius).astype(np.float64)
-    base = np.where(gt > 0.0, float(fg), float(bg))
-    image = _noisy_image(base, noise_sigma, seed)
+    gt = _radius_squared(shape, center) <= radius * radius  # bool: ScalarField makes the one float64 copy
+    image = ScalarField(_noisy_image(np.where(gt, float(fg), float(bg)), noise_sigma, seed), 1.0)
     desc = f"{name}(shape={shape}, center={center}, radius={radius}, fg={fg}, bg={bg}, noise={noise_sigma}, seed={seed})"
-    return SynthCase(ScalarField(image, 1.0), ScalarField(gt, 1.0), desc)
+    return SynthCase(image, ScalarField(gt, 1.0), desc)
 
 
 def disk_case(shape: tuple[int, int], center: tuple[float, float], radius: float,
@@ -121,8 +122,7 @@ def broken_tube_case(shape: tuple[int, int], width: int = 5, gap_count: int = 2,
         if b0 <= a1:
             raise FieldError("gaps overlap; reduce gap_len or gap_count")
 
-    base = np.where(broken > 0.0, TUBE_FG, TUBE_BG)
-    image = _noisy_image(base, noise_sigma, seed)
+    image = _noisy_image(np.where(broken > 0.0, TUBE_FG, TUBE_BG), noise_sigma, seed)
     desc = (f"tube(shape={shape}, width={width}, gaps={gap_count}, gap_len={gap_len}, "
             f"noise={noise_sigma}, seed={seed})")
     return SynthCase(ScalarField(image, 1.0), ScalarField(gt, 1.0), desc)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from elastiseg import (MetricsError, MetricsReport, ScalarField, count_components, dice, evaluate_pair, hd95,
@@ -9,11 +10,32 @@ from elastiseg import (MetricsError, MetricsReport, ScalarField, count_component
 from elastiseg.metrics import boundary_voxels
 
 
+def frozen_boundary_voxels(mask: np.ndarray) -> np.ndarray:
+    """The ``ones_like`` formulation ``boundary_voxels`` replaced, frozen as the oracles' boundary."""
+    fg = mask.astype(bool)
+    edge = np.zeros_like(fg)
+    nd = fg.ndim
+    for axis in range(nd):
+        lo = [slice(None)] * nd
+        hi = [slice(None)] * nd
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        # neighbor toward +axis is background; the last slab borders out-of-bounds
+        nb = np.ones_like(fg)
+        nb[tuple(lo)] = ~fg[tuple(hi)]
+        edge |= nb
+        # neighbor toward -axis
+        nb = np.ones_like(fg)
+        nb[tuple(hi)] = ~fg[tuple(lo)]
+        edge |= nb
+    return edge & fg
+
+
 def oracle_hd95(a: np.ndarray, b: np.ndarray, spacing) -> float:
-    """All-pairs O(n^2) reference, independent of the KD-tree path."""
+    """All-pairs O(n^2) reference, independent of the KD-tree path and of the package's boundary."""
     sp = np.asarray(spacing, dtype=np.float64)
-    pa = np.argwhere(boundary_voxels(a)) * sp
-    pb = np.argwhere(boundary_voxels(b)) * sp
+    pa = np.argwhere(frozen_boundary_voxels(a)) * sp
+    pb = np.argwhere(frozen_boundary_voxels(b)) * sp
     d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(-1))
     pooled = np.concatenate([d.min(axis=1), d.min(axis=0)])
     return float(np.percentile(pooled, 95.0))
@@ -122,6 +144,29 @@ def test_boundary_uses_face_adjacency_and_grid_border():
     assert edge.sum() == 8  # the ring: all foreground voxels touch the hole or outside
 
 
+@st.composite
+def _random_masks(draw, max_extent: int) -> np.ndarray:
+    """Random 2D/3D bool masks with extents 1..max_extent, from empty to full."""
+    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(draw(st.sampled_from([2, 3]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_random_masks(6))
+def test_boundary_voxels_equals_the_frozen_formulation(mask):
+    edge = boundary_voxels(mask)
+    assert edge.dtype == bool and edge.shape == mask.shape
+    np.testing.assert_array_equal(edge, frozen_boundary_voxels(mask))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=_random_masks(12))
+def test_count_components_raw_equals_ndimage_label_on_the_bool_mask(mask):
+    expected = ndimage.label(mask, structure=ndimage.generate_binary_structure(mask.ndim, 1))[1]
+    assert metrics.count_components_raw(mask) == expected
+
+
 def test_count_components():
     assert count_components(make_field((5, 5), 1.0, 0.0)) == 0
     assert count_components(make_field((5, 5), 1.0, 1.0)) == 1
@@ -190,9 +235,9 @@ def _single(shape, index):
 def test_hd95_skips_shared_boundary_voxels_and_stays_exact(a, b, trees, monkeypatch):
     built = []
 
-    def counting_tree(points):
+    def counting_tree(points, **kwargs):
         built.append(len(points))
-        return cKDTree(points)
+        return cKDTree(points, **kwargs)
 
     monkeypatch.setattr(metrics, "cKDTree", counting_tree)
     for spacing in ((1.0, 1.0), (0.7, 2.5)):
@@ -205,7 +250,7 @@ def test_hd95_skips_shared_boundary_voxels_and_stays_exact(a, b, trees, monkeypa
 
 def _hd95_by_argwhere(a, b, spacing):
     """The grid-walking ``np.argwhere`` formulation ``hd95_raw`` replaced, kept as its reference."""
-    edge_a, edge_b = boundary_voxels(a), boundary_voxels(b)
+    edge_a, edge_b = frozen_boundary_voxels(a), frozen_boundary_voxels(b)
     ia, ib = np.argwhere(edge_a), np.argwhere(edge_b)
     a_only, b_only = ~edge_b[tuple(ia.T)], ~edge_a[tuple(ib.T)]
     sp = np.asarray(spacing, dtype=np.float64)

@@ -25,7 +25,7 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.energy import MAX_CONSTANT
-from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
+from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES
 from elastiseg.workspace import Workspace
 
 
@@ -312,6 +312,42 @@ def test_non_finite_energy_mid_run_reports_the_update_index(monkeypatch):
     assert err.value.iteration == 2
     assert err.value.trace.iterations_run == 2
     assert all(np.isfinite(b.total) for b in err.value.trace.breakdowns)
+
+
+def _poison(g: np.ndarray, value: float, everywhere: bool = False) -> np.ndarray:
+    if everywhere:
+        g.fill(value)
+    else:
+        g.flat[g.size // 2] = value
+    return g
+
+
+@pytest.mark.parametrize("optimizer,param,region_mode", itertools.product(OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch, optimizer, param, region_mode, value):
+    # the 3rd fused pass (iteration 2) records the energies after updates 0 and 1, then takes a poisoned step
+    _count_calls(monkeypatch, "energy_and_gradient_raw",
+                 lambda n, out: (out[0], _poison(out[1], value)) if n == 3 else out)
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    with pytest.raises(NonFiniteEnergyError) as err:
+        segment(case.image, init, EnergyParams(),
+                SolverConfig(max_iters=10, optimizer=optimizer, parameterization=param, region_mode=region_mode))
+    assert err.value.iteration == 2
+    assert err.value.trace.iterations_run == 2
+    assert len(err.value.trace.breakdowns) == 2
+
+
+def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
+    # every |g| is finite but their mean overflows: the step is refused rather than taken as zero
+    _count_calls(monkeypatch, "energy_and_gradient_raw",
+                 lambda n, out: (out[0], _poison(out[1], 1e308, everywhere=True)) if n == 1 else out)
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    with pytest.raises(NonFiniteEnergyError) as err:
+        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10))
+    assert err.value.iteration == 0
+    assert err.value.trace.iterations_run == 0
 
 
 def test_non_finite_energy_after_last_update(monkeypatch):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from elastiseg import (
     FieldError,
+    ScalarField,
     broken_tube_case,
     count_components,
     disk_case,
@@ -132,3 +135,45 @@ def test_radius_squared_matches_the_accumulation_onto_zeros_bit_for_bit(shape, c
     want = _radius_squared_onto_zeros(shape, center)
     assert got.shape == want.shape and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+def _ball_fields_by_astype(shape, center, radius, fg, bg, noise_sigma, seed):
+    """The float64 ``.astype`` formulation ``_ball_case`` replaced, with its fresh-array noise, kept as its reference."""
+    gt = (_radius_squared(shape, center) <= radius * radius).astype(np.float64)
+    base = np.where(gt > 0.0, float(fg), float(bg))
+    noisy = base + noise_sigma * np.random.Generator(np.random.Philox(seed)).standard_normal(base.shape)
+    image = np.clip(noisy, 0.0, 1.0)
+    return ScalarField(image, 1.0), ScalarField(gt, 1.0)
+
+
+@pytest.mark.parametrize("make, shape, center, radius, fg, bg, noise, seed", [
+    (disk_case, (37, 41), (17.3, 20.71), 9.5, 0.8, 0.2, 0.1, 5),
+    (disk_case, (32, 32), (15.5, 15.5), 8.0, 0.3, 0.9, 0.0, 0),
+    (sphere_case_3d, (13, 11, 17), (6.25, 4.9, 8.125), 4.0, 0.8, 0.2, 0.25, 9),
+    (sphere_case_3d, (24, 24, 24), (11.5, 11.5, 11.5), 7.0, -1.0, 2.0, 0.1, 2),
+])
+def test_ball_case_matches_the_astype_formulation_byte_for_byte(make, shape, center, radius, fg, bg, noise, seed):
+    case = make(shape, center, radius, fg=fg, bg=bg, noise_sigma=noise, seed=seed)
+    image, gt = _ball_fields_by_astype(shape, center, radius, fg, bg, noise, seed)
+    assert case.image.data.tobytes() == image.data.tobytes()
+    assert case.ground_truth.data.dtype == np.float64
+    assert case.ground_truth.data.tobytes() == gt.data.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sphere_case_peaks_below_the_astype_formulation():
+    shape, center, radius = (48, 48, 48), (23.5, 23.5, 23.5), 15.0
+    full = np.prod(shape) * 8
+    peak = _traced_peak(lambda: sphere_case_3d(shape, center, radius, seed=1))
+    frozen = _traced_peak(lambda: _ball_fields_by_astype(shape, center, radius, 0.8, 0.2, 0.1, 1))
+    # a bool gt saves its float64 copy, and the noise is scaled, shifted and clipped in one array
+    assert frozen >= 5.0 * full
+    assert peak <= 2.5 * full
