@@ -15,6 +15,11 @@ c1=1, c2=0) and unsupervised segmentation (r = image, constants from
 length term carries the voxel measure. :func:`elastica_forward` is the one
 forward pass of the length/curvature term: the scalar energy, the per-voxel
 density of the finite-difference oracle and the analytic gradient all read it.
+
+The region terms read u only through the moments sum u, sum u*r, sum u*r^2
+(:func:`region_moments`); those of 1 - u are the totals N, sum r, sum r^2 minus
+them. A region sum is |m2 - 2c*m1 + c^2*m0|, a mean m1/m0 clipped into r's
+range; :func:`region_terms` and the oracle's density keep the direct form.
 """
 
 from __future__ import annotations
@@ -90,36 +95,47 @@ class EnergyBreakdown:
         return cls(elastica, region_in, region_out, elastica + lam * region_in + lam * region_out)
 
 
+Moments = tuple[float, float, float]  # (sum w, sum w*r, sum w*r^2): the moments of a reference r under a weight w
+
+
 def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[float, float]:
-    """Inside and outside region sums (|sum u (c1-r)^2|, |sum (1-u) (c2-r)^2|).
+    """Inside and outside region sums (|sum u (c1-r)^2|, |sum (1-u) (c2-r)^2|), in the direct form.
 
     Both summands are pointwise nonnegative for u in [0,1], so the absolute
     values never change the result; they are kept to match the printed form.
     """
     check_same_shape(u, r)
     check_soft_mask(u)
-    ws = Workspace(u.shape)
-    return region_sums_raw(u.data, *region_costs_raw(r.data, c1, c2, ws), ws)
+    return abs(float(np.sum(u.data * (c1 - r.data) ** 2))), abs(float(np.sum((1.0 - u.data) * (c2 - r.data) ** 2)))
 
 
-def region_costs_raw(r: np.ndarray, c1: float, c2: float, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Per-voxel region costs (c1-r)^2 and (c2-r)^2, in two arrays taken from ``ws``."""
-    costs = np.subtract(c1, r, out=ws.take()), np.subtract(c2, r, out=ws.take())
-    for c in costs:
-        c *= c
-    return costs
+def region_moments(w: np.ndarray | float, r: np.ndarray, ws: Workspace) -> Moments:
+    """The moments of ``r`` under ``w`` (an array, or a scalar such as 1.0), through one array of ``ws``."""
+    wr = np.multiply(w, r, out=ws.take())
+    m1 = float(np.sum(wr))
+    m2 = float(np.sum(np.multiply(wr, r, out=wr)))
+    ws.give(wr)
+    return float(np.sum(w)) if np.ndim(w) else w * r.size, m1, m2
 
 
-def region_sums_raw(a: np.ndarray, cost_in: np.ndarray, cost_out: np.ndarray,
-                    ws: Workspace) -> tuple[float, float]:
-    """The two region sums of :func:`region_terms`, from the costs of :func:`region_costs_raw`."""
-    tmp = ws.take()
-    region_in = abs(float(np.sum(np.multiply(a, cost_in, out=tmp))))
-    outside = np.subtract(1.0, a, out=tmp)
-    outside *= cost_out
-    region_out = abs(float(np.sum(outside)))
-    ws.give(tmp)
-    return region_in, region_out
+def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | None = None) -> tuple[Moments, Moments]:
+    """The moments of ``r`` under u and under 1 - u, the latter as ``totals`` (weight 1) minus the former."""
+    totals = region_moments(1.0, r, ws) if totals is None else totals
+    inside = region_moments(u, r, ws)
+    return inside, tuple(t - m for t, m in zip(totals, inside))
+
+
+def region_sums(moments: tuple[Moments, Moments], c1: float, c2: float) -> tuple[float, float]:
+    """The two region sums of :func:`region_terms` from :func:`mask_moments`, each |m2 - 2c*m1 + c^2*m0|."""
+    return tuple(abs(m2 - 2.0 * c * m1 + c * c * m0) for c, (m0, m1, m2) in zip((c1, c2), moments))
+
+
+def region_means(moments: tuple[Moments, Moments], lo: float, hi: float) -> tuple[float, float]:
+    """Means m1/m0 in and out, clipped into r's range [lo, hi] against cancellation; DegenerateMaskError if m0 = 0."""
+    for (m0, _, _), side in zip(moments, ("all-background mask: foreground", "all-foreground mask: background")):
+        if m0 == 0.0:
+            raise DegenerateMaskError(f"{side} mean undefined")
+    return tuple(min(max(m1 / m0, lo), hi) for m0, m1, _ in moments)
 
 
 class ElasticaForward(NamedTuple):
@@ -181,50 +197,29 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     unaffected voxels cancel exactly.
     """
     fwd = elastica_forward(u_data, spacing, params)
-    cost_in, cost_out = region_costs_raw(r_data, params.c1, params.c2, Workspace(u_data.shape))
-    return fwd.weight * fwd.mag + params.lam * (u_data * cost_in + (1.0 - u_data) * cost_out)
+    region = u_data * (params.c1 - r_data) ** 2 + (1.0 - u_data) * (params.c2 - r_data) ** 2
+    return fwd.weight * fwd.mag + params.lam * region
 
 
-def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams,
-                        ws: Workspace | None = None) -> EnergyBreakdown:
-    """Full energy of mask u against reference r, by component; arrays taken from ``ws`` all go back."""
+def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams, ws: Workspace | None = None,
+                        moments: tuple[Moments, Moments] | None = None) -> EnergyBreakdown:
+    """Energy of mask u against r by component, the region sums from ``moments`` if given; ``ws`` gets all back."""
     check_same_shape(u, r)
     check_soft_mask(u)
     check_ndim(u.ndim, params.mode)
     ws = Workspace(u.shape) if ws is None else ws
-    with ws.scope():  # the costs go back before the forward pass takes its arrays
-        region_in, region_out = region_sums_raw(u.data, *region_costs_raw(r.data, params.c1, params.c2, ws), ws)
+    moments = mask_moments(u.data, r.data, ws) if moments is None else moments
     with ws.scope():  # the curvature pullback's arrays included
         elastica = elastica_forward(u.data, u.spacing, params, ws).energy
-    return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam)
+    return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam)
 
 
 def estimate_region_means(u: ScalarField, f: ScalarField) -> tuple[float, float]:
-    """Soft-weighted foreground/background means of f under mask u.
+    """Soft-weighted foreground/background means of f under mask u, clipped into f's range.
 
-    Raises :class:`DegenerateMaskError` when the mask is all-foreground or
-    all-background; callers fall back to their previous constants.
+    Raises :class:`DegenerateMaskError` when sum u is 0 or rounds to the voxel
+    count (all-background or all-foreground); callers keep their previous constants.
     """
     check_same_shape(u, f)
     check_soft_mask(u)
-    return region_means_raw(u.data, f.data)
-
-
-def region_means_raw(u: np.ndarray, f: np.ndarray, ws: Workspace | None = None) -> tuple[float, float]:
-    """:func:`estimate_region_means` on arrays already known to be a same-shape mask and image."""
-    ws = Workspace(u.shape) if ws is None else ws
-    tmp = ws.take()
-    try:
-        w_in = float(np.sum(u))
-        outside = np.subtract(1.0, u, out=tmp)
-        w_out = float(np.sum(outside))
-        if w_in == 0.0:
-            raise DegenerateMaskError("all-background mask: foreground mean undefined")
-        if w_out == 0.0:
-            raise DegenerateMaskError("all-foreground mask: background mean undefined")
-        outside *= f
-        c2 = float(np.sum(outside)) / w_out
-        c1 = float(np.sum(np.multiply(u, f, out=tmp))) / w_in
-    finally:
-        ws.give(tmp)
-    return c1, c2
+    return region_means(mask_moments(u.data, f.data, Workspace(u.shape)), float(f.data.min()), float(f.data.max()))

@@ -6,9 +6,9 @@ curvature (through the active mode's own pullback in :mod:`curvature`) land
 on the first and second stencil outputs; ``d1_adj`` carries the first ones
 back to u, and ``d2``, which is self-adjoint, the second ones. Every
 adjoint can be validated by a dot-product test. The region part is linear in
-the mask: its gradient is lambda*((c1-r)^2 - (c2-r)^2), independent of u,
-and the fused :func:`energy_and_gradient_raw` writes it over the region cost
-it already holds. The pass takes every intermediate from a
+the mask: its gradient lambda*((c1-r)^2 - (c2-r)^2) is the affine map
+lambda*(c1-c2)*(c1+c2-2r) of r, which the fused :func:`energy_and_gradient_raw`
+adds in three passes. The pass takes every intermediate from a
 :class:`~elastiseg.workspace.Workspace` and writes cotangents over the
 forward buffers that have died, so with a workspace reused across calls it
 allocates no full-size array outside the mean curvature modes' pointwise
@@ -24,7 +24,7 @@ import numpy as np
 
 from .curvature import Cotangents
 from .diffops import d1_adj, d2
-from .energy import EnergyBreakdown, EnergyParams, elastica_forward, energy_density, region_costs_raw, region_sums_raw
+from .energy import EnergyBreakdown, EnergyParams, Moments, elastica_forward, energy_density, mask_moments, region_sums
 from .field import ScalarField, check_same_shape, check_soft_mask
 from .workspace import Workspace
 
@@ -80,27 +80,27 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     return fwd.energy, grad
 
 
-def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...],
-                            params: EnergyParams, ws: Workspace | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
+def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
+                            ws: Workspace | None = None,
+                            moments: tuple[Moments, Moments] | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
     """Energy breakdown and dE/du at ``a`` from a single forward pass.
 
-    The region sums are those of :func:`energy.region_terms`; the elastica
-    term is summed from the magnitude and curvature the pullback already
-    holds, so no separate energy evaluation is needed. Every intermediate is
-    taken from ``ws`` and given back to it; the returned gradient is one of
-    its arrays, which the caller gives back once it is done with it. Without
-    ``ws`` a throwaway workspace is used and the gradient is a fresh array.
+    The region sums come from ``moments``, :func:`energy.mask_moments` of
+    ``a`` (computed when not given), the elastica term from the magnitude and
+    curvature the pullback already holds. Every intermediate is taken from
+    ``ws`` and given back to it; the returned gradient is one of its arrays,
+    which the caller gives back once it is done with it. Without ``ws`` a
+    throwaway workspace is used and the gradient is a fresh array.
     """
     ws = Workspace(a.shape) if ws is None else ws
+    moments = mask_moments(a, r, ws) if moments is None else moments
     elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws)
-    cost_in, cost_out = region_costs_raw(r, params.c1, params.c2, ws)
-    region_in, region_out = region_sums_raw(a, cost_in, cost_out, ws)
-    # region part of dE/du, lam*((c1-r)^2 - (c2-r)^2), written over the inside cost
-    cost_in -= cost_out
-    cost_in *= params.lam
-    g += cost_in
-    ws.give(cost_in, cost_out)
-    return EnergyBreakdown.assemble(elastica, region_in, region_out, params.lam), g
+    scale = params.lam * (params.c1 - params.c2)  # region part of dE/du: lam*(c1-c2)*(c1+c2-2r)
+    region = np.multiply(r, -2.0 * scale, out=ws.take())
+    region += scale * (params.c1 + params.c2)
+    g += region
+    ws.give(region)
+    return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam), g
 
 
 def energy_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> ScalarField:

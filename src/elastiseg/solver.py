@@ -3,10 +3,12 @@
 The mask itself is the optimization variable: projected (clipped) or logistic
 gradient descent, with the gradient normalized by its mean absolute value so
 the step size is independent of grid shape. With region_mode "cv-means" the
-foreground/background constants are re-estimated from the current mask after
-every update (alternating minimization); the first step uses the constants
-from the parameter set, which also breaks the symmetry of a uniform init
-(a uniform mask would otherwise yield equal means and zero region force).
+foreground/background constants are re-estimated after every update
+(alternating minimization), from the moments of the mask that also give the
+next pass's region sums, and clipped into the image's range; the first step
+uses the constants from the parameter set, which also breaks the symmetry of
+a uniform init (a uniform mask would otherwise yield equal means and zero
+region force).
 The momentum optimizer keeps a fixed fraction :data:`MOMENTUM` = 0.9 of its
 velocity, and the stop rule measures the energy change over a fixed window of
 :data:`STOP_WINDOW` = 10 iterations; only its tolerance is a setting.
@@ -22,6 +24,7 @@ pointwise curvature temporaries.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,9 @@ from .energy import (
     EnergyBreakdown,
     EnergyParams,
     MAX_CONSTANT,
-    region_means_raw,
+    mask_moments,
+    region_means,
+    region_moments,
     segmentation_energy,
 )
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
@@ -117,14 +122,14 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     once the energy change over ``STOP_WINDOW`` iterations is below
     ``stop_tol`` in relative magnitude. The image is expected to be normalized
     to [0,1] by the caller; cv-means rejects one past ``MAX_CONSTANT`` up front
-    and holds a re-estimated mean that rounds past it at the bound. Raises
+    and clips each re-estimated mean into the image's range. Raises
     :class:`NonFiniteEnergyError` if the energy or the gradient's scale
     mean|g| is not finite (the partial trace rides on the exception).
 
     Memory: besides the mask (and the velocity with momentum, the logit with
     the logistic parameterization) a solve holds one
     :class:`~elastiseg.workspace.Workspace` of N full-size arrays for all of
-    its iterations: the fused pass, the update and the region means are
+    its iterations: the fused pass, the update and the region moments are
     computed in it, in place. With beta = 0, N = ndim + 2 in every mode; with
     beta > 0, N = 10 in fast3d, 7 in lap3d, 8 in mean2d and 12 in mean3d.
     The mean modes' curvature formulas still allocate their pointwise
@@ -134,22 +139,23 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     check_same_shape(image, init)
     check_soft_mask(init, "init")
     check_ndim(image.ndim, params.mode)
-    if cfg.region_mode == "cv-means" and max(-image.data.min(), image.data.max()) > MAX_CONSTANT:
-        # the re-estimated c1/c2 are means of the image, within its range
+    lo, hi = float(image.data.min()), float(image.data.max())  # the re-estimated c1/c2 are means within this range
+    if cfg.region_mode == "cv-means" and max(-lo, hi) > MAX_CONSTANT:
         raise FieldError(f"cv-means needs image values in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}]")
 
     u = init.data.copy()
     z = _logit(u) if cfg.parameterization == "logistic" else None
     velocity = np.zeros_like(u) if cfg.optimizer == "momentum" else None
     ws = Workspace(u.shape)
+    totals = region_moments(1.0, image.data, ws)
+    moments = mask_moments(u, image.data, ws, totals)
     c1, c2 = params.c1, params.c2
     breakdowns: list[EnergyBreakdown] = []
     converged = False
 
     for it in range(cfg.max_iters):
-        step_params = params.with_constants(c1, c2)
         with np.errstate(over="ignore", invalid="ignore"):
-            bd, g = energy_and_gradient_raw(u, image.data, image.spacing, step_params, ws)
+            bd, g = energy_and_gradient_raw(u, image.data, image.spacing, params.with_constants(c1, c2), ws, moments)
             # the pass at (u_it, c_it) also yields the energy after update it-1
             if it > 0 and _record(breakdowns, bd, it - 1, cfg):
                 converged = True
@@ -160,19 +166,17 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
         if not math.isfinite(scale):
             raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
 
+        moments = mask_moments(u, image.data, ws, totals)  # of u_it+1: its pass's region sums and constants
         if cfg.region_mode == "cv-means":
-            try:
-                # a mean of values at the bound may round just past it
-                c1, c2 = (min(max(c, -MAX_CONSTANT), MAX_CONSTANT) for c in region_means_raw(u, image.data, ws))
-            except DegenerateMaskError:
-                pass  # keep the previous constants
+            with suppress(DegenerateMaskError):  # a degenerate mask keeps the previous constants
+                c1, c2 = region_means(moments, lo, hi)
 
     del velocity  # freed first, so that the output field's copy does not raise the peak memory
     mask = image.with_data(u)
     if cfg.max_iters > 0 and not converged:
         # no further gradient pass supplies the energy after the last update
         with np.errstate(over="ignore", invalid="ignore"):
-            bd = segmentation_energy(mask, image, params.with_constants(c1, c2), ws)
+            bd = segmentation_energy(mask, image, params.with_constants(c1, c2), ws, moments)
         converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
 
     return mask, SolverTrace(breakdowns, len(breakdowns), converged)

@@ -20,6 +20,8 @@ from elastiseg import (
     segmentation_energy,
     tv_length,
 )
+from elastiseg.energy import mask_moments, region_means, region_sums
+from elastiseg.workspace import Workspace
 
 
 def scalar_energy_2d(u, r, alpha, beta, lam, c1, c2, eps):
@@ -85,6 +87,69 @@ def test_region_terms_are_never_negative_and_their_abs_is_a_no_op(shape, c1, c2,
     assert region_in >= 0.0 and region_out >= 0.0
     # each summand is nonnegative, so the plain sums are the region terms bit for bit
     assert (region_in, region_out) == (float(np.sum(u * (c1 - r) ** 2)), float(np.sum((1.0 - u) * (c2 - r) ** 2)))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _region_magnitude(w, r, c):
+    """c^2*sum w + 2|c|*sum|w*r| + sum w*r^2: the magnitudes the moment form adds and cancels."""
+    return c * c * float(np.sum(w)) + 2.0 * abs(c) * float(np.sum(np.abs(w * r))) + float(np.sum(w * r * r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(1, 12), min_size=2, max_size=3),
+       case=st.sampled_from(["soft", "binary", "converged"]), data=st.data())
+def test_moment_region_sums_match_the_direct_form_within_a_few_ulps(shape, case, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if case == "soft":
+        r = rng.uniform(-1.0, 1.0, shape) * data.draw(st.floats(1e-3, 1e3), label="reference scale")
+        u = rng.random(shape)
+        u[rng.random(shape) < 0.3] = data.draw(st.sampled_from([0.0, 1.0]), label="hard value")
+        c1, c2 = (data.draw(st.floats(-1e3, 1e3), label=name) for name in ("c1", "c2"))
+    else:  # the supervised case: a binary reference, c1 = 1 and c2 = 0, and a mask at or near it
+        r = (rng.random(shape) < 0.5).astype(float)
+        offset = 0.0 if case == "binary" else data.draw(st.floats(1e-15, 1e-3), label="distance from r")
+        u = np.clip(r + offset * rng.uniform(-1.0, 1.0, shape), 0.0, 1.0)
+        c1, c2 = 1.0, 0.0
+    region_in, region_out = region_sums(mask_moments(u, r, Workspace(u.shape)), c1, c2)
+    if case == "binary":
+        assert (region_in, region_out) == (0.0, 0.0)
+    # inside: a few ulps of the magnitudes under u; outside: under the weight 1, whose
+    # moments the outside ones are formed from (a sweep of 20000 random cases read at most 3.3)
+    assert abs(region_in - float(np.sum(u * (c1 - r) ** 2))) <= 8 * _EPS * _region_magnitude(u, r, c1)
+    outside = float(np.sum((1.0 - u) * (c2 - r) ** 2))
+    assert abs(region_out - outside) <= 8 * _EPS * _region_magnitude(np.ones_like(r), r, c2)
+
+
+@pytest.mark.parametrize("deficit", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_region_means_stay_in_the_reference_range_on_an_almost_all_foreground_mask(deficit):
+    r = np.random.default_rng(4).random((256, 256))
+    r[100, 37] = 1.0
+    u = np.ones((256, 256))
+    u[100, 37] = 1.0 - deficit
+    moments = mask_moments(u, r, Workspace(u.shape))
+    w_out, s_out, _ = moments[1]
+    if deficit == 1e-8:
+        # cancellation in the outside moments puts their plain quotient past max r
+        assert s_out / w_out > r.max()
+    try:
+        c1, c2 = region_means(moments, float(r.min()), float(r.max()))
+    except DegenerateMaskError:
+        assert deficit == 1e-12 and float(np.sum(u)) == u.size  # sum u rounds to N
+        return
+    assert r.min() <= c1 <= r.max() and r.min() <= c2 <= r.max()
+    assert (c1, c2) == estimate_region_means(ScalarField(u, 1.0), ScalarField(r, 1.0))
+
+
+def test_a_mask_whose_sum_rounds_to_the_voxel_count_is_degenerate():
+    r = np.random.default_rng(4).random((256, 256))
+    u = np.ones((256, 256))
+    u[100, 37] = 1.0 - 1e-12
+    # the direct outside weight sum(1 - u) is positive, but sum u rounds to N
+    assert float(np.sum(1.0 - u)) > 0.0 and float(np.sum(u)) == u.size
+    with pytest.raises(DegenerateMaskError, match="all-foreground"):
+        estimate_region_means(ScalarField(u, 1.0), ScalarField(r, 1.0))
 
 
 def test_region_terms_shape_mismatch():

@@ -101,8 +101,9 @@ def test_region_gradient_closed_form():
 
 
 def region_gradient(r, p):
-    """Closed-form region part of dE/du; numpy squares ``**2`` as ``x*x``, so the bits are the pass's."""
-    return p.lam * ((p.c1 - r) ** 2 - (p.c2 - r) ** 2)
+    """Closed-form region part of dE/du, lam*(c1-c2)*(c1+c2-2r), in the pass's operation order."""
+    scale = p.lam * (p.c1 - p.c2)
+    return r * (-2.0 * scale) + scale * (p.c1 + p.c2)
 
 
 def test_region_gradient_independent_of_mask():
@@ -113,6 +114,11 @@ def test_region_gradient_independent_of_mask():
     g2 = energy_and_gradient_raw(rng.random((7, 7)), r, (1.0, 1.0), p)[1]
     np.testing.assert_array_equal(g1, g2)
     np.testing.assert_array_equal(g1, region_gradient(r, p))
+    # the difference-of-squares form lam*((c1-r)^2 - (c2-r)^2) rounds differently, by a few ulps
+    # of the squares it subtracts (at most 2.3 on 2000 random cases)
+    squares = p.lam * ((p.c1 - r) ** 2 - (p.c2 - r) ** 2)
+    magnitude = p.lam * ((p.c1 - r) ** 2 + (p.c2 - r) ** 2)
+    np.testing.assert_allclose(g1, squares, rtol=0.0, atol=4 * np.finfo(float).eps * float(magnitude.max()))
 
 
 def test_beta_zero_gradient_splits_into_tv_plus_region():
@@ -205,6 +211,38 @@ def test_directional_derivative_at_realistic_sizes(mode, beta):
     fd = (energy(u.data + h * v) - energy(u.data - h * v)) / (2.0 * h)
     analytic = float(np.sum(ga * v))
     assert abs(fd - analytic) < 1e-6 * max(abs(fd), abs(analytic))
+
+
+# the gradcheck floor misreads the first (seed 28, see the directional test above); the second has general constants
+TAYLOR_CASES = [
+    ((24, 24, 24), EnergyParams(alpha=0.01, beta=2.0, mode=CurvatureMode.MEAN_3D)),
+    ((64, 64), EnergyParams(alpha=0.01, beta=2.0, lam=0.7, c1=0.8, c2=0.1, mode=CurvatureMode.MEAN_2D)),
+]
+
+
+def taylor_orders(u, r, v, g, p, steps):
+    """Decay orders log2(R(h)/R(h/2)) of the remainder R(h) = |E(u + h*v) - E(u) - h*<g, v>| over halving steps."""
+    e0 = segmentation_energy(u, r, p).total
+    slope = float(np.sum(g * v))
+    rem = np.array([abs(segmentation_energy(u.with_data(u.data + h * v), r, p).total - e0 - h * slope) for h in steps])
+    return np.log2(rem[:-1] / rem[1:])
+
+
+@pytest.mark.parametrize("shape,p", TAYLOR_CASES, ids=["mean3d-24^3", "mean2d-64^2"])
+def test_taylor_remainder_decays_quadratically(shape, p):
+    # scale-free beside gradcheck (Farrell et al., SIAM J. Sci. Comput. 2013): with the right gradient
+    # the remainder is O(h^2), so each halving of h divides it by 4; a 1e-3 gradient error leaves O(h)
+    rng = np.random.default_rng(28)
+    spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+    u = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
+    r = ScalarField(rng.random(shape), spacing)
+    v = rng.uniform(-1.0, 1.0, shape)
+    g = energy_gradient(u, r, p).data
+    steps = [0.05 * 2.0**-k for k in range(18)]  # u + h*v stays in [0, 1]; the smallest remainders are ~1e-10
+    orders = taylor_orders(u, r, v, g, p, steps)
+    assert np.all(np.abs(orders - 2.0) < 0.05), orders
+    wrong = taylor_orders(u, r, v, g * (1.0 + 1e-3), p, steps)
+    assert wrong[-1] < 1.5, wrong
 
 
 def test_gradcheck_rejects_bad_trials():

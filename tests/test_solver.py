@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import elastiseg.energy
 import elastiseg.solver
 from elastiseg import (
     CurvatureMode,
@@ -111,7 +112,7 @@ def test_momentum_optimizer_converges():
 
 def test_cv_means_survives_degenerate_all_foreground_init(monkeypatch):
     raised = []
-    real = elastiseg.solver.region_means_raw
+    real = elastiseg.solver.region_means
 
     def counting(*args):
         try:
@@ -120,7 +121,7 @@ def test_cv_means_survives_degenerate_all_foreground_init(monkeypatch):
             raised.append(None)
             raise
 
-    monkeypatch.setattr(elastiseg.solver, "region_means_raw", counting)
+    monkeypatch.setattr(elastiseg.solver, "region_means", counting)
     # a uniform bright image pushes an all-foreground mask further up: it never gains a background
     image = make_field((16, 16), 1.0, 1.0)
     init = make_field((16, 16), 1.0, 1.0)
@@ -130,6 +131,47 @@ def test_cv_means_survives_degenerate_all_foreground_init(monkeypatch):
     assert trace.iterations_run > 0
     assert len(raised) == trace.iterations_run  # the fallback ran after every update
     assert np.isfinite([b.total for b in trace.breakdowns]).all()
+
+
+def test_cv_means_keeps_its_constants_when_the_mask_sum_rounds_to_the_voxel_count():
+    # one dark voxel among bright ones: a tiny step moves that voxel alone, to 1 - 1.5e-12
+    r = np.ones((256, 256))
+    r[100, 37] = 0.0
+    image = ScalarField(r, 1.0)
+    p = EnergyParams(alpha=0.001, beta=0.0, c1=0.9, c2=0.3, mode=CurvatureMode.MEAN_2D)
+    mask, trace = segment(image, make_field(r.shape, 1.0, 1.0), p,
+                          SolverConfig(max_iters=1, step_size=1e-12, region_mode="cv-means"))
+    u = mask.data
+    assert float(np.sum(u)) == u.size and float(np.sum(1.0 - u)) > 0.0
+    with pytest.raises(DegenerateMaskError):
+        estimate_region_means(mask, image)
+    # the exit energy uses the parameter set's constants, not the direct form's defined means
+    assert trace.breakdowns == [segmentation_energy(mask, image, p)]
+    direct = float(np.sum(u * r)) / float(np.sum(u)), float(np.sum((1.0 - u) * r)) / float(np.sum(1.0 - u))
+    assert trace.breakdowns[0] != segmentation_energy(mask, image, p.with_constants(*direct))
+
+
+@pytest.mark.parametrize("max_iters,stop_tol", [(20, 0.0), (2000, 1e-7)])
+def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
+    weights = []
+    real = elastiseg.energy.region_moments
+
+    def counting(w, r, ws):
+        weights.append(np.ndim(w))
+        return real(w, r, ws)
+
+    monkeypatch.setattr(elastiseg.energy, "region_moments", counting)
+    monkeypatch.setattr(elastiseg.solver, "region_moments", counting)
+    fused = _count_calls(monkeypatch, "energy_and_gradient_raw")
+    case = small_disk(1)
+    init = make_field(case.image.shape, 1.0, 0.5)
+    cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means", stop_tol=stop_tol)
+    _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
+    # the image's totals once; then the moments of each mask u_0 .. u_last once, which give
+    # that mask's region sums (fused pass or exit energy) and the cv-means constants
+    assert weights.count(0) == 1
+    evaluated = len(fused) + (0 if trace.converged else 1)
+    assert trace.converged == (stop_tol > 0.0) and weights.count(2) == evaluated
 
 
 def test_non_finite_energy_reports_iteration_and_partial_trace():
