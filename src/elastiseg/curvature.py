@@ -17,13 +17,16 @@ kernels: it squares each term and is therefore nonnegative.
 Each mode is written once, as a forward function that returns K and its
 pullback: a map from a cotangent of K to the cotangents of the first and
 second differences the forward read. The estimators below, the energy and its
-analytic gradient all evaluate that one definition.
+analytic gradient all evaluate that one definition. Every mode computes in
+place in arrays of one :class:`~elastiseg.workspace.Workspace`, one ufunc per
+operation of its formula and in the formula's order, so a pass with a reused
+workspace allocates no full-size array and has the bits of the formula
+evaluated as written.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
@@ -63,13 +66,32 @@ Pullback = Callable[[np.ndarray], Cotangents]
 Slopes = Sequence[np.ndarray]
 
 
-def _sum(terms) -> np.ndarray:
-    """Left-to-right sum of arrays, without the copy that ``sum`` makes of the first."""
-    return reduce(np.add, terms)
+def _product(out: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    """Left-to-right product of ``factors``, into ``out``."""
+    np.multiply(factors[0], factors[1], out=out)
+    for f in factors[2:]:
+        out *= f
+    return out
+
+
+def _sum_of_products(out: np.ndarray, tmp: np.ndarray, products) -> np.ndarray:
+    """Left-to-right sum of the :func:`_product` of each tuple of factors in ``products``, into ``out``."""
+    for n, factors in enumerate(products):
+        if n == 0:
+            _product(out, *factors)
+        else:
+            out += _product(tmp, *factors)
+    return out
 
 
 def _mean(c: float, p: float):
-    """The mean-curvature forward K = chi / (c * w**p) with one mode's constants."""
+    """The mean-curvature forward K = chi / (c * w**p) with one mode's constants.
+
+    Each comment gives the expression that the in-place ufuncs below it
+    evaluate, operation for operation and in its order (a product or sum
+    commuted at most), so every result has that expression's bits. The
+    pullback gives back each buffer as soon as it is dead.
+    """
 
     def forward(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
                 ws: Workspace) -> tuple[np.ndarray, Pullback]:
@@ -78,29 +100,65 @@ def _mean(c: float, p: float):
         seconds = [d2(a, i, spacing[i], out=ws.take()) for i in range(n)]
         # u_ij is the difference along j of the slope along i < j, as in diffops.dmixed
         mixed = {(i, j): d1(slopes[i], j, spacing[j], out=ws.take()) for i, j in combinations(range(n), 2)}
-        w = 1.0 + _sum(ui * ui for ui in slopes)
-        chi = _sum(uii * (w - ui * ui) for ui, uii in zip(slopes, seconds))
-        chi -= 2.0 * _sum(slopes[i] * slopes[j] * uij for (i, j), uij in mixed.items())
+        w, k, den, tmp = (ws.take() for _ in range(4))
+        # w = 1 + sum_i u_i*u_i
+        _sum_of_products(w, tmp, ((ui, ui) for ui in slopes))
+        w += 1.0
+        # chi = sum_i u_ii*(w - u_i*u_i) - 2*sum_{i<j} u_i*u_j*u_ij, into k
+        for i, (ui, uii) in enumerate(zip(slopes, seconds)):
+            term = _product(tmp if i else k, ui, ui)
+            np.subtract(w, term, out=term)
+            term *= uii
+            if i:
+                k += term
+        _sum_of_products(tmp, den, ((slopes[i], slopes[j], uij) for (i, j), uij in mixed.items()))  # den: scratch
+        tmp *= 2.0
+        k -= tmp
+        ws.give(tmp)
         # c * w**p as c * sqrt(w) * w**int(p) for half-integer p: numpy's w**1.5 has no fast path
-        den = c * np.sqrt(w)
+        np.sqrt(w, out=den)
+        den *= c
         for _ in range(int(p)):
             den *= w
-        k = chi / den
+        k /= den  # K = chi / den
 
         def pullback(gk: np.ndarray) -> Cotangents:
-            gchi = gk / den
-            gw = gchi * _sum(seconds) - p * gk * k / w
+            gchi = np.divide(gk, den, out=den)  # gk / den, over den
+            # gw = gchi*sum_i u_ii - p*gk*K/w; p*gk*K/w is written over gk, which is scratch from here on
+            gw = np.add(seconds[0], seconds[1], out=ws.take())
+            for uii in seconds[2:]:
+                gw += uii
+            gw *= gchi
+            gk *= p
+            gk *= k
+            gk /= w
+            gw -= gk
+            ws.give(k)
+            tmp = ws.take()
+            # u_i's cotangent 2*(u_i*(gw - gchi*u_ii) - gchi*sum_{j != i} u_j*u_ij); the last is written over gw
             d1_cots = {}
             for i, (ui, uii) in enumerate(zip(slopes, seconds)):
-                cross = _sum(slopes[j] * mixed[min(i, j), max(i, j)] for j in range(n) if j != i)
-                d1_cots[i] = 2.0 * (ui * (gw - gchi * uii) - gchi * cross)
-            del gw  # freed before the u_ii cotangents, which bounds the pass's peak memory
+                cot = gw if i == n - 1 else ws.take()
+                np.multiply(gchi, uii, out=gk)
+                np.subtract(gw, gk, out=cot)
+                cot *= ui
+                _sum_of_products(gk, tmp, ((slopes[j], mixed[min(i, j), max(i, j)]) for j in range(n) if j != i))
+                gk *= gchi
+                cot -= gk
+                cot *= 2.0
+                d1_cots[i] = cot
             for ui, uii in zip(slopes, seconds):
-                np.multiply(gchi, w - ui * ui, out=uii)  # u_ii's cotangent, over u_ii
+                # u_ii's cotangent gchi*(w - u_i*u_i), over u_ii
+                _product(uii, ui, ui)
+                np.subtract(w, uii, out=uii)
+                uii *= gchi
+            ws.give(w)
+            gchi *= -2.0
             for (i, j), uij in mixed.items():
-                # u_ij was read from slope i, so its cotangent fans out into slope i's
-                d1_cots[i] += d1_adj(-2.0 * gchi * slopes[i] * slopes[j], j, spacing[j], out=uij)
-            ws.give(*mixed.values())
+                # u_ij was read from slope i, so its cotangent -2*gchi*u_i*u_j fans out into slope i's
+                d1_cots[i] += d1_adj(_product(tmp, gchi, slopes[i], slopes[j]), j, spacing[j], out=uij)
+                ws.give(uij)
+            ws.give(gchi, tmp)
             return Cotangents(d1_cots, dict(enumerate(seconds)))
 
         return k, pullback
@@ -111,14 +169,12 @@ def _mean(c: float, p: float):
 def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
              ws: Workspace) -> tuple[np.ndarray, Pullback]:
     seconds = [d2(a, ax, spacing[ax], out=ws.take()) for ax in range(3)]
-    # k = s0*s0 + s1*s1 + s2*s2, summed left to right
-    k = np.multiply(seconds[0], seconds[0], out=ws.take())
-    sq = ws.take()
-    for s in seconds[1:]:
-        k += np.multiply(s, s, out=sq)
+    k, sq = ws.take(), ws.take()
+    _sum_of_products(k, sq, ((s, s) for s in seconds))  # k = s0*s0 + s1*s1 + s2*s2
     ws.give(sq)
 
     def pullback(gk: np.ndarray) -> Cotangents:
+        ws.give(k)
         # the cotangent of each second difference, 2*gk*s, overwrites s
         gk *= 2.0
         for s in seconds:
@@ -137,6 +193,7 @@ def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | No
     ws.give(second)
 
     def pullback(gk: np.ndarray) -> Cotangents:
+        ws.give(k)
         return Cotangents({}, {ax: gk for ax in range(3)})
 
     return k, pullback
@@ -156,12 +213,12 @@ def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: Curvature
 
     ``derivs`` are the first differences of ``a`` along each axis, for a
     caller that already holds them; the mean modes read them and compute them
-    when they are not given. Stencil outputs and, in the fast and Laplacian
-    modes, K and its scratch come from ``ws`` (a throwaway workspace when none
-    is given). The pullback may overwrite its argument, and it gives the
-    forward's buffers it no longer needs back to ``ws``; the fast and mean
-    modes write the cotangents of their second differences over them. The
-    caller owns K, the cotangents and its ``derivs``.
+    when they are not given. Stencil outputs, K and every intermediate come
+    from ``ws`` (a throwaway workspace when none is given). The pullback may
+    overwrite its argument, and it gives K and the forward's buffers it no
+    longer needs back to ``ws``; the fast and mean modes write the cotangents
+    of their second differences over them. The caller owns the cotangents, its
+    ``derivs``, and K until it calls the pullback.
     """
     check_ndim(a.ndim, mode)
     return _FORWARD_BY_MODE[mode](a, spacing, derivs, Workspace(a.shape) if ws is None else ws)

@@ -11,8 +11,8 @@ lambda*(c1-c2)*(c1+c2-2r) of r, which the fused :func:`energy_and_gradient_raw`
 adds in three passes. The pass takes every intermediate from a
 :class:`~elastiseg.workspace.Workspace` and writes cotangents over the
 forward buffers that have died, so with a workspace reused across calls it
-allocates no full-size array outside the mean curvature modes' pointwise
-formulas. The finite-difference oracle costs 2*3^d density calls at any size.
+allocates no full-size array in any mode. The finite-difference oracle costs
+2*3^d density calls at any size.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     if fwd.pullback is not None:
         gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take())
         gk *= fwd.mag  # (2*beta*measure)*k*mag
-        cots = fwd.pullback(gk)
-        ws.give(fwd.k)  # no mode reads K once its pullback has returned
+        cots = fwd.pullback(gk)  # gives K back
 
     def adjoints():
         for ax, dax in enumerate(fwd.derivs):
@@ -64,6 +63,7 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
             dax /= fwd.mag
             if ax in cots.d1:
                 dax += cots.d1[ax]
+                ws.give(cots.d1[ax])
             adj = d1_adj(dax, ax, spacing[ax], out=ws.take())
             ws.give(dax)
             yield adj

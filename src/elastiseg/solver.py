@@ -17,8 +17,10 @@ One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
 update are done in place, in the same operation order as the expressions
 they stand for, so results are bit for bit those of fresh arrays. After the
-first iteration a solve allocates no full-size array except the mean modes'
-pointwise curvature temporaries.
+first iteration a solve allocates no full-size array. The mask, velocity and
+logit state come from :func:`~elastiseg.workspace.aligned_empty`, like every
+workspace array, so all of a solve's full-size float64 arrays start on a
+cache line.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .energy import (
 )
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
 from .gradients import energy_and_gradient_raw
-from .workspace import Workspace
+from .workspace import Workspace, aligned_empty
 
 OPTIMIZERS = ("gd", "momentum")
 PARAMETERIZATIONS = ("clipped", "logistic")
@@ -93,9 +95,11 @@ class NonFiniteEnergyError(RuntimeError):
 _LOGIT_CLIP = 1e-6
 
 
-def _logit(u: np.ndarray) -> np.ndarray:
-    p = np.clip(u, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP)
-    return np.log(p / (1.0 - p))
+def _logit(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """log(p / (1 - p)) of p = u clipped into [_LOGIT_CLIP, 1 - _LOGIT_CLIP], into ``out``."""
+    p = np.clip(u, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP, out=out)
+    p /= np.subtract(1.0, p, out=tmp)
+    return np.log(p, out=p)
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -131,10 +135,10 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     :class:`~elastiseg.workspace.Workspace` of N full-size arrays for all of
     its iterations: the fused pass, the update and the region moments are
     computed in it, in place. With beta = 0, N = ndim + 2 in every mode; with
-    beta > 0, N = 10 in fast3d, 7 in lap3d, 8 in mean2d and 12 in mean3d.
-    The mean modes' curvature formulas still allocate their pointwise
-    temporaries on every pass. The exit energy of a run that reaches
-    ``max_iters`` is evaluated in the same workspace, which it gives back.
+    beta > 0, N = 10 in fast3d, 7 in lap3d, 13 in mean2d and 18 in mean3d,
+    the mean modes' pointwise curvature expressions included. The exit energy
+    of a run that reaches ``max_iters`` is evaluated in the same workspace,
+    which it gives back.
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
@@ -143,10 +147,17 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     if cfg.region_mode == "cv-means" and max(-lo, hi) > MAX_CONSTANT:
         raise FieldError(f"cv-means needs image values in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}]")
 
-    u = init.data.copy()
-    z = _logit(u) if cfg.parameterization == "logistic" else None
-    velocity = np.zeros_like(u) if cfg.optimizer == "momentum" else None
-    ws = Workspace(u.shape)
+    ws = Workspace(init.shape)
+    u = aligned_empty(init.shape)
+    np.copyto(u, init.data)
+    z = velocity = None
+    if cfg.parameterization == "logistic":
+        tmp = ws.take()
+        z = _logit(u, aligned_empty(u.shape), tmp)
+        ws.give(tmp)
+    if cfg.optimizer == "momentum":
+        velocity = aligned_empty(u.shape)
+        velocity.fill(0.0)
     totals = region_moments(1.0, image.data, ws)
     moments = mask_moments(u, image.data, ws, totals)
     c1, c2 = params.c1, params.c2

@@ -8,13 +8,33 @@ whatever is computed next. After the first pass no full-size array is
 allocated, and the number of arrays the workspace holds is the largest number
 that were alive at once. A caller that passes no workspace gets a throwaway
 one: the code path is the same and every array it returns is fresh.
+
+Every array comes from :func:`aligned_empty`, whose data starts on an
+:data:`ALIGNMENT`-byte boundary. ``np.empty`` only guarantees 16 bytes, and an
+array whose start sits mid cache line makes every vector store of a ufunc
+straddle two lines: an out-of-place ``np.multiply`` held in cache takes 4.1
+against 6.4-7.4 us at 96^2, and 21 against 43-53 us at 256^2, with all three
+arrays aligned or all at one offset of 16, 32 or 48 bytes (best of 7x200 calls,
+2-vCPU Xeon VM with AVX-512).
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
+
+ALIGNMENT = 64  # bytes: one cache line, and one AVX-512 register
+
+
+def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialised C-contiguous float64 array of ``shape`` whose data starts on an ALIGNMENT-byte boundary."""
+    n = math.prod(shape)
+    pad = ALIGNMENT // 8
+    raw = np.empty(n + pad)  # float64 data is 8-byte aligned, so a boundary lies within the first pad elements
+    start = (-raw.ctypes.data % ALIGNMENT) // 8
+    return raw[start:start + n].reshape(shape)
 
 
 class Workspace:
@@ -33,7 +53,7 @@ class Workspace:
         """A free array (contents undefined), allocating one when none is free."""
         if self._free:
             return self._free.popitem()[1]
-        arr = np.empty(self.shape)
+        arr = aligned_empty(self.shape)
         self._owned[id(arr)] = arr
         return arr
 

@@ -428,8 +428,9 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration():
 
 
 def test_mean3d_solve_memory_budget_does_not_grow_per_iteration():
-    # the mean modes take their stencil outputs from the workspace and
-    # allocate only their pointwise temporaries
+    # the mean modes compute every stencil output and pointwise expression in
+    # the workspace: 18 arrays at beta > 0, plus the mask, the velocity, the
+    # fields and the ufunc buffers (20.29 arrays measured at 24^3)
     case = sphere_case_3d((24, 24, 24), (11.5, 11.5, 11.5), 7.0, noise_sigma=0.1, seed=0)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
@@ -437,15 +438,15 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration():
                                     SolverConfig(max_iters=n, optimizer="momentum", region_mode="cv-means",
                                                  stop_tol=0.0))
              for n in (3, 15)]
-    assert peaks[0] <= 28.0, peaks
+    assert peaks[0] <= 20.75, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     rng = np.random.default_rng(8)
     expected = {  # beta = 0: the first differences, |grad u| and one scratch array
-        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 8,
-        (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 12,
+        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 13,
+        (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 18,
         (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 10,
         (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 7,
     }
