@@ -7,7 +7,9 @@ Every run that writes files, a failed solve included, also writes a plain
 key=value manifest: ``subcommand``, then every flag the run resolved under
 the flag's own name (``lambda``, ``region_mode``; the value the run used,
 such as ``mode=mean2d`` for ``auto``), then its results and per-stage wall
-times. A flag that does not apply to the run is absent.
+times. A flag that does not apply to the run is absent. ``segment`` records
+why its solve stopped as ``stop_reason``: ``converged`` (the stop rule fired),
+``max_iters`` (``--iters 0`` included) or ``non_finite``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     if len(shape) not in (2, 3) or any(n < 1 for n in shape):
         raise argparse.ArgumentTypeError(f"shape must be 2 or 3 positive extents, got {text!r}")
     return shape
+
+
+def _parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _parse_center(text: str) -> tuple[float, ...]:
@@ -154,10 +166,12 @@ def _interior(arr: np.ndarray) -> np.ndarray:
 
 
 def median_eval_time(fn, field: ScalarField, repeats: int) -> float:
-    """Median wall time of one evaluation over ``repeats`` runs (plus a warmup)."""
+    """Median wall time of one evaluation over ``repeats`` >= 1 runs (plus a warmup)."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     fn(field)
     times = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn(field)
         times.append(time.perf_counter() - t0)
@@ -251,10 +265,11 @@ def cmd_segment(args) -> int:
     except NonFiniteEnergyError as exc:
         failure, trace = exc, exc.trace
     solve_s = time.perf_counter() - t1
+    stop_reason = "non_finite" if failure is not None else "converged" if trace.converged else "max_iters"
 
     _write_trace(trace_path, trace)
     write_manifest(os.path.join(args.out, "manifest.txt"), args,
-                   iterations_run=trace.iterations_run, converged=trace.converged,
+                   iterations_run=trace.iterations_run, converged=trace.converged, stop_reason=stop_reason,
                    stage_load_s=f"{load_s:.6f}", stage_solve_s=f"{solve_s:.6f}")
     if failure is not None:
         print(f"error: {failure}; partial trace written to {trace_path}", file=sys.stderr)
@@ -381,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in CurvatureMode], required=True)
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--radius", type=float, default=None, help="mean2d hemisphere radius; default 40")
-    p.add_argument("--repeat", type=int, default=5)
+    p.add_argument("--repeat", type=_parse_positive_int, default=5, help="timed runs after a warmup; default 5")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curvbench)
 

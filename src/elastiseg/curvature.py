@@ -97,9 +97,9 @@ def _mean(c: float, p: float):
                 ws: Workspace) -> tuple[np.ndarray, Pullback]:
         n = a.ndim
         slopes = _slopes(a, spacing) if derivs is None else derivs
-        seconds = [d2(a, i, spacing[i], out=ws.take()) for i in range(n)]
+        seconds = [d2(a, i, spacing[i], out=ws.take(), ws=ws) for i in range(n)]
         # u_ij is the difference along j of the slope along i < j, as in diffops.dmixed
-        mixed = {(i, j): d1(slopes[i], j, spacing[j], out=ws.take()) for i, j in combinations(range(n), 2)}
+        mixed = {(i, j): d1(slopes[i], j, spacing[j], out=ws.take(), ws=ws) for i, j in combinations(range(n), 2)}
         w, k, den, tmp = (ws.take() for _ in range(4))
         # w = 1 + sum_i u_i*u_i
         _sum_of_products(w, tmp, ((ui, ui) for ui in slopes))
@@ -156,7 +156,7 @@ def _mean(c: float, p: float):
             gchi *= -2.0
             for (i, j), uij in mixed.items():
                 # u_ij was read from slope i, so its cotangent -2*gchi*u_i*u_j fans out into slope i's
-                d1_cots[i] += d1_adj(_product(tmp, gchi, slopes[i], slopes[j]), j, spacing[j], out=uij)
+                d1_cots[i] += d1_adj(_product(tmp, gchi, slopes[i], slopes[j]), j, spacing[j], out=uij, ws=ws)
                 ws.give(uij)
             ws.give(gchi, tmp)
             return Cotangents(d1_cots, dict(enumerate(seconds)))
@@ -168,7 +168,7 @@ def _mean(c: float, p: float):
 
 def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
              ws: Workspace) -> tuple[np.ndarray, Pullback]:
-    seconds = [d2(a, ax, spacing[ax], out=ws.take()) for ax in range(3)]
+    seconds = [d2(a, ax, spacing[ax], out=ws.take(), ws=ws) for ax in range(3)]
     k, sq = ws.take(), ws.take()
     _sum_of_products(k, sq, ((s, s) for s in seconds))  # k = s0*s0 + s1*s1 + s2*s2
     ws.give(sq)
@@ -186,10 +186,10 @@ def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
 
 def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
                   ws: Workspace) -> tuple[np.ndarray, Pullback]:
-    k = d2(a, 0, spacing[0], out=ws.take())
+    k = d2(a, 0, spacing[0], out=ws.take(), ws=ws)
     second = ws.take()
     for ax in (1, 2):
-        k += d2(a, ax, spacing[ax], out=second)
+        k += d2(a, ax, spacing[ax], out=second, ws=ws)
     ws.give(second)
 
     def pullback(gk: np.ndarray) -> Cotangents:

@@ -21,6 +21,13 @@ and returned, else a fresh C-ordered array is, so a Fortran-ordered input
 yields a C-ordered result with the same values. Either way the bits are the
 same: one fixed operation order through views, no temporaries, except the
 inner first difference of :func:`dmixed`/:func:`dmixed_adj` (off the solver path).
+
+The views are :func:`~elastiseg.workspace.shift_views` of the input and the
+output. A raw stencil given ``ws=`` takes them from that
+:class:`~elastiseg.workspace.Workspace` when both arrays are its own (handed
+out or registered), so they are built once per pool array and axis; every
+other call builds them afresh after the checks above. Both run the same
+ufuncs on the same operands.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import FieldError, ScalarField
+from .workspace import Workspace, shift_views
 
 # Charbonnier constant: |g| is replaced by sqrt(g^2 + EPS^2) in the gradient magnitude,
 # in the energy and its analytic gradient alike, so the energy is differentiable everywhere.
@@ -45,8 +53,7 @@ def _check_axis(a: np.ndarray, axis: int) -> None:
 
 
 def _flat(a: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
-    """Views for a stencil along ``axis``: ``out``, its flat interior, the flat input one step
-    before, at and after that interior, the input's planes 0, 1, n-2, n-1 and the output's 0, n-1."""
+    """``out`` (allocated when None) and the :func:`shift_views` of the input and of ``out`` along ``axis``."""
     _check_axis(a, axis)
     if out is None:
         out = np.empty(a.shape, a.dtype)
@@ -56,11 +63,16 @@ def _flat(a: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
         raise FieldError("out must be C-contiguous")
     elif np.may_share_memory(a, out):
         raise FieldError("out must not overlap the stencil input")
-    a = np.ascontiguousarray(a)
-    s = math.prod(a.shape[axis + 1:])
-    af, at, ot = a.reshape(-1), a.swapaxes(0, axis), out.swapaxes(0, axis)
-    return (out, out.reshape(-1)[s:-s], (af[:-2 * s], af[s:-s], af[2 * s:]),
-            (at[0, ...], at[1, ...], at[-2, ...], at[-1, ...]), (ot[0, ...], ot[-1, ...]))
+    return out, shift_views(np.ascontiguousarray(a), axis), shift_views(out, axis)
+
+
+def _operands(a: np.ndarray, axis: int, out: np.ndarray | None, ws: Workspace | None) -> tuple:
+    """As :func:`_flat`, the views kept by ``ws`` when it holds both ``a`` and a distinct ``out``."""
+    if ws is not None:
+        views_a, views_out = ws.views(a, axis), ws.views(out, axis)
+        if views_a is not None and views_out is not None and views_a is not views_out:
+            return out, views_a, views_out
+    return _flat(a, axis, out)
 
 
 def _scale(out: np.ndarray, c: float) -> None:
@@ -72,9 +84,10 @@ def _scale(out: np.ndarray, c: float) -> None:
         out *= 1.0 / c
 
 
-def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None,
+       ws: Workspace | None = None) -> np.ndarray:
     """Central first difference (u[i+1] - u[i-1]) / (2h), replicate boundary."""
-    out, mid, (prev, _, nxt), (a0, a1, a_2, a_1), (first, last) = _flat(a, axis, out)
+    out, (prev, _, nxt, a0, a1, a_2, a_1), (_, mid, _, first, _, _, last) = _operands(a, axis, out, ws)
     np.subtract(nxt, prev, out=mid)
     np.subtract(a1, a0, out=first)
     np.subtract(a_1, a_2, out=last)
@@ -82,9 +95,10 @@ def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) 
     return out
 
 
-def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None,
+           ws: Workspace | None = None) -> np.ndarray:
     """Exact adjoint of :func:`d1`, including the replicate-boundary rows."""
-    adj, mid, (prev, _, nxt), (w0, w1, w_2, w_1), (first, last) = _flat(w, axis, out)
+    adj, (prev, _, nxt, w0, w1, w_2, w_1), (_, mid, _, first, _, _, last) = _operands(w, axis, out, ws)
     np.subtract(prev, nxt, out=mid)
     np.subtract(0.0, w1, out=first)
     first -= w0
@@ -93,9 +107,10 @@ def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = No
     return adj
 
 
-def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None,
+       ws: Workspace | None = None) -> np.ndarray:
     """Central second difference (u[i+1] - 2u[i] + u[i-1]) / h^2, replicate boundary; self-adjoint."""
-    out, mid, (prev, cur, nxt), (a0, a1, a_2, a_1), (first, last) = _flat(a, axis, out)
+    out, (prev, cur, nxt, a0, a1, a_2, a_1), (_, mid, _, first, _, _, last) = _operands(a, axis, out, ws)
     np.multiply(cur, 2.0, out=mid)
     np.subtract(nxt, mid, out=mid)
     mid += prev

@@ -25,7 +25,7 @@ range; :func:`region_terms` and the oracle's density keep the direct form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +64,7 @@ class EnergyParams:
     mode: CurvatureMode = CurvatureMode.MEAN_2D
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "lam", "c1", "c2"):
+        for name in ("alpha", "beta", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0.0:
@@ -73,12 +73,27 @@ class EnergyParams:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not self.lam > 0.0:
             raise ValueError(f"lambda must be > 0, got {self.lam}")
-        for name in ("c1", "c2"):
-            if abs(getattr(self, name)) > MAX_CONSTANT:
-                raise ValueError(f"{name} must lie in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}], got {getattr(self, name)}")
+        _check_constants(self.c1, self.c2)
 
     def with_constants(self, c1: float, c2: float) -> "EnergyParams":
-        return replace(self, c1=c1, c2=c2)
+        """A copy with constants ``c1``, ``c2``, checked as construction checks them.
+
+        The other fields were checked when ``self`` was built, so the copy
+        skips ``dataclasses.replace``, which re-runs every check: the solver
+        makes one per iteration.
+        """
+        _check_constants(c1, c2)
+        params = object.__new__(type(self))
+        params.__dict__.update(self.__dict__, c1=c1, c2=c2)
+        return params
+
+
+def _check_constants(c1: float, c2: float) -> None:
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not math.isfinite(c):
+            raise ValueError(f"{name} must be finite, got {c}")
+        if abs(c) > MAX_CONSTANT:
+            raise ValueError(f"{name} must lie in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}], got {c}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +127,11 @@ def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[
 def region_moments(w: np.ndarray | float, r: np.ndarray, ws: Workspace) -> Moments:
     """The moments of ``r`` under ``w`` (an array, or a scalar such as 1.0), through one array of ``ws``."""
     wr = np.multiply(w, r, out=ws.take())
-    m1 = float(np.sum(wr))
-    m2 = float(np.sum(np.multiply(wr, r, out=wr)))
+    # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
+    m1 = float(np.add.reduce(wr, axis=None))
+    m2 = float(np.add.reduce(np.multiply(wr, r, out=wr), axis=None))
     ws.give(wr)
-    return float(np.sum(w)) if np.ndim(w) else w * r.size, m1, m2
+    return float(np.add.reduce(w, axis=None)) if np.ndim(w) else w * r.size, m1, m2
 
 
 def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | None = None) -> tuple[Moments, Moments]:
@@ -161,12 +177,12 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
     """
     ws = Workspace(a.shape) if ws is None else ws
     measure = math.prod(spacing)
-    derivs = [d1(a, ax, spacing[ax], out=ws.take()) for ax in range(a.ndim)]
+    derivs = [d1(a, ax, spacing[ax], out=ws.take(), ws=ws) for ax in range(a.ndim)]
     tmp = ws.take()
     mag = grad_mag_raw(derivs, out=ws.take(), tmp=tmp)
     ws.give(tmp)
     if params.beta == 0.0:
-        energy = params.alpha * (float(np.sum(mag)) * measure)
+        energy = params.alpha * (float(np.add.reduce(mag, axis=None)) * measure)
         return ElasticaForward(derivs, mag, params.alpha * measure, measure, energy, None, None)
     k, pullback = curvature_forward(a, spacing, params.mode, derivs, ws)
     # weight = alpha + beta*k*k, evaluated as (beta*k)*k + alpha
@@ -174,7 +190,7 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
     weight *= k
     weight += params.alpha
     tmp = ws.take()
-    energy = float(np.sum(np.multiply(weight, mag, out=tmp))) * measure
+    energy = float(np.add.reduce(np.multiply(weight, mag, out=tmp), axis=None)) * measure
     ws.give(tmp)
     weight *= measure
     return ElasticaForward(derivs, mag, weight, measure, energy, k, pullback)

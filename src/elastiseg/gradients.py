@@ -64,11 +64,11 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
             if ax in cots.d1:
                 dax += cots.d1[ax]
                 ws.give(cots.d1[ax])
-            adj = d1_adj(dax, ax, spacing[ax], out=ws.take())
+            adj = d1_adj(dax, ax, spacing[ax], out=ws.take(), ws=ws)
             ws.give(dax)
             yield adj
         for ax, c in cots.d2.items():
-            yield d2(c, ax, spacing[ax], out=ws.take())
+            yield d2(c, ax, spacing[ax], out=ws.take(), ws=ws)
 
     terms = adjoints()
     grad = next(terms)

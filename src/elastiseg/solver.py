@@ -20,13 +20,14 @@ they stand for, so results are bit for bit those of fresh arrays. After the
 first iteration a solve allocates no full-size array. The mask, velocity and
 logit state come from :func:`~elastiseg.workspace.aligned_empty`, like every
 workspace array, so all of a solve's full-size float64 arrays start on a
-cache line.
+cache line. The mask is registered with the workspace, so the stencils of
+every iteration run on views built in the first one, and the loop runs under
+one ``np.errstate``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     ws = Workspace(init.shape)
     u = aligned_empty(init.shape)
     np.copyto(u, init.data)
+    ws.register(u)  # every pass's first and second differences read u: ws keeps their views of it
     z = velocity = None
     if cfg.parameterization == "logistic":
         tmp = ws.take()
@@ -164,8 +166,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     breakdowns: list[EnergyBreakdown] = []
     converged = False
 
-    for it in range(cfg.max_iters):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # entered once per solve: it costs ~3 us
+        for it in range(cfg.max_iters):
             bd, g = energy_and_gradient_raw(u, image.data, image.spacing, params.with_constants(c1, c2), ws, moments)
             # the pass at (u_it, c_it) also yields the energy after update it-1
             if it > 0 and _record(breakdowns, bd, it - 1, cfg):
@@ -173,22 +175,23 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
                 break
             scale = _step(u, z, velocity, g, ws, cfg)
             ws.give(g)
-        # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped or sigmoid u in [0,1]
-        if not math.isfinite(scale):
-            raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
+            # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped or sigmoid u in [0,1]
+            if not math.isfinite(scale):
+                raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
 
-        moments = mask_moments(u, image.data, ws, totals)  # of u_it+1: its pass's region sums and constants
-        if cfg.region_mode == "cv-means":
-            with suppress(DegenerateMaskError):  # a degenerate mask keeps the previous constants
-                c1, c2 = region_means(moments, lo, hi)
+            moments = mask_moments(u, image.data, ws, totals)  # of u_it+1: its pass's region sums and constants
+            if cfg.region_mode == "cv-means":
+                try:
+                    c1, c2 = region_means(moments, lo, hi)
+                except DegenerateMaskError:  # a degenerate mask keeps the previous constants
+                    pass
 
-    del velocity  # freed first, so that the output field's copy does not raise the peak memory
-    mask = image.with_data(u)
-    if cfg.max_iters > 0 and not converged:
-        # no further gradient pass supplies the energy after the last update
-        with np.errstate(over="ignore", invalid="ignore"):
+        del velocity  # freed first, so that the output field's copy does not raise the peak memory
+        mask = image.with_data(u)
+        if cfg.max_iters > 0 and not converged:
+            # no further gradient pass supplies the energy after the last update
             bd = segmentation_energy(mask, image, params.with_constants(c1, c2), ws, moments)
-        converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
+            converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
 
     return mask, SolverTrace(breakdowns, len(breakdowns), converged)
 
@@ -200,7 +203,7 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
     if cfg.parameterization == "logistic":
         g *= u
         g *= np.subtract(1.0, u, out=tmp)  # g*u*(1-u)
-    scale = float(np.mean(np.abs(g, out=tmp)))
+    scale = float(np.add.reduce(np.abs(g, out=tmp), axis=None)) / g.size  # np.mean's bits, without its wrapper
     g /= max(scale, 1e-30)
 
     if velocity is not None:
@@ -224,7 +227,7 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
 
 def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg: SolverConfig) -> bool:
     """Append the energy after update ``it``; True once the stop rule fires."""
-    if not np.isfinite(bd.total):
+    if not math.isfinite(bd.total):
         raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
     breakdowns.append(bd)
     if len(breakdowns) > STOP_WINDOW:

@@ -106,6 +106,30 @@ def test_curvbench_mean2d_and_lap3d(tmp_path, capsys):
     assert float(vals[4]) < 1e-10  # exact probe: value 3 everywhere interior
 
 
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_curvbench_rejects_a_repeat_below_one(repeat, tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["curvbench", "--mode", "fast3d", "--shape", "8,8,8", "--repeat", repeat, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--repeat" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "k.csv.manifest.txt").exists()
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_median_eval_time_rejects_fewer_than_one_repeat(repeats):
+    calls = []
+    with pytest.raises(ValueError, match="repeats"):
+        cli.median_eval_time(calls.append, make_field((4, 4), 1.0, 0.0), repeats)
+    assert calls == []
+
+
+def test_median_eval_time_runs_a_warmup_then_each_repeat():
+    calls = []
+    cli.median_eval_time(calls.append, make_field((4, 4), 1.0, 0.0), 3)
+    assert len(calls) == 4
+
+
 def test_gradcheck_cli_pass_and_fail(capsys):
     assert run(["gradcheck", "--shape", "10,10", "--mode", "mean2d", "--trials", "3", "--seed", "1"]) == 0
     assert "passed=True" in capsys.readouterr().out
@@ -362,6 +386,24 @@ def test_segment_non_finite_run_writes_its_manifest(tmp_path, capsys):
     manifest = read_manifest(out / "manifest.txt")
     assert (manifest["iterations_run"], manifest["converged"], manifest["alpha"]) == ("0", "False", "1e+308")
     assert not (out / "mask.vf32").exists()
+
+
+@pytest.mark.parametrize("extra, rc, reason", [
+    (["--init", "{gt}", "--image", "{gt}", "--iters", "100"], 0, "converged"),  # the solution: stops in 11
+    (["--image", "{image}", "--iters", "3"], 0, "max_iters"),
+    (["--image", "{image}", "--iters", "0"], 0, "max_iters"),
+    (["--image", "{image}", "--init", "{image}", "--alpha", "1e308", "--iters", "10"], 1, "non_finite"),
+])
+def test_segment_manifest_records_why_the_solve_stopped(extra, rc, reason, tmp_path, capsys):
+    case_dir = disk(tmp_path)
+    paths = {"gt": str(case_dir / "gt.vf32"), "image": str(case_dir / "image.vf32")}
+    out = tmp_path / "seg"
+    assert run(["segment", *(arg.format(**paths) for arg in extra), "--out", str(out)]) == rc
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["stop_reason"] == reason
+    assert manifest["converged"] == str(reason == "converged")
+    keys = list(manifest)
+    assert keys.index("stop_reason") == keys.index("converged") + 1
 
 
 def test_segment_empty_prediction_writes_the_hd95_error_token(tmp_path):

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,12 +11,14 @@ from elastiseg import (
     CurvatureMode,
     EnergyParams,
     ScalarField,
+    SolverConfig,
     energy_gradient,
     fd_gradient,
     gradcheck,
+    segment,
     segmentation_energy,
 )
-from elastiseg import gradients
+from elastiseg import diffops, gradients, solver
 from elastiseg.diffops import d1, d1_adj, d2, dmixed, dmixed_adj
 from elastiseg.energy import elastica_forward, energy_density
 from elastiseg.gradients import FD_STEP, _elastica_energy_and_gradient, energy_and_gradient_raw, fd_gradient_raw
@@ -315,6 +321,89 @@ def test_reused_workspace_matches_fresh_calls_bit_for_bit(mode):
             # every buffer comes back, so repeated passes allocate nothing new
             held = len(ws) if held is None else held
             assert len(ws) == held
+
+
+def _solve_outputs(image, init, mode):
+    """Mask and trace bytes of a solve in every optimizer, parameterization, region mode and beta in {0, 0.5}."""
+    for opt, par, region in itertools.product(solver.OPTIMIZERS, solver.PARAMETERIZATIONS, solver.REGION_MODES):
+        for beta in (0.0, 0.5):
+            p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
+            cfg = SolverConfig(max_iters=6, optimizer=opt, parameterization=par, region_mode=region, stop_tol=0.0)
+            mask, trace = segment(image, init, p, cfg)
+            yield mask.data.tobytes(), [np.array(dataclasses.astuple(bd)).tobytes() for bd in trace.breakdowns]
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_kept_stencil_views_match_views_rebuilt_on_every_call_bit_for_bit(mode, monkeypatch):
+    rng = np.random.default_rng(42)
+    shape = (11, 9) if mode.required_ndim == 2 else (7, 6, 8)
+    spacing = tuple(rng.uniform(0.5, 2.0, len(shape)))
+    image = ScalarField(rng.random(shape), spacing)
+    init = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
+    rebuilt_by = []
+    real_flat = diffops._flat
+    monkeypatch.setattr(diffops, "_flat", lambda *args: rebuilt_by.append(1) or real_flat(*args))
+    kept = list(_solve_outputs(image, init, mode))
+    n_kept = len(rebuilt_by)
+    monkeypatch.setattr(Workspace, "views", lambda self, a, axis: None)  # every stencil call rebuilds its views
+    rebuilt = list(_solve_outputs(image, init, mode))
+    assert kept == rebuilt
+    # the loop's stencils ran on kept views: only the exit energy's reads of the output mask rebuilt theirs
+    n_rebuilt = len(rebuilt_by) - n_kept
+    assert n_kept * 5 < n_rebuilt
+
+
+def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
+    made = []
+
+    class Recording(Workspace):
+        def __init__(self, shape):
+            super().__init__(shape)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "Workspace", Recording)
+    rng = np.random.default_rng(43)
+    for mode in CurvatureMode:
+        shape = (12, 10) if mode.required_ndim == 2 else (8, 9, 7)
+        image = ScalarField(rng.random(shape), 1.0)
+        init = ScalarField(np.full(shape, 0.5), 1.0)
+        p = EnergyParams(alpha=0.01, beta=0.5, mode=mode)
+        counts = []
+        for iters in (3, 30):
+            segment(image, init, p, SolverConfig(max_iters=iters, optimizer="momentum", stop_tol=0.0))
+            ws = made.pop()
+            counts.append(len(ws._views))
+            assert 0 < len(ws._views) <= (len(ws) + 1) * len(shape), mode
+        assert counts[0] == counts[1], mode
+
+        # a workspace reused with fresh inputs gains no views after its first call
+        ws = Workspace(shape)
+        for call in range(3):
+            u, r = rng.random(shape), rng.random(shape)
+            ws.give(energy_and_gradient_raw(u, r, (1.0,) * len(shape), p, ws)[1])
+            segmentation_energy(ScalarField(u, 1.0), ScalarField(r, 1.0), p, ws)
+            mask = u.copy()
+            ws.register(mask)  # which drops the views of the array registered before
+            ws.give(d1(mask, 0, out=ws.take(), ws=ws))
+            if call == 0:
+                n = len(ws._views)
+            assert len(ws._views) == n <= (len(ws) + 1) * len(shape), mode
+
+    # no reference cycle keeps a solve's workspace: it is freed as segment returns
+    refs = []
+
+    class Watched(Workspace):
+        def __init__(self, shape):
+            super().__init__(shape)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver, "Workspace", Watched)
+    gc.disable()
+    try:
+        segment(image, init, p, SolverConfig(max_iters=5, optimizer="momentum", parameterization="logistic"))
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_workspace_free_calls_return_unaliased_arrays():
