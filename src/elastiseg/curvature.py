@@ -17,11 +17,14 @@ kernels: it squares each term and is therefore nonnegative.
 Each mode is written once, as a forward function that returns K and its
 pullback: a map from a cotangent of K to the cotangents of the first and
 second differences the forward read. The estimators below, the energy and its
-analytic gradient all evaluate that one definition. Every mode computes in
-place in arrays of one :class:`~elastiseg.workspace.Workspace`, one ufunc per
-operation of its formula and in the formula's order, so a pass with a reused
-workspace allocates no full-size array and has the bits of the formula
-evaluated as written.
+analytic gradient all evaluate that one definition. A mode reads the first
+and second differences of u on one block of a
+:class:`~elastiseg.workspace.Workspace`'s plan, which :func:`curvature_forward`
+computes, and computes in place in block arrays of that workspace, one ufunc
+per operation of its formula and in the formula's order, so a pass with a
+reused workspace allocates no array and has the bits of the formula evaluated
+as written. Its only stencils, the mixed differences and their adjoints, run
+along axes >= 1, inside the block.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diffops import _slopes, d1, d1_adj, d2
+from .diffops import d1, d1_adj, d2
 from .field import ScalarField, check_ndim
 from .workspace import Workspace
 
@@ -63,7 +66,7 @@ class Cotangents(NamedTuple):
 
 
 Pullback = Callable[[np.ndarray], Cotangents]
-Slopes = Sequence[np.ndarray]
+Differences = Sequence[np.ndarray]  # of u along each axis, on one block
 
 
 def _product(out: np.ndarray, *factors: np.ndarray) -> np.ndarray:
@@ -93,14 +96,12 @@ def _mean(c: float, p: float):
     pullback gives back each buffer as soon as it is dead.
     """
 
-    def forward(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
-                ws: Workspace) -> tuple[np.ndarray, Pullback]:
-        n = a.ndim
-        slopes = _slopes(a, spacing) if derivs is None else derivs
-        seconds = [d2(a, i, spacing[i], out=ws.take(), ws=ws) for i in range(n)]
-        # u_ij is the difference along j of the slope along i < j, as in diffops.dmixed
-        mixed = {(i, j): d1(slopes[i], j, spacing[j], out=ws.take(), ws=ws) for i, j in combinations(range(n), 2)}
-        w, k, den, tmp = (ws.take() for _ in range(4))
+    def forward(slopes: Differences, seconds: Differences, spacing: tuple[float, ...], ws: Workspace,
+                b: int) -> tuple[np.ndarray, Pullback]:
+        n = len(slopes)
+        # u_ij is the difference along j of the slope along i < j, as in diffops.dmixed: within the block, as j >= 1
+        mixed = {(i, j): d1(slopes[i], j, spacing[j], out=ws.take(b), ws=ws) for i, j in combinations(range(n), 2)}
+        w, k, den, tmp = (ws.take(b) for _ in range(4))
         # w = 1 + sum_i u_i*u_i
         _sum_of_products(w, tmp, ((ui, ui) for ui in slopes))
         w += 1.0
@@ -125,7 +126,7 @@ def _mean(c: float, p: float):
         def pullback(gk: np.ndarray) -> Cotangents:
             gchi = np.divide(gk, den, out=den)  # gk / den, over den
             # gw = gchi*sum_i u_ii - p*gk*K/w; p*gk*K/w is written over gk, which is scratch from here on
-            gw = np.add(seconds[0], seconds[1], out=ws.take())
+            gw = np.add(seconds[0], seconds[1], out=ws.take(b))
             for uii in seconds[2:]:
                 gw += uii
             gw *= gchi
@@ -134,11 +135,11 @@ def _mean(c: float, p: float):
             gk /= w
             gw -= gk
             ws.give(k)
-            tmp = ws.take()
+            tmp = ws.take(b)
             # u_i's cotangent 2*(u_i*(gw - gchi*u_ii) - gchi*sum_{j != i} u_j*u_ij); the last is written over gw
             d1_cots = {}
             for i, (ui, uii) in enumerate(zip(slopes, seconds)):
-                cot = gw if i == n - 1 else ws.take()
+                cot = gw if i == n - 1 else ws.take(b)
                 np.multiply(gchi, uii, out=gk)
                 np.subtract(gw, gk, out=cot)
                 cot *= ui
@@ -166,10 +167,9 @@ def _mean(c: float, p: float):
     return forward
 
 
-def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
-             ws: Workspace) -> tuple[np.ndarray, Pullback]:
-    seconds = [d2(a, ax, spacing[ax], out=ws.take(), ws=ws) for ax in range(3)]
-    k, sq = ws.take(), ws.take()
+def _fast_3d(slopes: Differences, seconds: Differences, spacing: tuple[float, ...], ws: Workspace,
+             b: int) -> tuple[np.ndarray, Pullback]:
+    k, sq = ws.take(b), ws.take(b)
     _sum_of_products(k, sq, ((s, s) for s in seconds))  # k = s0*s0 + s1*s1 + s2*s2
     ws.give(sq)
 
@@ -184,16 +184,14 @@ def _fast_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
     return k, pullback
 
 
-def _laplacian_3d(a: np.ndarray, spacing: tuple[float, ...], derivs: Slopes | None,
-                  ws: Workspace) -> tuple[np.ndarray, Pullback]:
-    k = d2(a, 0, spacing[0], out=ws.take(), ws=ws)
-    second = ws.take()
-    for ax in (1, 2):
-        k += d2(a, ax, spacing[ax], out=second, ws=ws)
-    ws.give(second)
+def _laplacian_3d(slopes: Differences, seconds: Differences, spacing: tuple[float, ...], ws: Workspace,
+                  b: int) -> tuple[np.ndarray, Pullback]:
+    k = seconds[0]  # s0 + s1 + s2, summed over s0
+    for s in seconds[1:]:
+        k += s
+    ws.give(*seconds[1:])
 
     def pullback(gk: np.ndarray) -> Cotangents:
-        ws.give(k)
         return Cotangents({}, {ax: gk for ax in range(3)})
 
     return k, pullback
@@ -208,25 +206,41 @@ _FORWARD_BY_MODE = {
 
 
 def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: CurvatureMode,
-                      derivs: Slopes | None = None, ws: Workspace | None = None) -> tuple[np.ndarray, Pullback]:
-    """Per-voxel curvature of ``a`` in ``mode``, and its pullback.
+                      derivs: Differences | None = None, ws: Workspace | None = None, b: int = 0,
+                      second0: np.ndarray | None = None) -> tuple[np.ndarray, Pullback]:
+    """Per-voxel curvature of ``a`` in ``mode`` on block ``b`` of the plan of ``ws``, and its pullback.
 
-    ``derivs`` are the first differences of ``a`` along each axis, for a
-    caller that already holds them; the mean modes read them and compute them
-    when they are not given. Stencil outputs, K and every intermediate come
-    from ``ws`` (a throwaway workspace when none is given). The pullback may
-    overwrite its argument, and it gives K and the forward's buffers it no
-    longer needs back to ``ws``; the fast and mean modes write the cotangents
-    of their second differences over them. The caller owns the cotangents, its
-    ``derivs``, and K until it calls the pullback.
+    A one-block plan's block is the whole field. ``derivs`` are the first
+    differences of ``a`` along each axis on the block, for a caller that
+    already holds them; the mean modes read them and compute them when they
+    are not given. The second differences are computed here, the one along
+    axis 0 into ``second0`` when given (a caller that reads its cotangent
+    across blocks passes a block view of a full-size array). Stencil outputs,
+    K and every intermediate come from ``ws`` (a throwaway workspace when none
+    is given). The pullback may overwrite its argument, and it gives K and the
+    forward's buffers it no longer needs back to ``ws``; the fast and mean
+    modes write the cotangents of their second differences over them. No mode
+    gives back the second difference along axis 0. The caller owns the
+    cotangents, its ``derivs``, and K until it calls the pullback.
     """
     check_ndim(a.ndim, mode)
-    return _FORWARD_BY_MODE[mode](a, spacing, derivs, Workspace(a.shape) if ws is None else ws)
+    ws = Workspace(a.shape) if ws is None else ws
+    planes = ws.blocks[b]
+    if derivs is None and mode in (CurvatureMode.MEAN_2D, CurvatureMode.MEAN_3D):
+        derivs = [d1(a, ax, spacing[ax], out=ws.take(b), ws=ws, planes=planes) for ax in range(a.ndim)]
+    seconds = [d2(a, ax, spacing[ax], out=second0 if ax == 0 and second0 is not None else ws.take(b), ws=ws,
+                  planes=planes) for ax in range(a.ndim)]
+    return _FORWARD_BY_MODE[mode](derivs, seconds, spacing, ws, b)
 
 
 def curvature(u: ScalarField, mode: CurvatureMode) -> ScalarField:
-    """Per-voxel curvature of ``u`` in the estimator selected by ``mode``."""
-    return u.with_data(curvature_forward(u.data, u.spacing, mode)[0])
+    """Per-voxel curvature of ``u`` in the estimator selected by ``mode``, block by block."""
+    ws = Workspace(u.shape)
+    k = ws.take()
+    for b, part in enumerate(ws.parts(k)):
+        with ws.scope():
+            np.copyto(part, curvature_forward(u.data, u.spacing, mode, ws=ws, b=b)[0])
+    return u.with_data(k)
 
 
 def mean_curvature_2d(u: ScalarField) -> ScalarField:

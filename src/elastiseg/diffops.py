@@ -16,29 +16,39 @@ flattened C-ordered array a step along ``axis`` is a shift by
 ``prod(shape[axis+1:])``, so the interior is one contiguous loop whatever the
 axis; the two boundary planes, which it leaves with wrapped-around values, are
 then written from scratch. An optional ``out=`` must be C-contiguous, of the
-input's shape and not overlapping it (else :class:`FieldError`); it is written
-and returned, else a fresh C-ordered array is, so a Fortran-ordered input
-yields a C-ordered result with the same values. Either way the bits are the
-same: one fixed operation order through views, no temporaries, except the
+result's shape and not overlapping the input (else :class:`FieldError`); it is
+written and returned, else a fresh C-ordered array is, so a Fortran-ordered
+input yields a C-ordered result with the same values. Either way the bits are
+the same: one fixed operation order through views, no temporaries, except the
 inner first difference of :func:`dmixed`/:func:`dmixed_adj` (off the solver path).
+
+``planes=(lo, hi)`` makes only planes [lo, hi) along axis 0 of the result, for
+the blocks of :mod:`elastiseg.workspace`, into an ``out`` of hi - lo planes,
+with the bits of those planes of the whole result. Along axis 0 the kernel
+reads the planes on either side of the range through the same flat shift, and
+writes a boundary plane only where the range holds one (the first or the last
+block). Along any other axis it runs on the input's planes [lo, hi) alone.
 
 The views are :func:`~elastiseg.workspace.shift_views` of the input and the
 output. A raw stencil given ``ws=`` takes them from that
 :class:`~elastiseg.workspace.Workspace` when both arrays are its own (handed
-out or registered), so they are built once per pool array and axis; every
-other call builds them afresh after the checks above. Both run the same
-ufuncs on the same operands.
+out, registered, or block views of arrays handed out), so they are built once
+per array, axis and plane range; every other call builds them afresh after
+the checks above. Both run the same ufuncs on the same operands. Whether a scale
+multiplies by an exact reciprocal or divides is decided once per spacing
+(:func:`_reciprocal`), not on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .field import FieldError, ScalarField
-from .workspace import Workspace, shift_views
+from .workspace import Planes, Workspace, shift_views
 
 # Charbonnier constant: |g| is replaced by sqrt(g^2 + EPS^2) in the gradient magnitude,
 # in the energy and its analytic gradient alike, so the energy is differentiable everywhere.
@@ -52,70 +62,99 @@ def _check_axis(a: np.ndarray, axis: int) -> None:
         raise FieldError(f"extent {a.shape[axis]} along axis {axis} is < 3; stencils need interior points")
 
 
-def _flat(a: np.ndarray, axis: int, out: np.ndarray | None) -> tuple:
+def _flat(a: np.ndarray, axis: int, out: np.ndarray | None, planes: Planes | None) -> tuple:
     """``out`` (allocated when None) and the :func:`shift_views` of the input and of ``out`` along ``axis``."""
     _check_axis(a, axis)
+    shape = a.shape
+    if planes is not None:
+        lo, hi = planes
+        if not 0 <= lo < hi <= a.shape[0]:
+            raise FieldError(f"planes [{lo}, {hi}) out of range for extent {a.shape[0]} along axis 0")
+        shape = (hi - lo, *a.shape[1:])
     if out is None:
-        out = np.empty(a.shape, a.dtype)
-    elif out.shape != a.shape:
-        raise FieldError(f"out has shape {out.shape}, input {a.shape}")
+        out = np.empty(shape, a.dtype)
+    elif out.shape != shape:
+        raise FieldError(f"out has shape {out.shape}, expected {shape}")
     elif not out.flags.c_contiguous:
         raise FieldError("out must be C-contiguous")
     elif np.may_share_memory(a, out):
         raise FieldError("out must not overlap the stencil input")
-    return out, shift_views(np.ascontiguousarray(a), axis), shift_views(out, axis)
+    a = np.ascontiguousarray(a)
+    return out, shift_views(a, axis, planes), shift_views(out, axis, planes if axis == 0 else None, a.shape[0])
 
 
-def _operands(a: np.ndarray, axis: int, out: np.ndarray | None, ws: Workspace | None) -> tuple:
-    """As :func:`_flat`, the views kept by ``ws`` when it holds both ``a`` and a distinct ``out``."""
+def _operands(a: np.ndarray, axis: int, out: np.ndarray | None, ws: Workspace | None,
+              planes: Planes | None) -> tuple:
+    """As :func:`_flat`, the views kept by ``ws`` when it holds both ``a`` and an ``out`` in other memory."""
     if ws is not None:
-        views_a, views_out = ws.views(a, axis), ws.views(out, axis)
-        if views_a is not None and views_out is not None and views_a is not views_out:
+        views_a, views_out = ws.views(a, axis, planes), ws.views(out, axis, planes if axis == 0 else None)
+        # ws keeps views only of its own arrays, their block views and the registered array: distinct owners
+        # do not overlap
+        if views_a is not None and views_out is not None and a.base is not out.base:
             return out, views_a, views_out
-    return _flat(a, axis, out)
+    return _flat(a, axis, out, planes)
+
+
+@functools.lru_cache(maxsize=64)
+def _reciprocal(c: float) -> float | None:
+    """1/c when multiplying by it has the bits of dividing by ``c``, else None; decided once per spacing.
+
+    x * (1/c) rounds the same real as x / c when 1/c is exact, i.e. c is a
+    power of two whose reciprocal does not overflow (a subnormal c = 2**-1040
+    has 1/c = inf).
+    """
+    if math.frexp(c)[0] != 0.5 or not math.isfinite(1.0 / float(c)):
+        return None
+    return 1.0 / c
 
 
 def _scale(out: np.ndarray, c: float) -> None:
-    """``out /= c``, bit for bit: x * (1/c) rounds the same real as x / c when 1/c is exact, i.e.
-    c is a power of two whose reciprocal does not overflow (a subnormal c = 2**-1040 has 1/c = inf)."""
-    if math.frexp(c)[0] != 0.5 or not math.isfinite(1.0 / float(c)):
+    """``out /= c``, bit for bit."""
+    r = _reciprocal(c)
+    if r is None:
         out /= c
-    elif c != 1.0:
-        out *= 1.0 / c
+    elif r != 1.0:
+        out *= r
 
 
 def d1(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None,
-       ws: Workspace | None = None) -> np.ndarray:
+       ws: Workspace | None = None, planes: Planes | None = None) -> np.ndarray:
     """Central first difference (u[i+1] - u[i-1]) / (2h), replicate boundary."""
-    out, (prev, _, nxt, a0, a1, a_2, a_1), (_, mid, _, first, _, _, last) = _operands(a, axis, out, ws)
+    out, (prev, _, nxt, a0, a1, a_2, a_1), (_, mid, _, first, _, _, last) = _operands(a, axis, out, ws, planes)
     np.subtract(nxt, prev, out=mid)
-    np.subtract(a1, a0, out=first)
-    np.subtract(a_1, a_2, out=last)
+    if first is not None:
+        np.subtract(a1, a0, out=first)
+    if last is not None:
+        np.subtract(a_1, a_2, out=last)
     _scale(out, 2.0 * h)
     return out
 
 
 def d1_adj(w: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None,
-           ws: Workspace | None = None) -> np.ndarray:
+           ws: Workspace | None = None, planes: Planes | None = None) -> np.ndarray:
     """Exact adjoint of :func:`d1`, including the replicate-boundary rows."""
-    adj, (prev, _, nxt, w0, w1, w_2, w_1), (_, mid, _, first, _, _, last) = _operands(w, axis, out, ws)
+    adj, (prev, _, nxt, w0, w1, w_2, w_1), (_, mid, _, first, _, _, last) = _operands(w, axis, out, ws, planes)
     np.subtract(prev, nxt, out=mid)
-    np.subtract(0.0, w1, out=first)
-    first -= w0
-    np.add(w_2, w_1, out=last)
+    if first is not None:
+        np.subtract(0.0, w1, out=first)
+        first -= w0
+    if last is not None:
+        np.add(w_2, w_1, out=last)
     _scale(adj, 2.0 * h)
     return adj
 
 
 def d2(a: np.ndarray, axis: int, h: float = 1.0, out: np.ndarray | None = None,
-       ws: Workspace | None = None) -> np.ndarray:
+       ws: Workspace | None = None, planes: Planes | None = None) -> np.ndarray:
     """Central second difference (u[i+1] - 2u[i] + u[i-1]) / h^2, replicate boundary; self-adjoint."""
-    out, (prev, cur, nxt, a0, a1, a_2, a_1), (_, mid, _, first, _, _, last) = _operands(a, axis, out, ws)
+    out, (prev, cur, nxt, a0, a1, a_2, a_1), (_, mid, _, first, _, _, last) = _operands(a, axis, out, ws, planes)
     np.multiply(cur, 2.0, out=mid)
     np.subtract(nxt, mid, out=mid)
     mid += prev
-    np.subtract(a1, a0, out=first)
-    np.subtract(a_2, a_1, out=last)
+    if first is not None:
+        np.subtract(a1, a0, out=first)
+    if last is not None:
+        np.subtract(a_2, a_1, out=last)
     _scale(out, h * h)
     return out
 

@@ -13,8 +13,11 @@ The same assembly serves supervised evaluation (r = ground-truth mask,
 c1=1, c2=0) and unsupervised segmentation (r = image, constants from
 :func:`estimate_region_means`). Region sums are plain sums; only the
 length term carries the voxel measure. :func:`elastica_forward` is the one
-forward pass of the length/curvature term: the scalar energy, the per-voxel
-density of the finite-difference oracle and the analytic gradient all read it.
+forward pass of the length/curvature term, run on each block of a
+workspace's plan: the scalar energy, the per-voxel density of the
+finite-difference oracle and the analytic gradient all read it. The scalar
+energy is one sum over the density every block wrote (:func:`elastica_energy`),
+so it has the bits of the unblocked pass.
 
 The region terms read u only through the moments sum u, sum u*r, sum u*r^2
 (:func:`region_moments`); those of 1 - u are the totals N, sum r, sum r^2 minus
@@ -155,52 +158,82 @@ def region_means(moments: tuple[Moments, Moments], lo: float, hi: float) -> tupl
 
 
 class ElasticaForward(NamedTuple):
-    """Forward intermediates of the elastica term, as its gradient reads them."""
+    """Forward intermediates of the elastica term on one block, as its gradient reads them."""
 
     derivs: list[np.ndarray]        # first differences along each axis
     mag: np.ndarray                 # Charbonnier-smoothed |grad u|
     weight: np.ndarray | float      # (alpha + beta*K^2) * measure, per voxel
     measure: float
-    energy: float
     k: np.ndarray | None            # curvature, computed only when beta != 0
     pullback: Pullback | None       # pullback of k
 
 
-def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
-                     ws: Workspace | None = None) -> ElasticaForward:
-    """One forward pass of the elastica term sum((alpha + beta*K^2) * |grad u|) * measure.
+def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace | None = None,
+                     b: int = 0, density: np.ndarray | None = None,
+                     keep: tuple[np.ndarray, np.ndarray | None] | None = None) -> ElasticaForward:
+    """The forward pass of the elastica term (alpha + beta*K^2) * |grad u| on block ``b`` of the plan of ``ws``.
 
-    With beta = 0 no curvature is computed, the weight is the scalar
-    alpha*measure and the energy is alpha * (sum|grad u| * measure), exactly
-    alpha times :func:`diffops.tv_length`. The returned arrays are taken from
+    A one-block plan's block is the whole field. With beta = 0 no curvature is
+    computed and the weight is the scalar alpha*measure. When ``density`` (a
+    full-size array) is given, the block's energy density (alpha + beta*K^2) *
+    |grad u|, or |grad u| with beta = 0, is written into its view of it, for
+    :func:`elastica_energy` to sum. ``keep`` = (first, second) are full-size
+    arrays into whose block views the first and (with beta != 0) second
+    differences along axis 0 go: a gradient pass writes their cotangents over
+    them and reads those across blocks. The returned arrays are taken from
     ``ws`` (a throwaway workspace when none is given) and owned by the caller.
     """
     ws = Workspace(a.shape) if ws is None else ws
+    planes = ws.blocks[b]
     measure = math.prod(spacing)
-    derivs = [d1(a, ax, spacing[ax], out=ws.take(), ws=ws) for ax in range(a.ndim)]
-    tmp = ws.take()
-    mag = grad_mag_raw(derivs, out=ws.take(), tmp=tmp)
+    derivs = [d1(a, ax, spacing[ax], out=ws.parts(keep[0])[b] if keep and ax == 0 else ws.take(b), ws=ws,
+                 planes=planes) for ax in range(a.ndim)]
+    curved = params.beta != 0.0
+    tmp = ws.take(b)
+    mag = grad_mag_raw(derivs, out=ws.parts(density)[b] if density is not None and not curved else ws.take(b),
+                       tmp=tmp)
     ws.give(tmp)
-    if params.beta == 0.0:
-        energy = params.alpha * (float(np.add.reduce(mag, axis=None)) * measure)
-        return ElasticaForward(derivs, mag, params.alpha * measure, measure, energy, None, None)
-    k, pullback = curvature_forward(a, spacing, params.mode, derivs, ws)
+    if not curved:
+        return ElasticaForward(derivs, mag, params.alpha * measure, measure, None, None)
+    k, pullback = curvature_forward(a, spacing, params.mode, derivs, ws, b, ws.parts(keep[1])[b] if keep else None)
     # weight = alpha + beta*k*k, evaluated as (beta*k)*k + alpha
-    weight = np.multiply(k, params.beta, out=ws.take())
+    weight = np.multiply(k, params.beta, out=ws.take(b))
     weight *= k
     weight += params.alpha
-    tmp = ws.take()
-    energy = float(np.add.reduce(np.multiply(weight, mag, out=tmp), axis=None)) * measure
-    ws.give(tmp)
+    if density is not None:
+        np.multiply(weight, mag, out=ws.parts(density)[b])
     weight *= measure
-    return ElasticaForward(derivs, mag, weight, measure, energy, k, pullback)
+    return ElasticaForward(derivs, mag, weight, measure, k, pullback)
+
+
+def elastica_energy(density: np.ndarray, params: EnergyParams, measure: float) -> float:
+    """The elastica term from the density :func:`elastica_forward` wrote on every block.
+
+    One whole-array sum, so it has the bits of summing the unblocked field:
+    sum(weight*|grad u|) * measure, or alpha * (sum|grad u| * measure) with
+    beta = 0, exactly alpha times :func:`diffops.tv_length`.
+    """
+    # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
+    total = float(np.add.reduce(density, axis=None)) * measure
+    return params.alpha * total if params.beta == 0.0 else total
+
+
+def _elastica_only(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace) -> float:
+    """The elastica term of ``a``, block by block; ``ws`` gets every array back."""
+    density = ws.take()
+    for b in range(len(ws.blocks)):
+        with ws.scope():  # the curvature pullback's arrays included
+            elastica_forward(a, spacing, params, ws, b, density)
+    energy = elastica_energy(density, params, math.prod(spacing))
+    ws.give(density)
+    return energy
 
 
 def elastica_term(u: ScalarField, params: EnergyParams) -> float:
     """Pointwise sum of (alpha + beta*K^2) * |grad u| times the voxel measure."""
     check_soft_mask(u)
     check_ndim(u.ndim, params.mode)
-    return elastica_forward(u.data, u.spacing, params).energy
+    return _elastica_only(u.data, u.spacing, params, Workspace(u.shape))
 
 
 def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float, ...],
@@ -212,9 +245,14 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     oracle, which sums perturbed-minus-unperturbed density fields so that
     unaffected voxels cancel exactly.
     """
-    fwd = elastica_forward(u_data, spacing, params)
+    ws = Workspace(u_data.shape)
+    elastica = np.empty(u_data.shape)
+    for b, part in enumerate(ws.parts(elastica)):
+        with ws.scope():
+            fwd = elastica_forward(u_data, spacing, params, ws, b)
+            np.multiply(fwd.weight, fwd.mag, out=part)
     region = u_data * (params.c1 - r_data) ** 2 + (1.0 - u_data) * (params.c2 - r_data) ** 2
-    return fwd.weight * fwd.mag + params.lam * region
+    return elastica + params.lam * region
 
 
 def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams, ws: Workspace | None = None,
@@ -225,8 +263,7 @@ def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams, ws
     check_ndim(u.ndim, params.mode)
     ws = Workspace(u.shape) if ws is None else ws
     moments = mask_moments(u.data, r.data, ws) if moments is None else moments
-    with ws.scope():  # the curvature pullback's arrays included
-        elastica = elastica_forward(u.data, u.spacing, params, ws).energy
+    elastica = _elastica_only(u.data, u.spacing, params, ws)
     return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam)
 
 

@@ -8,10 +8,12 @@ back to u, and ``d2``, which is self-adjoint, the second ones. Every
 adjoint can be validated by a dot-product test. The region part is linear in
 the mask: its gradient lambda*((c1-r)^2 - (c2-r)^2) is the affine map
 lambda*(c1-c2)*(c1+c2-2r) of r, which the fused :func:`energy_and_gradient_raw`
-adds in three passes. The pass takes every intermediate from a
+adds in three ufunc calls per block. The pass takes every intermediate from a
 :class:`~elastiseg.workspace.Workspace` and writes cotangents over the
 forward buffers that have died, so with a workspace reused across calls it
-allocates no full-size array in any mode. The finite-difference oracle costs
+allocates no array in any mode. It runs block by block over the workspace's
+plan, in two stages a block apart, with no halo and nothing computed twice
+(:func:`_elastica_energy_and_gradient`). The finite-difference oracle costs
 2*3^d density calls at any size.
 """
 
@@ -24,7 +26,17 @@ import numpy as np
 
 from .curvature import Cotangents
 from .diffops import d1_adj, d2
-from .energy import EnergyBreakdown, EnergyParams, Moments, elastica_forward, energy_density, mask_moments, region_sums
+from .energy import (
+    EnergyBreakdown,
+    ElasticaForward,
+    EnergyParams,
+    Moments,
+    elastica_energy,
+    elastica_forward,
+    energy_density,
+    mask_moments,
+    region_sums,
+)
 from .field import ScalarField, check_same_shape, check_soft_mask
 from .workspace import Workspace
 
@@ -43,41 +55,96 @@ class GradCheckReport:
 
 
 def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
-                                  ws: Workspace) -> tuple[float, np.ndarray]:
-    """Elastica energy and its gradient from one forward pass and its pullback.
+                                  ws: Workspace, r: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Elastica energy and its gradient from one forward pass and its pullback, block by block.
 
-    Every buffer of the pass is given back to ``ws`` except the returned gradient.
+    With ``r``, the region term's gradient is added too. Every buffer of the
+    pass is given back to ``ws`` except the returned gradient.
+
+    Block b's first stage runs the forward, the pullback and the scaling of
+    the cotangents of the first and second differences; its second stage
+    applies their adjoint stencils and sums the gradient. Along axis 0 a
+    stencil reads the neighbouring blocks' planes, so the differences along
+    axis 0, and the cotangents written over them, live in full-size arrays,
+    and block b's second stage runs after block b+1's first. Every other
+    stencil stays inside its block. The terms are summed in the order of the
+    unblocked pass, so the gradient has its bits.
     """
-    fwd = elastica_forward(a, spacing, params, ws)
+    keep = (ws.take(), ws.take() if params.beta != 0.0 else None)
+    density = ws.take()
+    region = None
+    if r is not None:  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
+        scale = params.lam * (params.c1 - params.c2)
+        region = ws.parts(r), -2.0 * scale, scale * (params.c1 + params.c2)
+    last = len(ws.blocks) - 1
+    grad = held = None
+    for b in range(last + 1):
+        fwd = elastica_forward(a, spacing, params, ws, b, density, keep)
+        if b == last:  # the density is complete; with beta = 0 it is |grad u|, read before the next take
+            energy = elastica_energy(density, params, fwd.measure)
+            ws.give(density)
+        stage = b, *_cotangents(fwd, params, ws, b, keep)
+        grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
+        if held is not None:
+            _adjoints(grad, spacing, ws, keep, region, *held)
+        held = stage
+    _adjoints(grad, spacing, ws, keep, region, *held)
+    ws.give(*keep)
+    return energy, grad
+
+
+def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int, keep: tuple) -> tuple:
+    """The cotangents of block ``b``'s first and second differences, with K's, as (d1, d2, gk).
+
+    The cotangents along axis 0 are in the block views of ``keep``. K's
+    cotangent ``gk`` goes back with the others, as it may be one of them (lap3d).
+    """
     cots = Cotangents({}, {})
     gk = None
     if fwd.pullback is not None:
-        gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take())
+        gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take(b))
         gk *= fwd.mag  # (2*beta*measure)*k*mag
         cots = fwd.pullback(gk)  # gives K back
+    for ax, dax in enumerate(fwd.derivs):
+        # weight*dax/mag, written over dax
+        dax *= fwd.weight
+        dax /= fwd.mag
+        if ax in cots.d1:
+            dax += cots.d1[ax]
+            ws.give(cots.d1[ax])
+    if fwd.pullback is not None:  # with beta = 0 |grad u| is the density itself
+        ws.give(fwd.mag, fwd.weight)
+        kept = ws.parts(keep[1])[b]
+        if cots.d2[0] is not kept:  # lap3d: gk, the cotangent along every axis
+            np.copyto(kept, cots.d2[0])
+            cots.d2[0] = kept
+    return fwd.derivs, cots.d2, gk
 
-    def adjoints():
-        for ax, dax in enumerate(fwd.derivs):
-            # weight*dax/mag, written over dax
-            dax *= fwd.weight
-            dax /= fwd.mag
-            if ax in cots.d1:
-                dax += cots.d1[ax]
-                ws.give(cots.d1[ax])
-            adj = d1_adj(dax, ax, spacing[ax], out=ws.take(), ws=ws)
-            ws.give(dax)
-            yield adj
-        for ax, c in cots.d2.items():
-            yield d2(c, ax, spacing[ax], out=ws.take(), ws=ws)
 
-    terms = adjoints()
-    grad = next(terms)
-    for adj in terms:
-        grad += adj
-        ws.give(adj)
+def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep: tuple, region,
+              b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray], gk: np.ndarray | None) -> None:
+    """Block ``b`` of the gradient: the adjoint stencils of its cotangents, then the region term if any.
+
+    The cotangents along axis 0 are read from ``keep``, across blocks; every
+    block array of block ``b`` is given back.
+    """
+    planes = ws.blocks[b]
+    g = d1_adj(keep[0], 0, spacing[0], out=ws.parts(grad)[b], ws=ws, planes=planes)
+    adj = ws.take(b)
+    for ax in range(1, len(d1_cots)):
+        g += d1_adj(d1_cots[ax], ax, spacing[ax], out=adj, ws=ws)
+    for ax, c in d2_cots.items():
+        if ax == 0:
+            g += d2(keep[1], 0, spacing[0], out=adj, ws=ws, planes=planes)
+        else:
+            g += d2(c, ax, spacing[ax], out=adj, ws=ws)
+    if region is not None:
+        r_parts, slope, offset = region
+        np.multiply(r_parts[b], slope, out=adj)
+        adj += offset
+        g += adj
     # a cotangent may be shared between stencils (lap3d), so they go back only now
-    ws.give(fwd.mag, fwd.weight, gk, *cots.d2.values())
-    return fwd.energy, grad
+    ws.give(adj, *d1_cots, *d2_cots.values(), gk)
 
 
 def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
@@ -94,12 +161,7 @@ def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, 
     """
     ws = Workspace(a.shape) if ws is None else ws
     moments = mask_moments(a, r, ws) if moments is None else moments
-    elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws)
-    scale = params.lam * (params.c1 - params.c2)  # region part of dE/du: lam*(c1-c2)*(c1+c2-2r)
-    region = np.multiply(r, -2.0 * scale, out=ws.take())
-    region += scale * (params.c1 + params.c2)
-    g += region
-    ws.give(region)
+    elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws, r)
     return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam), g
 
 

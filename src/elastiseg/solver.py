@@ -23,6 +23,15 @@ workspace array, so all of a solve's full-size float64 arrays start on a
 cache line. The mask is registered with the workspace, so the stencils of
 every iteration run on views built in the first one, and the loop runs under
 one ``np.errstate``.
+
+A field larger than four blocks of the workspace's plan (1 MiB per array, half
+a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
+pass and its update block by block, each block's intermediates staying in
+cache (see :func:`~elastiseg.gradients.energy_and_gradient_raw`). Every sum
+stays one whole-array ``np.add.reduce``: the energy over its density, the
+three moments and mean|g|. Partial sums per block would change numpy's
+pairwise summation order, and with it the trace's last bits and, on long
+momentum runs, the mask.
 """
 
 from __future__ import annotations
@@ -133,13 +142,18 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
     Memory: besides the mask (and the velocity with momentum, the logit with
     the logistic parameterization) a solve holds one
-    :class:`~elastiseg.workspace.Workspace` of N full-size arrays for all of
-    its iterations: the fused pass, the update and the region moments are
-    computed in it, in place. With beta = 0, N = ndim + 2 in every mode; with
-    beta > 0, N = 10 in fast3d, 7 in lap3d, 13 in mean2d and 18 in mean3d,
-    the mean modes' pointwise curvature expressions included. The exit energy
-    of a run that reaches ``max_iters`` is evaluated in the same workspace,
-    which it gives back.
+    :class:`~elastiseg.workspace.Workspace` for all of its iterations: the
+    fused pass, the update and the region moments are computed in it, in
+    place. On a one-block field it holds N full-size arrays: with beta = 0,
+    N = ndim + 2 in every mode; with beta > 0, N = 10 in fast3d, 8 in lap3d,
+    13 in mean2d and 18 in mean3d, the mean modes' pointwise curvature
+    expressions included. On a field of several blocks it holds 3 full-size
+    arrays with beta = 0 and 4 with beta > 0 (the differences along axis 0
+    and their cotangents, the density, the gradient), and M block-sized ones:
+    M = ndim + 1 in 2D and ndim + 2 in 3D with beta = 0; with beta > 0,
+    M = 13 in fast3d, 8 in lap3d, 14 in mean2d and 21 in mean3d. The exit
+    energy of a run that reaches ``max_iters`` is evaluated in the same
+    workspace, which it gives back.
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
@@ -198,29 +212,39 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
 
 def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray,
           ws: Workspace, cfg: SolverConfig) -> float:
-    """One descent update of ``u`` (and ``z``, ``velocity``) in place; ``g`` is overwritten. Returns mean|g|."""
+    """One descent update of ``u`` (and ``z``, ``velocity``) in place; ``g`` is overwritten. Returns mean|g|.
+
+    Block by block, in two loops around the one whole-array sum of |g|.
+    """
     tmp = ws.take()
-    if cfg.parameterization == "logistic":
-        g *= u
-        g *= np.subtract(1.0, u, out=tmp)  # g*u*(1-u)
-    scale = float(np.add.reduce(np.abs(g, out=tmp), axis=None)) / g.size  # np.mean's bits, without its wrapper
-    g /= max(scale, 1e-30)
-
-    if velocity is not None:
-        velocity *= MOMENTUM
-        g *= cfg.step_size
-        velocity -= g  # MOMENTUM*velocity - step*g
-        delta = velocity
-    else:
-        g *= -cfg.step_size
-        delta = g
-
-    if z is not None:
-        z += delta
-        _sigmoid(z, out=u, tmp=tmp)
-    else:
-        u += delta
-        np.clip(u, 0.0, 1.0, out=u)
+    us, gs, tmps = ws.parts(u), ws.parts(g), ws.parts(tmp)
+    logistic = cfg.parameterization == "logistic"
+    for ub, gb, tb in zip(us, gs, tmps):
+        if logistic:
+            gb *= ub
+            gb *= np.subtract(1.0, ub, out=tb)  # g*u*(1-u)
+        np.abs(gb, out=tb)
+    scale = float(np.add.reduce(tmp, axis=None)) / g.size  # np.mean's bits, without its wrapper
+    divisor = max(scale, 1e-30)
+    # without momentum or logit the velocity and z blocks are unused placeholders
+    vs = gs if velocity is None else ws.parts(velocity)
+    zs = us if z is None else ws.parts(z)
+    for ub, gb, tb, vb, zb in zip(us, gs, tmps, vs, zs):
+        gb /= divisor
+        if velocity is not None:
+            vb *= MOMENTUM
+            gb *= cfg.step_size
+            vb -= gb  # MOMENTUM*velocity - step*g
+            delta = vb
+        else:
+            gb *= -cfg.step_size
+            delta = gb
+        if z is not None:
+            zb += delta
+            _sigmoid(zb, out=ub, tmp=tb)
+        else:
+            ub += delta
+            np.clip(ub, 0.0, 1.0, out=ub)
     ws.give(tmp)
     return scale
 

@@ -345,3 +345,50 @@ def test_grad_mag_raw_out_matches_fresh():
     out, tmp = np.full(a.shape, np.nan), np.empty(a.shape)
     assert grad_mag_raw(derivs, out=out, tmp=tmp) is out
     assert out.tobytes() == fresh.tobytes()
+
+
+def _partitions(n):
+    """Plane ranges along axis 0: one-plane blocks, two-plane blocks with a short last one, and a single block."""
+    return {"one-plane": [(i, i + 1) for i in range(n)],
+            "short-last": [(lo, min(lo + 2, n)) for lo in range(0, n, 2)],
+            "single": [(0, n)]}
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 6, 4), (3, 4, 5), (9, 3, 3, 4)])
+@pytest.mark.parametrize("h", [1.0, 0.7, 2.0**-3])
+def test_plane_range_stencils_match_the_whole_array_kernel_bit_for_bit(shape, h):
+    rng = np.random.default_rng(36)
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    for ax in range(len(shape)):
+        for fn in (d1, d1_adj, d2):
+            whole = fn(a, ax, h).tobytes()
+            for name, blocks in _partitions(shape[0]).items():
+                parts = [fn(a, ax, h, out=np.full((hi - lo, *shape[1:]), np.nan), planes=(lo, hi))
+                         for lo, hi in blocks]
+                assert np.concatenate(parts).tobytes() == whole, (fn.__name__, ax, name)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 6, 4), (3, 4, 5)])
+@pytest.mark.parametrize("h", [1.0, 0.7, 2.0**-3])
+def test_adjoint_identities_hold_blockwise(shape, h):
+    rng = np.random.default_rng(37)
+    for ax in range(len(shape)):
+        for name, blocks in _partitions(shape[0]).items():
+            for op, adj in ((d1, d1_adj), (d2, d2)):
+                u, w = rng.standard_normal(shape), rng.standard_normal(shape)
+                lhs_terms = np.concatenate([op(u, ax, h, planes=p) for p in blocks]) * w
+                rhs_terms = u * np.concatenate([adj(w, ax, h, planes=p) for p in blocks])
+                scale = max(float(np.sum(np.abs(lhs_terms))), float(np.sum(np.abs(rhs_terms))))
+                assert abs(float(np.sum(lhs_terms)) - float(np.sum(rhs_terms))) <= 1e-12 * scale, (ax, name)
+
+
+def test_plane_ranges_are_checked():
+    a = np.random.default_rng(38).random((5, 6))
+    for fn in (d1, d1_adj, d2):
+        for planes in ((0, 0), (3, 2), (-1, 2), (4, 6)):
+            with pytest.raises(FieldError, match="planes"):
+                fn(a, 0, 1.0, planes=planes)
+        with pytest.raises(FieldError, match="expected"):
+            fn(a, 1, 1.0, out=np.empty((5, 6)), planes=(1, 3))
+        assert fn(a, 1, 1.0, planes=(1, 3)).shape == (2, 6)

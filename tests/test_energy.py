@@ -20,6 +20,8 @@ from elastiseg import (
     segmentation_energy,
     tv_length,
 )
+from elastiseg import workspace
+from elastiseg.diffops import d1, d2, grad_mag_raw
 from elastiseg.energy import mask_moments, region_means, region_sums
 from elastiseg.workspace import Workspace
 
@@ -163,6 +165,24 @@ def test_elastica_beta_zero_reduces_to_tv():
         u = ScalarField(rng.random((9, 8)), 1.0)
         p = EnergyParams(alpha=0.37, beta=0.0, mode=CurvatureMode.MEAN_2D)
         assert elastica_term(u, p) == 0.37 * tv_length(u)
+
+
+@pytest.mark.parametrize("planes_per_block", [None, 1, 2])
+def test_elastica_term_is_one_whole_array_sum_on_every_block_plan(monkeypatch, planes_per_block):
+    # the expression form of the fast3d elastica term, summed once over the whole field
+    rng = np.random.default_rng(12)
+    shape, spacing = (11, 6, 7), (0.7, 1.0, 1.3)
+    u = ScalarField(rng.random(shape), spacing)
+    p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)
+    if planes_per_block:
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 6 * 7)
+    assert len(Workspace(shape).blocks) == {None: 1, 1: 11, 2: 6}[planes_per_block]
+    mag = grad_mag_raw([d1(u.data, ax, spacing[ax]) for ax in range(3)])
+    k = sum(d2(u.data, ax, spacing[ax]) ** 2 for ax in range(3))
+    expected = float(np.sum((0.5 * k * k + 0.01) * mag)) * math.prod(spacing)
+    assert elastica_term(u, p) == expected
+    flat = EnergyParams(alpha=0.01, beta=0.0, mode=CurvatureMode.FAST_3D)
+    assert elastica_term(u, flat) == 0.01 * tv_length(u)
 
 
 def test_elastica_constant_field():

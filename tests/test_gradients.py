@@ -18,7 +18,7 @@ from elastiseg import (
     segment,
     segmentation_energy,
 )
-from elastiseg import diffops, gradients, solver
+from elastiseg import diffops, gradients, solver, workspace
 from elastiseg.diffops import d1, d1_adj, d2, dmixed, dmixed_adj
 from elastiseg.energy import elastica_forward, energy_density
 from elastiseg.gradients import FD_STEP, _elastica_energy_and_gradient, energy_and_gradient_raw, fd_gradient_raw
@@ -345,12 +345,28 @@ def test_kept_stencil_views_match_views_rebuilt_on_every_call_bit_for_bit(mode, 
     monkeypatch.setattr(diffops, "_flat", lambda *args: rebuilt_by.append(1) or real_flat(*args))
     kept = list(_solve_outputs(image, init, mode))
     n_kept = len(rebuilt_by)
-    monkeypatch.setattr(Workspace, "views", lambda self, a, axis: None)  # every stencil call rebuilds its views
+    monkeypatch.setattr(Workspace, "views", lambda self, a, axis, planes=None: None)  # every stencil call rebuilds its views
     rebuilt = list(_solve_outputs(image, init, mode))
     assert kept == rebuilt
     # the loop's stencils ran on kept views: only the exit energy's reads of the output mask rebuilt theirs
     n_rebuilt = len(rebuilt_by) - n_kept
     assert n_kept * 5 < n_rebuilt
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_multi_block_solves_match_the_one_block_solve_bit_for_bit(mode, monkeypatch):
+    rng = np.random.default_rng(44)
+    shape = (13, 9) if mode.required_ndim == 2 else (13, 6, 8)
+    spacing = tuple(rng.uniform(0.5, 2.0, len(shape)))
+    image = ScalarField(rng.random(shape), spacing)
+    init = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
+    assert Workspace(shape).blocks == [None]
+    one = list(_solve_outputs(image, init, mode))
+    plane = 8 * math.prod(shape[1:])
+    for planes, n_blocks in ((1, 13), (2, 7), (3, 5)):  # one-plane blocks, then a short last block
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
+        assert len(Workspace(shape).blocks) == n_blocks
+        assert list(_solve_outputs(image, init, mode)) == one, planes
 
 
 def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
@@ -363,8 +379,11 @@ def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
 
     monkeypatch.setattr(solver, "Workspace", Recording)
     rng = np.random.default_rng(43)
-    for mode in CurvatureMode:
+    one_block = workspace.BLOCK_BYTES
+    for mode, multi in itertools.product(CurvatureMode, (False, True)):
         shape = (12, 10) if mode.required_ndim == 2 else (8, 9, 7)
+        # one plane per block splits the field into shape[0] blocks
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", 8 * math.prod(shape[1:]) if multi else one_block)
         image = ScalarField(rng.random(shape), 1.0)
         init = ScalarField(np.full(shape, 0.5), 1.0)
         p = EnergyParams(alpha=0.01, beta=0.5, mode=mode)
@@ -372,8 +391,9 @@ def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
         for iters in (3, 30):
             segment(image, init, p, SolverConfig(max_iters=iters, optimizer="momentum", stop_tol=0.0))
             ws = made.pop()
+            assert len(ws.blocks) == (shape[0] if multi else 1)
             counts.append(len(ws._views))
-            assert 0 < len(ws._views) <= (len(ws) + 1) * len(shape), mode
+            assert 0 < len(ws._views) <= (len(ws) + 1) * len(shape) * len(ws.blocks), mode
         assert counts[0] == counts[1], mode
 
         # a workspace reused with fresh inputs gains no views after its first call
@@ -387,7 +407,7 @@ def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
             ws.give(d1(mask, 0, out=ws.take(), ws=ws))
             if call == 0:
                 n = len(ws._views)
-            assert len(ws._views) == n <= (len(ws) + 1) * len(shape), mode
+            assert len(ws._views) == n <= (len(ws) + 1) * len(shape) * len(ws.blocks), mode
 
     # no reference cycle keeps a solve's workspace: it is freed as segment returns
     refs = []

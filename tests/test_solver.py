@@ -7,6 +7,7 @@ import pytest
 
 import elastiseg.energy
 import elastiseg.solver
+import elastiseg.workspace
 from elastiseg import (
     CurvatureMode,
     DegenerateMaskError,
@@ -412,33 +413,39 @@ def _traced_peak_in_arrays(image, init, params, cfg):
     return peak / image.data.nbytes
 
 
-def test_fast3d_solve_memory_budget_does_not_grow_per_iteration():
+@pytest.mark.parametrize("n, budget", [(24, 12.5), (64, 7.85)])
+def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
     # full-size array alive at once: the mask, the velocity, the workspace and
-    # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays)
-    case = sphere_case_3d((24, 24, 24), (11.5, 11.5, 11.5), 7.0, noise_sigma=0.1, seed=0)
+    # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays).
+    # 24^3 is one block (12.41 arrays measured); at 64^3, eight blocks of 8
+    # planes, the workspace holds 4 full-size arrays and 13 of an eighth (7.79)
+    case = sphere_case_3d((n, n, n), ((n - 1) / 2,) * 3, n * 7 / 24, noise_sigma=0.1, seed=0)
+    assert len(Workspace(case.image.shape).blocks) == (1 if n == 24 else 8)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
-                                    SolverConfig(max_iters=n, optimizer="momentum", region_mode="cv-means",
+                                    SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
                                                  stop_tol=0.0))
-             for n in (3, 15)]
-    assert peaks[0] <= 16.0, peaks
+             for k in (3, 15)]
+    assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-def test_mean3d_solve_memory_budget_does_not_grow_per_iteration():
+@pytest.mark.parametrize("n, budget", [(24, 20.75), (64, 8.85)])
+def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
     # the mean modes compute every stencil output and pointwise expression in
-    # the workspace: 18 arrays at beta > 0, plus the mask, the velocity, the
-    # fields and the ufunc buffers (20.29 arrays measured at 24^3)
-    case = sphere_case_3d((24, 24, 24), (11.5, 11.5, 11.5), 7.0, noise_sigma=0.1, seed=0)
+    # the workspace: 18 arrays at beta > 0 on one block (24^3: 20.46 arrays
+    # measured with the mask, the velocity, the fields and the ufunc buffers),
+    # and 4 full-size arrays and 21 of an eighth at 64^3 (8.80)
+    case = sphere_case_3d((n, n, n), ((n - 1) / 2,) * 3, n * 7 / 24, noise_sigma=0.1, seed=0)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
-                                    SolverConfig(max_iters=n, optimizer="momentum", region_mode="cv-means",
+                                    SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
                                                  stop_tol=0.0))
-             for n in (3, 15)]
-    assert peaks[0] <= 20.75, peaks
+             for k in (3, 15)]
+    assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
@@ -448,7 +455,16 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
         (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 13,
         (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 18,
         (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 10,
-        (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 7,
+        (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 8,
+    }
+    # several blocks: the first and second differences along axis 0, the density and the gradient are
+    # full-size (3 arrays at beta = 0, 4 at beta > 0), the rest block-sized, a block's cotangents kept
+    # until the next block's first stage is done
+    expected_blocks = {
+        (CurvatureMode.MEAN_2D, 0.0): 3, (CurvatureMode.MEAN_2D, 0.5): 14,
+        (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 21,
+        (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 13,
+        (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 8,
     }
     made = []
 
@@ -458,14 +474,22 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(elastiseg.solver, "Workspace", Recording)
+    one_block = elastiseg.workspace.BLOCK_BYTES
     for (mode, beta), n in expected.items():
-        shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
-        image = ScalarField(rng.random(shape), 1.0)
-        init = make_field(shape, 1.0, 0.5)
-        for opt, par in itertools.product(OPTIMIZERS, PARAMETERIZATIONS):
-            cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
-            segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
-            assert len(made[-1]) == n, (mode, beta, opt, par)
+        for multi in (False, True):
+            shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
+            monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", 8 * math.prod(shape[1:]) if multi else one_block)
+            image = ScalarField(rng.random(shape), 1.0)
+            init = make_field(shape, 1.0, 0.5)
+            for opt, par in itertools.product(OPTIMIZERS, PARAMETERIZATIONS):
+                cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
+                segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
+                ws = made[-1]
+                if multi:
+                    full = 3 if beta == 0.0 else 4
+                    assert (len(ws.blocks), len(ws)) == (shape[0], full + expected_blocks[mode, beta]), (mode, beta)
+                else:
+                    assert len(made[-1]) == n, (mode, beta, opt, par)
 
 
 @pytest.mark.parametrize("mode, beta", [(CurvatureMode.MEAN_2D, 0.0), (CurvatureMode.MEAN_2D, 0.5),

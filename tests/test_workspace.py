@@ -6,7 +6,8 @@ import pytest
 import elastiseg.solver
 from elastiseg import CurvatureMode, EnergyParams, ScalarField, SolverConfig, make_field, segment
 from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
-from elastiseg.workspace import ALIGNMENT, Workspace, aligned_empty
+from elastiseg import workspace
+from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, plan_blocks
 
 ODD_SHAPES = [(1, 1), (3, 5), (7, 13), (96, 96), (1, 1, 1), (3, 5, 7), (9, 11, 13), (5, 1, 3)]
 
@@ -68,3 +69,51 @@ def test_solver_mask_velocity_and_logit_are_aligned(monkeypatch, opt, par, shape
         for arr in (u, z, velocity, g):
             if arr is not None:
                 assert_solver_array(arr, shape)
+
+
+def test_block_plan_follows_the_array_size_alone():
+    # up to four blocks' bytes (1 MiB, half a 2 MiB L2) a field is one block: the 96^2 tube and the 256^2 disk
+    for shape in [(96, 96), (256, 256), (16, 16, 16), (32, 64, 64)]:
+        assert 8 * np.prod(shape) <= 4 * BLOCK_BYTES and plan_blocks(shape) == [None], shape
+    assert plan_blocks((64, 64, 64)) == [(lo, lo + 8) for lo in range(0, 64, 8)]  # 256 KiB per block array
+    assert plan_blocks((513, 512)) == [(lo, min(lo + 64, 513)) for lo in range(0, 513, 64)]  # a short last block
+    assert plan_blocks((5, 1000, 1000)) == [(i, i + 1) for i in range(5)]  # a plane past the block size
+
+
+def test_block_takes_views_and_gives(monkeypatch):
+    monkeypatch.setattr(workspace, "BLOCK_BYTES", 2 * 8 * 6 * 8)  # two planes of (9, 6, 8)
+    shape = (9, 6, 8)
+    ws = Workspace(shape)
+    assert ws.blocks == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+    full = ws.take()
+    assert_solver_array(full, shape)
+    blocks = [ws.take(b) for b in range(5)]
+    for (lo, hi), arr in zip(ws.blocks, blocks):
+        assert arr.shape == (hi - lo, 6, 8) and arr.flags.c_contiguous and arr.ctypes.data % ALIGNMENT == 0
+    assert len(ws) == 6
+    # the short last block's view gives back the block array under it, which block 0 gets next
+    ws.give(blocks[4])
+    under = ws.take(0)
+    assert under.shape == (2, 6, 8) and np.shares_memory(under, blocks[4]) and len(ws) == 6
+    ws.give(under)
+    assert ws.take(4) is blocks[4] and len(ws) == 6
+    # block views of a held array are kept and ignored by give; those of a foreign one are fresh
+    parts = ws.parts(full)
+    assert ws.parts(full) is parts and [p.shape[0] for p in parts] == [2, 2, 2, 2, 1]
+    assert all(np.shares_memory(p, full) for p in parts)
+    ws.give(*parts)
+    assert ws.take() is not full
+    foreign = np.zeros(shape)
+    assert ws.parts(foreign) is not ws.parts(foreign)
+    # the registered array's block views are not kept either: a stencil writing one goes through the checks
+    registered = aligned_empty(shape)
+    ws.register(registered)
+    parts = ws.parts(registered)
+    assert parts is not ws.parts(registered) and ws.views(parts[0], 1) is None
+    assert ws.views(registered, 1, (0, 2)) is not None
+    # a one-block field's block arrays are its full-size arrays
+    one = Workspace((4, 5, 6))
+    assert one.blocks == [None] and one.parts(full) == [full]
+    arr = one.take(0)
+    one.give(arr)
+    assert one.take() is arr and len(one) == 1
