@@ -192,7 +192,8 @@ def _laplacian_3d(slopes: Differences, seconds: Differences, spacing: tuple[floa
     ws.give(*seconds[1:])
 
     def pullback(gk: np.ndarray) -> Cotangents:
-        return Cotangents({}, {ax: gk for ax in range(3)})
+        np.copyto(seconds[0], gk)  # gk is the cotangent along every axis; along axis 0 it goes over s0 (K)
+        return Cotangents({}, {0: seconds[0], 1: gk, 2: gk})
 
     return k, pullback
 
@@ -218,10 +219,10 @@ def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: Curvature
     across blocks passes a block view of a full-size array). Stencil outputs,
     K and every intermediate come from ``ws`` (a throwaway workspace when none
     is given). The pullback may overwrite its argument, and it gives K and the
-    forward's buffers it no longer needs back to ``ws``; the fast and mean
-    modes write the cotangents of their second differences over them. No mode
-    gives back the second difference along axis 0. The caller owns the
-    cotangents, its ``derivs``, and K until it calls the pullback.
+    forward's buffers it no longer needs back to ``ws``. Every mode writes the
+    cotangent along axis 0 over that second difference (``second0``), never
+    given back, and the fast and mean modes do so along every axis. The caller
+    owns the cotangents, its ``derivs``, and K until it calls the pullback.
     """
     check_ndim(a.ndim, mode)
     ws = Workspace(a.shape) if ws is None else ws

@@ -32,9 +32,9 @@ block). Along any other axis it runs on the input's planes [lo, hi) alone.
 The views are :func:`~elastiseg.workspace.shift_views` of the input and the
 output. A raw stencil given ``ws=`` takes them from that
 :class:`~elastiseg.workspace.Workspace` when both arrays are its own (handed
-out, registered, or block views of arrays handed out), so they are built once
-per array, axis and plane range; every other call builds them afresh after
-the checks above. Both run the same ufuncs on the same operands. Whether a scale
+out, or block views of arrays handed out), so they are built once per array,
+axis and plane range; every other call builds them afresh after the checks
+above. Both run the same ufuncs on the same operands. Whether a scale
 multiplies by an exact reciprocal or divides is decided once per spacing
 (:func:`_reciprocal`), not on every call.
 """
@@ -88,8 +88,7 @@ def _operands(a: np.ndarray, axis: int, out: np.ndarray | None, ws: Workspace | 
     """As :func:`_flat`, the views kept by ``ws`` when it holds both ``a`` and an ``out`` in other memory."""
     if ws is not None:
         views_a, views_out = ws.views(a, axis, planes), ws.views(out, axis, planes if axis == 0 else None)
-        # ws keeps views only of its own arrays, their block views and the registered array: distinct owners
-        # do not overlap
+        # ws keeps views only of its own arrays and their block views: distinct owners do not overlap
         if views_a is not None and views_out is not None and a.base is not out.base:
             return out, views_a, views_out
     return _flat(a, axis, out, planes)

@@ -168,30 +168,27 @@ class ElasticaForward(NamedTuple):
     pullback: Pullback | None       # pullback of k
 
 
-def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace | None = None,
-                     b: int = 0, density: np.ndarray | None = None,
-                     keep: tuple[np.ndarray, np.ndarray | None] | None = None) -> ElasticaForward:
+def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace, b: int,
+                     density: np.ndarray, keep: tuple[np.ndarray, np.ndarray | None] | None = None) -> ElasticaForward:
     """The forward pass of the elastica term (alpha + beta*K^2) * |grad u| on block ``b`` of the plan of ``ws``.
 
     A one-block plan's block is the whole field. With beta = 0 no curvature is
-    computed and the weight is the scalar alpha*measure. When ``density`` (a
-    full-size array) is given, the block's energy density (alpha + beta*K^2) *
-    |grad u|, or |grad u| with beta = 0, is written into its view of it, for
-    :func:`elastica_energy` to sum. ``keep`` = (first, second) are full-size
-    arrays into whose block views the first and (with beta != 0) second
-    differences along axis 0 go: a gradient pass writes their cotangents over
-    them and reads those across blocks. The returned arrays are taken from
-    ``ws`` (a throwaway workspace when none is given) and owned by the caller.
+    computed and the weight is the scalar alpha*measure. The block's energy
+    density (alpha + beta*K^2) * |grad u|, or |grad u| with beta = 0, is
+    written into ``density``, an array of the block's shape that is the
+    returned ``mag`` itself with beta = 0, for :func:`elastica_energy` to sum.
+    ``keep`` = (first, second) are full-size arrays into whose block views the
+    first and (with beta != 0) second differences along axis 0 go: a gradient
+    pass writes their cotangents over them and reads those across blocks. The
+    other returned arrays are taken from ``ws`` and owned by the caller.
     """
-    ws = Workspace(a.shape) if ws is None else ws
     planes = ws.blocks[b]
     measure = math.prod(spacing)
     derivs = [d1(a, ax, spacing[ax], out=ws.parts(keep[0])[b] if keep and ax == 0 else ws.take(b), ws=ws,
                  planes=planes) for ax in range(a.ndim)]
     curved = params.beta != 0.0
     tmp = ws.take(b)
-    mag = grad_mag_raw(derivs, out=ws.parts(density)[b] if density is not None and not curved else ws.take(b),
-                       tmp=tmp)
+    mag = grad_mag_raw(derivs, out=ws.take(b) if curved else density, tmp=tmp)
     ws.give(tmp)
     if not curved:
         return ElasticaForward(derivs, mag, params.alpha * measure, measure, None, None)
@@ -200,8 +197,7 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
     weight = np.multiply(k, params.beta, out=ws.take(b))
     weight *= k
     weight += params.alpha
-    if density is not None:
-        np.multiply(weight, mag, out=ws.parts(density)[b])
+    np.multiply(weight, mag, out=density)
     weight *= measure
     return ElasticaForward(derivs, mag, weight, measure, k, pullback)
 
@@ -221,9 +217,9 @@ def elastica_energy(density: np.ndarray, params: EnergyParams, measure: float) -
 def _elastica_only(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace) -> float:
     """The elastica term of ``a``, block by block; ``ws`` gets every array back."""
     density = ws.take()
-    for b in range(len(ws.blocks)):
+    for b, part in enumerate(ws.parts(density)):
         with ws.scope():  # the curvature pullback's arrays included
-            elastica_forward(a, spacing, params, ws, b, density)
+            elastica_forward(a, spacing, params, ws, b, part)
     energy = elastica_energy(density, params, math.prod(spacing))
     ws.give(density)
     return energy
@@ -249,8 +245,8 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     elastica = np.empty(u_data.shape)
     for b, part in enumerate(ws.parts(elastica)):
         with ws.scope():
-            fwd = elastica_forward(u_data, spacing, params, ws, b)
-            np.multiply(fwd.weight, fwd.mag, out=part)
+            fwd = elastica_forward(u_data, spacing, params, ws, b, part)
+            np.multiply(fwd.weight, fwd.mag, out=part)  # over that density: the weight carries the measure
     region = u_data * (params.c1 - r_data) ** 2 + (1.0 - u_data) * (params.c2 - r_data) ** 2
     return elastica + params.lam * region
 

@@ -79,11 +79,11 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     last = len(ws.blocks) - 1
     grad = held = None
     for b in range(last + 1):
-        fwd = elastica_forward(a, spacing, params, ws, b, density, keep)
+        fwd = elastica_forward(a, spacing, params, ws, b, ws.parts(density)[b], keep)
         if b == last:  # the density is complete; with beta = 0 it is |grad u|, read before the next take
             energy = elastica_energy(density, params, fwd.measure)
             ws.give(density)
-        stage = b, *_cotangents(fwd, params, ws, b, keep)
+        stage = b, *_cotangents(fwd, params, ws, b)
         grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
         if held is not None:
             _adjoints(grad, spacing, ws, keep, region, *held)
@@ -93,11 +93,12 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     return energy, grad
 
 
-def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int, keep: tuple) -> tuple:
+def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int) -> tuple:
     """The cotangents of block ``b``'s first and second differences, with K's, as (d1, d2, gk).
 
-    The cotangents along axis 0 are in the block views of ``keep``. K's
-    cotangent ``gk`` goes back with the others, as it may be one of them (lap3d).
+    The cotangents along axis 0 are written over the differences, in the block
+    views of the pass's kept arrays. K's cotangent ``gk`` goes back with the
+    others, as it may be one of them (lap3d).
     """
     cots = Cotangents({}, {})
     gk = None
@@ -114,10 +115,6 @@ def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: in
             ws.give(cots.d1[ax])
     if fwd.pullback is not None:  # with beta = 0 |grad u| is the density itself
         ws.give(fwd.mag, fwd.weight)
-        kept = ws.parts(keep[1])[b]
-        if cots.d2[0] is not kept:  # lap3d: gk, the cotangent along every axis
-            np.copyto(kept, cots.d2[0])
-            cots.d2[0] = kept
     return fwd.derivs, cots.d2, gk
 
 

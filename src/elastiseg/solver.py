@@ -17,12 +17,12 @@ One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
 update are done in place, in the same operation order as the expressions
 they stand for, so results are bit for bit those of fresh arrays. After the
-first iteration a solve allocates no full-size array. The mask, velocity and
-logit state come from :func:`~elastiseg.workspace.aligned_empty`, like every
-workspace array, so all of a solve's full-size float64 arrays start on a
-cache line. The mask is registered with the workspace, so the stencils of
-every iteration run on views built in the first one, and the loop runs under
-one ``np.errstate``.
+first iteration a solve allocates no full-size array. The mask is a
+workspace array, held for the whole solve, so the stencils of every iteration
+run on views built in the first one. The velocity and logit state come from
+:func:`~elastiseg.workspace.aligned_empty`, like every workspace array, so all
+of a solve's full-size float64 arrays start on a cache line. The loop runs
+under one ``np.errstate``.
 
 A field larger than four blocks of the workspace's plan (1 MiB per array, half
 a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
@@ -140,20 +140,21 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     :class:`NonFiniteEnergyError` if the energy or the gradient's scale
     mean|g| is not finite (the partial trace rides on the exception).
 
-    Memory: besides the mask (and the velocity with momentum, the logit with
-    the logistic parameterization) a solve holds one
+    Memory: besides the velocity with momentum and the logit with the
+    logistic parameterization, a solve holds one
     :class:`~elastiseg.workspace.Workspace` for all of its iterations: the
-    fused pass, the update and the region moments are computed in it, in
-    place. On a one-block field it holds N full-size arrays: with beta = 0,
-    N = ndim + 2 in every mode; with beta > 0, N = 10 in fast3d, 8 in lap3d,
-    13 in mean2d and 18 in mean3d, the mean modes' pointwise curvature
-    expressions included. On a field of several blocks it holds 3 full-size
-    arrays with beta = 0 and 4 with beta > 0 (the differences along axis 0
-    and their cotangents, the density, the gradient), and M block-sized ones:
+    mask lives in it, and the fused pass, the update and the region moments
+    are computed in it, in place. On a one-block field it holds N full-size
+    arrays, the mask included: with beta = 0, N = ndim + 3 in every mode; with
+    beta > 0, N = 11 in fast3d, 9 in lap3d, 14 in mean2d and 19 in mean3d, the
+    mean modes' pointwise curvature expressions included. On a field of
+    several blocks it holds 4 full-size arrays with beta = 0 and 5 with
+    beta > 0 (the mask, the differences along axis 0 and their cotangents,
+    the density, the gradient), and M block-sized ones:
     M = ndim + 1 in 2D and ndim + 2 in 3D with beta = 0; with beta > 0,
     M = 13 in fast3d, 8 in lap3d, 14 in mean2d and 21 in mean3d. The exit
     energy of a run that reaches ``max_iters`` is evaluated in the same
-    workspace, which it gives back.
+    workspace and gives back every array it takes.
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
@@ -163,9 +164,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
         raise FieldError(f"cv-means needs image values in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}]")
 
     ws = Workspace(init.shape)
-    u = aligned_empty(init.shape)
+    u = ws.take()  # held for the whole solve: ws keeps the views every pass's stencils read of it
     np.copyto(u, init.data)
-    ws.register(u)  # every pass's first and second differences read u: ws keeps their views of it
     z = velocity = None
     if cfg.parameterization == "logistic":
         tmp = ws.take()

@@ -33,15 +33,13 @@ block view is aligned as well.
 
 A workspace also keeps the views the stencils of :mod:`elastiseg.diffops`
 read and write (:func:`shift_views`), built on first use for each array, axis
-and plane range, for the arrays it hands out, their block views, and one
-array registered with it through :meth:`Workspace.register` (the solver's
-mask). A stencil between two such arrays skips rebuilding them and re-checking
-its operands, which took 8.7 of a first difference's 20.9 us at 96^2 (best of
-7x2000 calls, same VM). :meth:`Workspace.take` hands out the free array
-allocated first, so every solver iteration gives each role the array the first
-one gave it, and the views stop growing after one iteration: at most
-(arrays + 1) * ndim * blocks of them, about 1 KB each. They hold no data and
-go with the workspace.
+and plane range, for the arrays it hands out and their block views. A stencil
+between two such arrays skips rebuilding them and re-checking its operands,
+which took 8.7 of a first difference's 20.9 us at 96^2 (best of 7x2000 calls,
+same VM). :meth:`Workspace.take` hands out the free array allocated first, so
+every solver iteration gives each role the array the first one gave it, and
+the views stop growing after one iteration: at most arrays * ndim * blocks of
+them, about 1 KB each. They hold no data and go with the workspace.
 """
 
 from __future__ import annotations
@@ -138,7 +136,6 @@ class Workspace:
         # back; an id is unique while the object it names is held here
         self._index: dict[int, tuple[list[bool], int] | None] = {}
         self._parts: dict[int, list[np.ndarray]] = {}  # block views by id() of a held full-size array
-        self._registered: np.ndarray | None = None
         self._views: dict[tuple, tuple] = {}  # shift_views by (id(array), axis, planes)
 
     def __len__(self) -> int:
@@ -190,9 +187,9 @@ class Workspace:
         """The views of full-size ``a`` on each block, in plan order; ``[a]`` for a one-block field.
 
         Kept for an array handed out here, so that stencils writing into them
-        reuse their views; built afresh for any other, the registered array
-        included. So every array a kept view reads or writes is its own or
-        shares its owner with it, which is how the stencils rule out overlap.
+        reuse their views; built afresh for any other. So every array a kept
+        view reads or writes is its own or shares its owner with it, which is
+        how the stencils rule out overlap.
         """
         if self._single:
             return [a]
@@ -204,31 +201,19 @@ class Workspace:
                 self._index.update((id(v), None) for v in views)
         return views
 
-    def register(self, a: np.ndarray) -> None:
-        """Let :meth:`views` serve ``a``, a C-contiguous array of the pool's shape, until another is registered."""
-        if a.shape != self.shape or not a.flags.c_contiguous:
-            raise ValueError(f"a registered array must be C-contiguous of shape {self.shape}")
-        if self._registered is not None:
-            gone = id(self._registered)
-            self._views = {key: v for key, v in self._views.items() if key[0] != gone}
-        self._registered = a
-
     def views(self, a: np.ndarray, axis: int, planes: Planes | None = None) -> tuple | None:
         """The :func:`shift_views` of ``a`` along ``axis`` for ``planes``, built on first use and kept.
 
-        None unless ``a`` was handed out or registered here (or is a block view
-        of an array handed out) and the field has the three planes a stencil needs
-        along ``axis``: the caller then builds and checks its own. An id found
+        None unless ``a`` was handed out here (or is a block view of an array
+        handed out) and the field has the three planes a stencil needs along
+        ``axis``: the caller then builds and checks its own. An id found
         here is that array's, as the workspace holds it.
         """
         key = (id(a), axis, planes)
         v = self._views.get(key)
-        if v is None and self._holds(a) and 0 <= axis < len(self.shape) and self.shape[axis] >= 3:
+        if v is None and id(a) in self._index and 0 <= axis < len(self.shape) and self.shape[axis] >= 3:
             v = self._views[key] = shift_views(a, axis, planes, self.shape[0])
         return v
-
-    def _holds(self, a) -> bool:
-        return id(a) in self._index or (a is not None and a is self._registered)
 
     @contextmanager
     def scope(self):

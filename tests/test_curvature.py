@@ -13,8 +13,10 @@ from elastiseg import (
     mean_curvature_2d,
     mean_curvature_3d,
 )
+from elastiseg.curvature import curvature_forward
 from elastiseg.diffops import d1, d2, dmixed
 from elastiseg.energy import EnergyParams, elastica_forward
+from elastiseg.workspace import Workspace
 
 
 def centered_field(shape, fn):
@@ -142,8 +144,31 @@ def test_curvature_is_the_k_the_energy_weighs(mode):
     for _ in range(5):
         spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
         f = ScalarField(rng.random(shape), spacing)
-        fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode))
+        fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode), Workspace(shape), 0,
+                               np.empty(shape))
         np.testing.assert_array_equal(curvature(f, mode).data, fwd.k)
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+def test_every_mode_writes_its_axis0_cotangent_over_the_given_second_difference(mode):
+    # a caller that reads the cotangent along axis 0 across blocks finds it in the second0 it passed
+    rng = np.random.default_rng(14)
+    shape = (9, 8) if mode.required_ndim == 2 else (7, 6, 5)
+    spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+    u, gk = rng.random(shape), rng.random(shape)
+    ws = Workspace(shape)
+    second0 = ws.take()
+    cots = curvature_forward(u, spacing, mode, ws=ws, second0=second0)[1](gk.copy())
+    assert cots.d2[0] is second0
+    # second0 was not given back: no take hands it out
+    assert all(ws.take() is not second0 for _ in range(len(ws)))
+    # and the cotangents pull gk back: <gk, dK(u)[v]> = sum of <cotangent, difference of v>, checked against
+    # a central difference of <gk, K>
+    v, h = rng.random(shape), 1e-6
+    pulled = sum(np.vdot(c, d1(v, ax, spacing[ax])) for ax, c in cots.d1.items())
+    pulled += sum(np.vdot(c, d2(v, ax, spacing[ax])) for ax, c in cots.d2.items())
+    k_plus, k_minus = (curvature_forward(u + s * h * v, spacing, mode)[0] for s in (1.0, -1.0))
+    assert pulled == pytest.approx(np.vdot(gk, k_plus - k_minus) / (2.0 * h), rel=1e-6)
 
 
 def test_mean_modes_match_their_closed_forms():

@@ -451,14 +451,14 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
 
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     rng = np.random.default_rng(8)
-    expected = {  # beta = 0: the first differences, |grad u| and one scratch array
-        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 13,
-        (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 18,
-        (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 10,
-        (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 8,
+    expected = {  # beta = 0: the mask, the first differences, |grad u| and one scratch array
+        (CurvatureMode.MEAN_2D, 0.0): 5, (CurvatureMode.MEAN_2D, 0.5): 14,
+        (CurvatureMode.MEAN_3D, 0.0): 6, (CurvatureMode.MEAN_3D, 0.5): 19,
+        (CurvatureMode.FAST_3D, 0.0): 6, (CurvatureMode.FAST_3D, 0.5): 11,
+        (CurvatureMode.LAPLACIAN_3D, 0.0): 6, (CurvatureMode.LAPLACIAN_3D, 0.5): 9,
     }
-    # several blocks: the first and second differences along axis 0, the density and the gradient are
-    # full-size (3 arrays at beta = 0, 4 at beta > 0), the rest block-sized, a block's cotangents kept
+    # several blocks: the mask, the first and second differences along axis 0, the density and the gradient
+    # are full-size (4 arrays at beta = 0, 5 at beta > 0), the rest block-sized, a block's cotangents kept
     # until the next block's first stage is done
     expected_blocks = {
         (CurvatureMode.MEAN_2D, 0.0): 3, (CurvatureMode.MEAN_2D, 0.5): 14,
@@ -486,7 +486,7 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
                 segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
                 ws = made[-1]
                 if multi:
-                    full = 3 if beta == 0.0 else 4
+                    full = 4 if beta == 0.0 else 5
                     assert (len(ws.blocks), len(ws)) == (shape[0], full + expected_blocks[mode, beta]), (mode, beta)
                 else:
                     assert len(made[-1]) == n, (mode, beta, opt, par)
@@ -507,11 +507,15 @@ def test_max_iters_solve_evaluates_its_exit_energy_in_its_one_workspace(monkeypa
     shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
     image = ScalarField(np.random.default_rng(9).random(shape), 1.0)
     cfg = SolverConfig(max_iters=3, region_mode="cv-means", stop_tol=0.0)
-    _, trace = segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
+    mask, trace = segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
     assert trace.iterations_run == 3 and not trace.converged
     assert len(made) == 1
-    # the exit energy gave every array back: taking them all allocates none
+    # the exit energy gave every array but the mask back: taking all the others allocates none
     ws = made[0]
     n = len(ws)
-    arrays = [ws.take() for _ in range(n)]
-    assert len(ws) == n and len({id(a) for a in arrays}) == n
+    arrays = [ws.take() for _ in range(n - 1)]
+    assert len(ws) == n and len({id(a) for a in arrays}) == n - 1
+    # the one array still held is the mask's, which no take hands out: the next one allocates
+    held = [a for a in ws._full.arrays if all(a is not t for t in arrays)]
+    assert len(held) == 1 and np.array_equal(held[0], mask.data)
+    assert ws.take() is not held[0] and len(ws) == n + 1

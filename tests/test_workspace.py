@@ -105,12 +105,13 @@ def test_block_takes_views_and_gives(monkeypatch):
     assert ws.take() is not full
     foreign = np.zeros(shape)
     assert ws.parts(foreign) is not ws.parts(foreign)
-    # the registered array's block views are not kept either: a stencil writing one goes through the checks
-    registered = aligned_empty(shape)
-    ws.register(registered)
-    parts = ws.parts(registered)
-    assert parts is not ws.parts(registered) and ws.views(parts[0], 1) is None
-    assert ws.views(registered, 1, (0, 2)) is not None
+    # nor are any views of it: a stencil reading it goes through the checks
+    assert ws.views(foreign, 1) is None and ws.views(ws.parts(foreign)[0], 1) is None
+    # an array held as long as a solve holds its mask has its views and block views kept
+    mask = ws.take()
+    parts = ws.parts(mask)
+    assert ws.views(mask, 1, (0, 2)) is ws.views(mask, 1, (0, 2)) is not None
+    assert ws.views(parts[0], 1) is ws.views(parts[0], 1) is not None
     # a one-block field's block arrays are its full-size arrays
     one = Workspace((4, 5, 6))
     assert one.blocks == [None] and one.parts(full) == [full]
