@@ -9,19 +9,29 @@ the flag's own name (``lambda``, ``region_mode``; the value the run used,
 such as ``mode=mean2d`` for ``auto``), then its results and per-stage wall
 times. A flag that does not apply to the run is absent. ``segment`` records
 why its solve stopped as ``stop_reason``: ``converged`` (the stop rule fired),
-``max_iters`` (``--iters 0`` included) or ``non_finite``.
+``max_iters`` (``--iters 0`` included) or ``non_finite``. Every manifest ends
+with the versions that produced it (``elastiseg``, ``python``, ``numpy``,
+``scipy``, ``blas``: the BLAS numpy was built against, name and version) and
+``cpu_count``. ``synth``, ``curvbench`` and ``gradcheck`` reject a ``--shape``
+one float64 array of which would exceed the machine's physical memory, before
+they allocate or write anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
+import platform
 import statistics
 import sys
 import time
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .curvature import CurvatureMode, curvature
 from .energy import EnergyParams, segmentation_energy
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask, make_field
@@ -81,11 +91,38 @@ def _parse_center(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"center must be comma-separated numbers, got {text!r}")
 
 
+def check_shape_fits(shape: tuple[int, ...]) -> None:
+    """Raise FieldError when one float64 array of ``shape`` would exceed the machine's physical memory.
+
+    Where the operating system does not report its memory, nothing is checked.
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    needed = 8 * math.prod(shape)
+    if physical > 0 and needed > physical:
+        raise FieldError(f"shape {'x'.join(str(n) for n in shape)} needs {needed} bytes per float64 array, "
+                         f"more than the {physical} bytes of physical memory")
+
+
+@functools.cache
+def versions() -> dict:
+    """What produced a run's results: package, Python, numpy, scipy and BLAS versions, and the CPU count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"elastiseg": __version__, "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "cpu_count": os.cpu_count()}
+
+
 def write_manifest(path, args, **results) -> None:
-    """Write ``subcommand``, every flag ``args`` holds a value for, then ``results``; tuples comma-joined."""
+    """Write ``subcommand``, every flag ``args`` holds a value for, ``results``, then :func:`versions`.
+
+    Tuples are comma-joined.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(f"subcommand={args.command}\n")
-        for key, value in {**vars(args), **results}.items():
+        for key, value in {**vars(args), **results, **versions()}.items():
             if key not in ("command", "func") and value is not None:
                 text = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
                 fh.write(f"{key}={text}\n")
@@ -117,6 +154,7 @@ def _case_flags(args, choice: str, defaults: dict, used: bool) -> None:
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     shape = args.shape
+    check_shape_fits(shape)
     tube = args.case == "tube"
     choice = f"--case {args.case}"
     _case_flags(args, choice, {"radius": min(shape) / 4.0, "center": tuple((n - 1) / 2.0 for n in shape),
@@ -181,6 +219,7 @@ def median_eval_time(fn, field: ScalarField, repeats: int) -> float:
 def cmd_curvbench(args) -> int:
     mode = CurvatureMode.parse(args.mode)
     shape = args.shape
+    check_shape_fits(shape)
     check_ndim(len(shape), mode)
     _case_flags(args, f"--mode {mode.value}", {"radius": 40.0}, mode is CurvatureMode.MEAN_2D)
 
@@ -298,6 +337,7 @@ def _write_trace(path: str, trace: SolverTrace) -> None:
 
 
 def cmd_gradcheck(args) -> int:
+    check_shape_fits(args.shape)
     mode = CurvatureMode.parse(args.mode)
     check_ndim(len(args.shape), mode)
     params = EnergyParams(alpha=args.alpha, beta=args.beta, mode=mode)

@@ -16,8 +16,11 @@ length term carries the voxel measure. :func:`elastica_forward` is the one
 forward pass of the length/curvature term, run on each block of a
 workspace's plan: the scalar energy, the per-voxel density of the
 finite-difference oracle and the analytic gradient all read it. The scalar
-energy is one sum over the density every block wrote (:func:`elastica_energy`),
-so it has the bits of the unblocked pass.
+energy is the sum of the density every block wrote (:func:`elastica_energy`),
+with the bits of the unblocked pass: on a tree plan of the workspace each
+block's density is summed as soon as it is written and the block sums are
+combined in numpy's pairwise order (:func:`~elastiseg.workspace.tree_sum`);
+on any other plan the blocks write into one full-size array, summed whole.
 
 The region terms read u only through the moments sum u, sum u*r, sum u*r^2
 (:func:`region_moments`); those of 1 - u are the totals N, sum r, sum r^2 minus
@@ -36,7 +39,7 @@ import numpy as np
 from .curvature import CurvatureMode, Pullback, curvature_forward
 from .diffops import d1, grad_mag_raw
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
-from .workspace import Workspace
+from .workspace import Workspace, tree_sum
 
 
 # |c1|, |c2| bound: with |r| up to float32's maximum (all a VF32 file holds), (c - r)^2 <= ~1e200
@@ -137,10 +140,16 @@ def region_moments(w: np.ndarray | float, r: np.ndarray, ws: Workspace) -> Momen
     return float(np.add.reduce(w, axis=None)) if np.ndim(w) else w * r.size, m1, m2
 
 
-def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | None = None) -> tuple[Moments, Moments]:
-    """The moments of ``r`` under u and under 1 - u, the latter as ``totals`` (weight 1) minus the former."""
+def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | None = None,
+                 sums: tuple[list[float], list[float], list[float]] | None = None) -> tuple[Moments, Moments]:
+    """The moments of ``r`` under u and under 1 - u, the latter as ``totals`` (weight 1) minus the former.
+
+    ``sums`` holds the block sums of u, u*r and (u*r)*r on a tree plan of
+    ``ws``: combined by :func:`~elastiseg.workspace.tree_sum`, they give the
+    whole-array sums' bits without another pass over u.
+    """
     totals = region_moments(1.0, r, ws) if totals is None else totals
-    inside = region_moments(u, r, ws)
+    inside = region_moments(u, r, ws) if sums is None else (tree_sum(sums[0]), tree_sum(sums[1]), tree_sum(sums[2]))
     return inside, tuple(t - m for t, m in zip(totals, inside))
 
 
@@ -202,27 +211,31 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
     return ElasticaForward(derivs, mag, weight, measure, k, pullback)
 
 
-def elastica_energy(density: np.ndarray, params: EnergyParams, measure: float) -> float:
-    """The elastica term from the density :func:`elastica_forward` wrote on every block.
+def elastica_energy(total: float, params: EnergyParams, measure: float) -> float:
+    """The elastica term from ``total``, the sum of the density :func:`elastica_forward` wrote on every block.
 
-    One whole-array sum, so it has the bits of summing the unblocked field:
-    sum(weight*|grad u|) * measure, or alpha * (sum|grad u| * measure) with
-    beta = 0, exactly alpha times :func:`diffops.tv_length`.
+    With the bits of the unblocked field's sum: sum(weight*|grad u|) * measure,
+    or alpha * (sum|grad u| * measure) with beta = 0, exactly alpha times
+    :func:`diffops.tv_length`.
     """
-    # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
-    total = float(np.add.reduce(density, axis=None)) * measure
+    total *= measure
     return params.alpha * total if params.beta == 0.0 else total
 
 
 def _elastica_only(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace) -> float:
     """The elastica term of ``a``, block by block; ``ws`` gets every array back."""
-    density = ws.take()
-    for b, part in enumerate(ws.parts(density)):
+    density = None if ws.tree else ws.take()  # a tree plan sums each block's density as it is written
+    sums = [0.0] * len(ws.blocks)
+    for b in range(len(ws.blocks)):
         with ws.scope():  # the curvature pullback's arrays included
+            part = ws.take(b) if density is None else ws.parts(density)[b]
             elastica_forward(a, spacing, params, ws, b, part)
-    energy = elastica_energy(density, params, math.prod(spacing))
+            if density is None:
+                # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
+                sums[b] = float(np.add.reduce(part, axis=None))
+    total = tree_sum(sums) if density is None else float(np.add.reduce(density, axis=None))
     ws.give(density)
-    return energy
+    return elastica_energy(total, params, math.prod(spacing))
 
 
 def elastica_term(u: ScalarField, params: EnergyParams) -> float:

@@ -13,14 +13,17 @@ adds in three ufunc calls per block. The pass takes every intermediate from a
 forward buffers that have died, so with a workspace reused across calls it
 allocates no array in any mode. It runs block by block over the workspace's
 plan, in two stages a block apart, with no halo and nothing computed twice
-(:func:`_elastica_energy_and_gradient`). The finite-difference oracle costs
-2*3^d density calls at any size.
+(:func:`_elastica_energy_and_gradient`). A caller can have each block of the
+gradient handed to it as soon as the block is complete, while it is in cache:
+the solver scales it there and sums its magnitudes. The finite-difference
+oracle costs 2*3^d density calls at any size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,10 @@ from .energy import (
     region_sums,
 )
 from .field import ScalarField, check_same_shape, check_soft_mask
-from .workspace import Workspace
+from .workspace import Workspace, tree_sum
+
+# called with (b, block b of the gradient, a scratch array of its shape) once that block is complete
+BlockHook = Callable[[int, np.ndarray, np.ndarray], None]
 
 FD_STEP = 1e-6  # step h of the finite-difference oracle
 FD_STRIDE = 2 * 1 + 1  # a density reads u within Chebyshev distance 1: voxels 3 apart share no footprint
@@ -55,11 +61,13 @@ class GradCheckReport:
 
 
 def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
-                                  ws: Workspace, r: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                                  ws: Workspace, r: np.ndarray | None = None,
+                                  on_block: BlockHook | None = None) -> tuple[float, np.ndarray]:
     """Elastica energy and its gradient from one forward pass and its pullback, block by block.
 
-    With ``r``, the region term's gradient is added too. Every buffer of the
-    pass is given back to ``ws`` except the returned gradient.
+    With ``r``, the region term's gradient is added too, and ``on_block`` is
+    called on each block of the gradient once it is complete. Every buffer of
+    the pass is given back to ``ws`` except the returned gradient.
 
     Block b's first stage runs the forward, the pullback and the scaling of
     the cotangents of the first and second differences; its second stage
@@ -68,10 +76,13 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     axis 0, and the cotangents written over them, live in full-size arrays,
     and block b's second stage runs after block b+1's first. Every other
     stencil stays inside its block. The terms are summed in the order of the
-    unblocked pass, so the gradient has its bits.
+    unblocked pass, so the gradient has its bits. On a tree plan each block's
+    energy density is summed right after its forward, in a block array;
+    on any other plan the blocks write one full-size density, summed whole.
     """
     keep = (ws.take(), ws.take() if params.beta != 0.0 else None)
-    density = ws.take()
+    density = None if ws.tree else ws.take()
+    sums = [0.0] * len(ws.blocks)
     region = None
     if r is not None:  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
         scale = params.lam * (params.c1 - params.c2)
@@ -79,16 +90,23 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     last = len(ws.blocks) - 1
     grad = held = None
     for b in range(last + 1):
-        fwd = elastica_forward(a, spacing, params, ws, b, ws.parts(density)[b], keep)
-        if b == last:  # the density is complete; with beta = 0 it is |grad u|, read before the next take
-            energy = elastica_energy(density, params, fwd.measure)
+        part = ws.take(b) if density is None else ws.parts(density)[b]
+        fwd = elastica_forward(a, spacing, params, ws, b, part, keep)
+        if density is None:
+            # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
+            sums[b] = float(np.add.reduce(part, axis=None))
+            if part is not fwd.mag:  # with beta = 0 the density is |grad u|, which the cotangents read
+                ws.give(part)
+        if b == last:  # the density is complete; with beta = 0 a full-size one is |grad u|, read before the next take
+            total = tree_sum(sums) if density is None else float(np.add.reduce(density, axis=None))
+            energy = elastica_energy(total, params, fwd.measure)
             ws.give(density)
         stage = b, *_cotangents(fwd, params, ws, b)
         grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
         if held is not None:
-            _adjoints(grad, spacing, ws, keep, region, *held)
+            _adjoints(grad, spacing, ws, keep, region, on_block, *held)
         held = stage
-    _adjoints(grad, spacing, ws, keep, region, *held)
+    _adjoints(grad, spacing, ws, keep, region, on_block, *held)
     ws.give(*keep)
     return energy, grad
 
@@ -113,17 +131,18 @@ def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: in
         if ax in cots.d1:
             dax += cots.d1[ax]
             ws.give(cots.d1[ax])
-    if fwd.pullback is not None:  # with beta = 0 |grad u| is the density itself
-        ws.give(fwd.mag, fwd.weight)
+    ws.give(fwd.mag, fwd.weight)  # with beta = 0 the weight is a number and |grad u| the density
     return fwd.derivs, cots.d2, gk
 
 
 def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep: tuple, region,
-              b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray], gk: np.ndarray | None) -> None:
+              on_block: BlockHook | None, b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray],
+              gk: np.ndarray | None) -> None:
     """Block ``b`` of the gradient: the adjoint stencils of its cotangents, then the region term if any.
 
     The cotangents along axis 0 are read from ``keep``, across blocks; every
-    block array of block ``b`` is given back.
+    block array of block ``b`` is given back once ``on_block`` has seen the
+    completed block.
     """
     planes = ws.blocks[b]
     g = d1_adj(keep[0], 0, spacing[0], out=ws.parts(grad)[b], ws=ws, planes=planes)
@@ -140,13 +159,15 @@ def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep:
         np.multiply(r_parts[b], slope, out=adj)
         adj += offset
         g += adj
+    if on_block is not None:
+        on_block(b, g, adj)
     # a cotangent may be shared between stencils (lap3d), so they go back only now
     ws.give(adj, *d1_cots, *d2_cots.values(), gk)
 
 
 def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
-                            ws: Workspace | None = None,
-                            moments: tuple[Moments, Moments] | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
+                            ws: Workspace | None = None, moments: tuple[Moments, Moments] | None = None,
+                            on_block: BlockHook | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
     """Energy breakdown and dE/du at ``a`` from a single forward pass.
 
     The region sums come from ``moments``, :func:`energy.mask_moments` of
@@ -154,11 +175,14 @@ def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, 
     curvature the pullback already holds. Every intermediate is taken from
     ``ws`` and given back to it; the returned gradient is one of its arrays,
     which the caller gives back once it is done with it. Without ``ws`` a
-    throwaway workspace is used and the gradient is a fresh array.
+    throwaway workspace is used and the gradient is a fresh array. ``on_block``
+    is called with (b, block b of the gradient, a scratch array of that
+    block's shape) as each block is complete, in plan order; whatever it
+    writes into the gradient's block is what the caller gets back.
     """
     ws = Workspace(a.shape) if ws is None else ws
     moments = mask_moments(a, r, ws) if moments is None else moments
-    elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws, r)
+    elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws, r, on_block)
     return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam), g
 
 

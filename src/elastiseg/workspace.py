@@ -40,6 +40,16 @@ same VM). :meth:`Workspace.take` hands out the free array allocated first, so
 every solver iteration gives each role the array the first one gave it, and
 the views stop growing after one iteration: at most arrays * ndim * blocks of
 them, about 1 KB each. They hold no data and go with the workspace.
+
+A sum over a field can be taken block by block, while each block is in cache,
+and still have the bits of one whole-array ``np.add.reduce``, when the plan is
+a tree plan (:func:`is_tree`): its blocks are nodes of numpy's pairwise
+summation tree, so their sums combined in that tree's order
+(:func:`tree_sum`) are the whole-array sum. 64^3 at 8 planes and 96^3 at
+3 planes are tree plans, and so is every one-block plan. On any other plan
+(a short last block, a block count that is not a power of two, or blocks of
+under 72 elements) :attr:`Workspace.tree` is False and the callers keep their
+whole-array sums.
 """
 
 from __future__ import annotations
@@ -75,6 +85,37 @@ def plan_blocks(shape: tuple[int, ...]) -> list[Planes | None]:
     n = shape[0]
     t = max(1, BLOCK_BYTES // (8 * math.prod(shape[1:])))
     return [(lo, min(lo + t, n)) for lo in range(0, n, t)] if t < n else [None]
+
+
+def is_tree(shape: tuple[int, ...], blocks: list[Planes | None]) -> bool:
+    """Whether ``blocks``, a plan of a field of ``shape``, are nodes of numpy's pairwise summation tree.
+
+    numpy sums n contiguous float64 elements pairwise (``pairwise_sum`` in
+    ``numpy/_core/src/umath/loops_utils.h.src``): it splits them at n/2
+    rounded down to a multiple of 8, down to leaves of at most 128 elements
+    summed with eight accumulators, and adds each split's two halves. So
+    2^k equal blocks of m elements, m a multiple of 8 and over 64, are nodes
+    of that tree (at each level n/2 is a whole number of blocks, and a pair
+    of blocks is over 128 elements, so it is split), and so is one block.
+    """
+    if len(blocks) == 1:
+        return True
+    sizes = {hi - lo for lo, hi in blocks}
+    m = sizes.pop() * math.prod(shape[1:])
+    return not sizes and len(blocks) & (len(blocks) - 1) == 0 and m % 8 == 0 and m > 64
+
+
+def tree_sum(sums: list[float]) -> float:
+    """The block sums combined pairwise, ((s0 + s1) + (s2 + s3)) + ..., as numpy's pairwise sum combines its nodes.
+
+    On a tree plan (:func:`is_tree`), with each block summed by
+    ``np.add.reduce``, this is the whole-array ``np.add.reduce`` bit for bit.
+    An odd block out at a level is carried to the next one unchanged.
+    """
+    while len(sums) > 1:
+        pairs = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        sums = pairs + sums[2 * len(pairs):]
+    return sums[0]
 
 
 def shift_views(a: np.ndarray, axis: int, planes: Planes | None = None, n: int | None = None) -> tuple:
@@ -126,6 +167,7 @@ class Workspace:
         self.shape = tuple(shape)
         self.blocks = plan_blocks(self.shape)
         self._single = self.blocks[0] is None
+        self.tree = is_tree(self.shape, self.blocks)  # whether block sums may stand for whole-array ones
         self._full = _Pool(self.shape)
         # block arrays of a one-block field are the full-size arrays
         self._block = self._full if self._single else _Pool((self.blocks[0][1],) + self.shape[1:])

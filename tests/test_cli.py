@@ -1,9 +1,12 @@
 import argparse
+import os
 
 import numpy as np
 import pytest
+import scipy
 from scipy import ndimage
 
+import elastiseg
 from elastiseg import (ScalarField, cli, evaluate_pair, is_binary, make_field, metrics, read_pgm, read_volume,
                        threshold, write_pgm, write_volume)
 from elastiseg.cli import build_parser, main
@@ -508,3 +511,53 @@ def test_metrics_checks_each_field_at_most_once_per_pair(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "is_binary", counting, raising=False)
     assert run(["metrics", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "m.csv")]) == 0
     assert len(checked) <= 2 * 3
+
+
+def test_every_manifest_ends_with_the_versions_that_produced_it(tmp_path, monkeypatch):
+    shown = []
+    real_show = np.show_config
+    monkeypatch.setattr(np, "show_config", lambda *a, **k: shown.append(1) or real_show(*a, **k))
+    cli.versions.cache_clear()
+    case_dir = disk(tmp_path)
+    seg = tmp_path / "seg"
+    runs = [  # every subcommand that writes files, a failed solve included
+        (["curvbench", "--mode", "fast3d", "--shape", "8,8,8", "--repeat", "1", "--out", str(tmp_path / "k.csv")],
+         tmp_path / "k.csv.manifest.txt"),
+        (["segment", "--image", str(case_dir / "image.vf32"), "--gt", str(case_dir / "gt.vf32"), "--iters", "3",
+          "--out", str(seg)], seg / "manifest.txt"),
+        (["segment", "--image", str(case_dir / "image.vf32"), "--init", str(case_dir / "image.vf32"),
+          "--alpha", "1e308", "--iters", "3", "--out", str(tmp_path / "failed")], tmp_path / "failed" / "manifest.txt"),
+        (["metrics", "--pred", str(case_dir / "gt.vf32"), "--gt", str(case_dir / "gt.pgm"),
+          "--out", str(tmp_path / "m.csv")], tmp_path / "m.csv.manifest.txt"),
+    ]
+    manifests = [read_manifest(case_dir / "manifest.txt")]  # synth's
+    for argv, path in runs:
+        run(argv)
+        manifests.append(read_manifest(path))
+    assert len(shown) == 1  # gathered once per process
+    for entries in manifests:
+        tail = dict(list(entries.items())[-6:])
+        assert list(tail) == ["elastiseg", "python", "numpy", "scipy", "blas", "cpu_count"]
+        assert (tail["elastiseg"], tail["numpy"], tail["scipy"]) == (elastiseg.__version__, np.__version__,
+                                                                      scipy.__version__)
+        assert tail["cpu_count"] == str(os.cpu_count()) and tail["python"].count(".") == 2 and tail["blas"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--case", "disk", "--shape", "1000000,1000000"],
+    ["synth", "--case", "sphere", "--shape", "1000000,1000000,1000000"],
+    ["curvbench", "--mode", "mean2d", "--shape", "1000000,1000000"],
+    ["curvbench", "--mode", "fast3d", "--shape", "1000000,1000000,1000000"],
+    ["gradcheck", "--shape", "1000000,1000000"],
+])
+def test_a_shape_past_physical_memory_is_rejected_before_anything_is_allocated(argv, tmp_path, monkeypatch, capsys):
+    def allocates(*args, **kwargs):
+        raise AssertionError("the shape was not rejected before allocating")
+
+    for name in ("disk_case", "sphere_case_3d", "broken_tube_case", "hemisphere_field", "_probe_field", "gradcheck"):
+        monkeypatch.setattr(cli, name, allocates)
+    out = tmp_path / "out"
+    assert run(argv + ([] if argv[0] == "gradcheck" else ["--out", str(out)])) == 1
+    err = capsys.readouterr().err
+    assert "needs 8000000000000" in err and "bytes of physical memory" in err
+    assert not out.exists()

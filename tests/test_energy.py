@@ -185,6 +185,23 @@ def test_elastica_term_is_one_whole_array_sum_on_every_block_plan(monkeypatch, p
     assert elastica_term(u, flat) == 0.01 * tv_length(u)
 
 
+@pytest.mark.parametrize("planes_per_block", [2, 4])
+def test_elastica_term_summed_by_blocks_of_a_tree_plan_has_the_whole_array_bits(monkeypatch, planes_per_block):
+    # 16 and 8 blocks of 96 and 192 voxels: each block's density is summed as it is written
+    rng = np.random.default_rng(13)
+    shape, spacing = (32, 6, 8), (0.7, 1.0, 1.3)
+    u = ScalarField(rng.random(shape), spacing)
+    monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 6 * 8)
+    ws = Workspace(shape)
+    assert ws.tree and len(ws.blocks) == 32 // planes_per_block
+    mag = grad_mag_raw([d1(u.data, ax, spacing[ax]) for ax in range(3)])
+    k = sum(d2(u.data, ax, spacing[ax]) ** 2 for ax in range(3))
+    p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)
+    assert elastica_term(u, p) == float(np.sum((0.5 * k * k + 0.01) * mag)) * math.prod(spacing)
+    flat = EnergyParams(alpha=0.01, beta=0.0, mode=CurvatureMode.FAST_3D)
+    assert elastica_term(u, flat) == 0.01 * tv_length(u)
+
+
 def test_elastica_constant_field():
     p = EnergyParams(alpha=0.01, beta=5.0, mode=CurvatureMode.MEAN_2D)
     const = make_field((6, 7), 1.0, 0.25)

@@ -365,7 +365,19 @@ def test_multi_block_solves_match_the_one_block_solve_bit_for_bit(mode, monkeypa
     plane = 8 * math.prod(shape[1:])
     for planes, n_blocks in ((1, 13), (2, 7), (3, 5)):  # one-plane blocks, then a short last block
         monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
-        assert len(Workspace(shape).blocks) == n_blocks
+        assert len(Workspace(shape).blocks) == n_blocks and not Workspace(shape).tree
+        assert list(_solve_outputs(image, init, mode)) == one, planes
+    # tree plans, whose sums are taken block by block: 16 and 8 blocks in 2D (of 72 and 144 voxels) and in 3D
+    shape = (32, 36) if mode.required_ndim == 2 else (32, 6, 8)
+    image = ScalarField(rng.random(shape), spacing)
+    init = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
+    monkeypatch.setattr(workspace, "BLOCK_BYTES", 1 << 18)
+    assert Workspace(shape).blocks == [None]
+    one = list(_solve_outputs(image, init, mode))
+    plane = 8 * math.prod(shape[1:])
+    for planes, n_blocks in ((2, 16), (4, 8)):
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
+        assert len(Workspace(shape).blocks) == n_blocks and Workspace(shape).tree
         assert list(_solve_outputs(image, init, mode)) == one, planes
 
 

@@ -164,15 +164,25 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
     monkeypatch.setattr(elastiseg.energy, "region_moments", counting)
     monkeypatch.setattr(elastiseg.solver, "region_moments", counting)
     fused = _count_calls(monkeypatch, "energy_and_gradient_raw")
+    masks = _count_calls(monkeypatch, "mask_moments")
     case = small_disk(1)
     init = make_field(case.image.shape, 1.0, 0.5)
     cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means", stop_tol=stop_tol)
-    _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
-    # the image's totals once; then the moments of each mask u_0 .. u_last once, which give
-    # that mask's region sums (fused pass or exit energy) and the cv-means constants
-    assert weights.count(0) == 1
-    evaluated = len(fused) + (0 if trace.converged else 1)
-    assert trace.converged == (stop_tol > 0.0) and weights.count(2) == evaluated
+    one_block = elastiseg.workspace.BLOCK_BYTES
+    # one block, four blocks of 12 planes (a tree plan), and 48 one-plane blocks (not a tree: whole-array sums)
+    for planes, tree in ((None, True), (12, True), (1, False)):
+        monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", planes * 8 * 48 if planes else one_block)
+        assert Workspace(case.image.shape).tree == tree
+        weights.clear(), fused.clear(), masks.clear()
+        _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
+        # the image's totals once; then the moments of each mask u_0 .. u_last once, which give
+        # that mask's region sums (fused pass or exit energy) and the cv-means constants
+        assert weights.count(0) == 1
+        evaluated = len(fused) + (0 if trace.converged else 1)
+        assert trace.converged == (stop_tol > 0.0) and len(masks) == evaluated, planes
+        # a tree plan sums the moments of each updated mask in the update, block by block; any other plan
+        # takes them as whole-array sums, which is also how u_0's are taken on every plan
+        assert weights.count(2) == (1 if tree else evaluated), planes
 
 
 def test_non_finite_energy_reports_iteration_and_partial_trace():
@@ -365,12 +375,26 @@ def _poison(g: np.ndarray, value: float, everywhere: bool = False) -> np.ndarray
     return g
 
 
+def _poison_in_pass(monkeypatch, at_pass: int, value: float, everywhere: bool = False) -> None:
+    """Poison dE/du inside fused pass ``at_pass`` (from 1), each block as it completes, before the solver reads it."""
+    passes = []
+    real = elastiseg.solver._gradient_block
+
+    def poisoning(us, logistic, sums, b, gb, tb):
+        if b == 0:
+            passes.append(None)
+        if len(passes) == at_pass and (everywhere or b == 0):
+            _poison(gb, value, everywhere)
+        real(us, logistic, sums, b, gb, tb)
+
+    monkeypatch.setattr(elastiseg.solver, "_gradient_block", poisoning)
+
+
 @pytest.mark.parametrize("optimizer,param,region_mode", itertools.product(OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch, optimizer, param, region_mode, value):
     # the 3rd fused pass (iteration 2) records the energies after updates 0 and 1, then takes a poisoned step
-    _count_calls(monkeypatch, "energy_and_gradient_raw",
-                 lambda n, out: (out[0], _poison(out[1], value)) if n == 3 else out)
+    _poison_in_pass(monkeypatch, 3, value)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
@@ -383,8 +407,7 @@ def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch
 
 def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
     # every |g| is finite but their mean overflows: the step is refused rather than taken as zero
-    _count_calls(monkeypatch, "energy_and_gradient_raw",
-                 lambda n, out: (out[0], _poison(out[1], 1e308, everywhere=True)) if n == 1 else out)
+    _poison_in_pass(monkeypatch, 1, 1e308, everywhere=True)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
@@ -413,13 +436,14 @@ def _traced_peak_in_arrays(image, init, params, cfg):
     return peak / image.data.nbytes
 
 
-@pytest.mark.parametrize("n, budget", [(24, 12.5), (64, 7.85)])
+@pytest.mark.parametrize("n, budget", [(24, 12.5), (64, 6.85)])
 def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
     # full-size array alive at once: the mask, the velocity, the workspace and
     # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays).
     # 24^3 is one block (12.41 arrays measured); at 64^3, eight blocks of 8
-    # planes, the workspace holds 4 full-size arrays and 13 of an eighth (7.79)
+    # planes (a tree plan, so no full-size density), the workspace holds 3
+    # full-size arrays and 13 of an eighth (6.79)
     case = sphere_case_3d((n, n, n), ((n - 1) / 2,) * 3, n * 7 / 24, noise_sigma=0.1, seed=0)
     assert len(Workspace(case.image.shape).blocks) == (1 if n == 24 else 8)
     init = make_field(case.image.shape, 1.0, 0.5)
@@ -432,12 +456,12 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-@pytest.mark.parametrize("n, budget", [(24, 20.75), (64, 8.85)])
+@pytest.mark.parametrize("n, budget", [(24, 20.75), (64, 7.85)])
 def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
     # the mean modes compute every stencil output and pointwise expression in
     # the workspace: 18 arrays at beta > 0 on one block (24^3: 20.46 arrays
     # measured with the mask, the velocity, the fields and the ufunc buffers),
-    # and 4 full-size arrays and 21 of an eighth at 64^3 (8.80)
+    # and 3 full-size arrays and 21 of an eighth at 64^3 (7.80)
     case = sphere_case_3d((n, n, n), ((n - 1) / 2,) * 3, n * 7 / 24, noise_sigma=0.1, seed=0)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
@@ -466,6 +490,14 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
         (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 13,
         (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 8,
     }
+    # a tree plan sums each block's density at once, so its density is a block array: one full-size array
+    # fewer (3 at beta = 0, 4 at beta > 0), and at beta = 0 and in lap3d one block array more
+    expected_tree = {
+        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 14,
+        (CurvatureMode.MEAN_3D, 0.0): 6, (CurvatureMode.MEAN_3D, 0.5): 21,
+        (CurvatureMode.FAST_3D, 0.0): 6, (CurvatureMode.FAST_3D, 0.5): 13,
+        (CurvatureMode.LAPLACIAN_3D, 0.0): 6, (CurvatureMode.LAPLACIAN_3D, 0.5): 9,
+    }
     made = []
 
     class Recording(elastiseg.solver.Workspace):
@@ -476,18 +508,28 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     monkeypatch.setattr(elastiseg.solver, "Workspace", Recording)
     one_block = elastiseg.workspace.BLOCK_BYTES
     for (mode, beta), n in expected.items():
-        for multi in (False, True):
-            shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
-            monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", 8 * math.prod(shape[1:]) if multi else one_block)
+        # one block; one-plane blocks of under 72 voxels (not a tree plan); eight blocks of 72 (a tree plan)
+        for plan in ("one", "fallback", "tree"):
+            if plan == "tree":
+                shape, planes = ((16, 36), 2) if mode.required_ndim == 2 else ((8, 9, 8), 1)
+            else:
+                shape, planes = ((12, 12) if mode.required_ndim == 2 else (8, 9, 7)), 1
+            monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES",
+                                one_block if plan == "one" else planes * 8 * math.prod(shape[1:]))
             image = ScalarField(rng.random(shape), 1.0)
             init = make_field(shape, 1.0, 0.5)
             for opt, par in itertools.product(OPTIMIZERS, PARAMETERIZATIONS):
                 cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
                 segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
                 ws = made[-1]
-                if multi:
+                assert ws.tree == (plan != "fallback")
+                if plan == "fallback":
                     full = 4 if beta == 0.0 else 5
                     assert (len(ws.blocks), len(ws)) == (shape[0], full + expected_blocks[mode, beta]), (mode, beta)
+                elif plan == "tree":
+                    full = 3 if beta == 0.0 else 4
+                    assert len(ws.blocks) == 8 and len(ws._full.arrays) == full, (mode, beta, opt, par)
+                    assert len(ws) == full + expected_tree[mode, beta], (mode, beta, opt, par)
                 else:
                     assert len(made[-1]) == n, (mode, beta, opt, par)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import elastiseg.solver
 from elastiseg import CurvatureMode, EnergyParams, ScalarField, SolverConfig, make_field, segment
 from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
 from elastiseg import workspace
-from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, plan_blocks
+from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, is_tree, plan_blocks, tree_sum
 
 ODD_SHAPES = [(1, 1), (3, 5), (7, 13), (96, 96), (1, 1, 1), (3, 5, 7), (9, 11, 13), (5, 1, 3)]
 
@@ -54,9 +55,9 @@ def test_solver_mask_velocity_and_logit_are_aligned(monkeypatch, opt, par, shape
     seen = []
     real_step = elastiseg.solver._step
 
-    def recording_step(u, z, velocity, g, ws, cfg):
+    def recording_step(u, z, velocity, g, *rest):
         seen.append((u, z, velocity, g))
-        return real_step(u, z, velocity, g, ws, cfg)
+        return real_step(u, z, velocity, g, *rest)
 
     monkeypatch.setattr(elastiseg.solver, "_step", recording_step)
     image = ScalarField(np.random.default_rng(2).random(shape), 1.0)
@@ -78,6 +79,28 @@ def test_block_plan_follows_the_array_size_alone():
     assert plan_blocks((64, 64, 64)) == [(lo, lo + 8) for lo in range(0, 64, 8)]  # 256 KiB per block array
     assert plan_blocks((513, 512)) == [(lo, min(lo + 64, 513)) for lo in range(0, 513, 64)]  # a short last block
     assert plan_blocks((5, 1000, 1000)) == [(i, i + 1) for i in range(5)]  # a plane past the block size
+
+
+@pytest.mark.parametrize("shape, planes, tree", [
+    ((8, 16, 16), 1, True), ((8, 128), 1, True),  # eight one-plane blocks of 256 and of 128 voxels
+    ((64, 64, 64), None, True), ((96, 96, 96), None, True),  # 8 blocks of 8 planes, 32 blocks of 3 planes
+    ((513, 512), None, False),  # a short last block
+    ((13, 6, 8), 1, False), ((8, 9, 7), 1, False), ((8, 8, 8), 1, False),  # 13 blocks; blocks of 63 and of 64
+])
+def test_tree_plans_are_the_plans_whose_combined_block_sums_have_the_whole_array_bits(monkeypatch, shape, planes, tree):
+    # numpy's pairwise summation decides which block sums combine to np.add.reduce's bits: a numpy
+    # that changes its rule fails here, before the solver's block sums drift from its whole-array ones
+    if planes:
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * 8 * math.prod(shape[1:]))
+    blocks = plan_blocks(shape)
+    assert len(blocks) > 1 and Workspace(shape).tree == is_tree(shape, blocks) == tree
+    rng = np.random.default_rng(17)
+    matches = []
+    for _ in range(20 if tree else 50):
+        a = rng.random(shape) - 0.3
+        sums = [float(np.add.reduce(a[lo:hi], axis=None)) for lo, hi in blocks]
+        matches.append(tree_sum(sums) == float(np.add.reduce(a, axis=None)))
+    assert all(matches) == tree, matches.count(False)
 
 
 def test_block_takes_views_and_gives(monkeypatch):
@@ -112,9 +135,9 @@ def test_block_takes_views_and_gives(monkeypatch):
     parts = ws.parts(mask)
     assert ws.views(mask, 1, (0, 2)) is ws.views(mask, 1, (0, 2)) is not None
     assert ws.views(parts[0], 1) is ws.views(parts[0], 1) is not None
-    # a one-block field's block arrays are its full-size arrays
+    # a one-block field's block arrays are its full-size arrays, and its one block sum is the whole sum
     one = Workspace((4, 5, 6))
-    assert one.blocks == [None] and one.parts(full) == [full]
+    assert one.blocks == [None] and one.parts(full) == [full] and one.tree and tree_sum([2.5]) == 2.5
     arr = one.take(0)
     one.give(arr)
     assert one.take() is arr and len(one) == 1
