@@ -16,11 +16,10 @@ length term carries the voxel measure. :func:`elastica_forward` is the one
 forward pass of the length/curvature term, run on each block of a
 workspace's plan: the scalar energy, the per-voxel density of the
 finite-difference oracle and the analytic gradient all read it. The scalar
-energy is the sum of the density every block wrote (:func:`elastica_energy`),
-with the bits of the unblocked pass: on a tree plan of the workspace each
-block's density is summed as soon as it is written and the block sums are
-combined in numpy's pairwise order (:func:`~elastiseg.workspace.tree_sum`);
-on any other plan the blocks write into one full-size array, summed whole.
+energy is the sum of the density every block wrote (:func:`elastica_energy`):
+each block's density is summed as soon as it is written and the block sums
+are combined in numpy's pairwise order (:func:`~elastiseg.workspace.tree_sum`),
+which on a tree plan of the workspace has the bits of the unblocked pass.
 
 The region terms read u only through the moments sum u, sum u*r, sum u*r^2
 (:func:`region_moments`); those of 1 - u are the totals N, sum r, sum r^2 minus
@@ -144,9 +143,9 @@ def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | 
                  sums: tuple[list[float], list[float], list[float]] | None = None) -> tuple[Moments, Moments]:
     """The moments of ``r`` under u and under 1 - u, the latter as ``totals`` (weight 1) minus the former.
 
-    ``sums`` holds the block sums of u, u*r and (u*r)*r on a tree plan of
-    ``ws``: combined by :func:`~elastiseg.workspace.tree_sum`, they give the
-    whole-array sums' bits without another pass over u.
+    ``sums``, the block sums of u, u*r and (u*r)*r over the plan of ``ws``,
+    are combined by :func:`~elastiseg.workspace.tree_sum` without another pass
+    over u; without them the moments are whole-array sums.
     """
     totals = region_moments(1.0, r, ws) if totals is None else totals
     inside = region_moments(u, r, ws) if sums is None else (tree_sum(sums[0]), tree_sum(sums[1]), tree_sum(sums[2]))
@@ -224,18 +223,14 @@ def elastica_energy(total: float, params: EnergyParams, measure: float) -> float
 
 def _elastica_only(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace) -> float:
     """The elastica term of ``a``, block by block; ``ws`` gets every array back."""
-    density = None if ws.tree else ws.take()  # a tree plan sums each block's density as it is written
     sums = [0.0] * len(ws.blocks)
     for b in range(len(ws.blocks)):
         with ws.scope():  # the curvature pullback's arrays included
-            part = ws.take(b) if density is None else ws.parts(density)[b]
-            elastica_forward(a, spacing, params, ws, b, part)
-            if density is None:
-                # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
-                sums[b] = float(np.add.reduce(part, axis=None))
-    total = tree_sum(sums) if density is None else float(np.add.reduce(density, axis=None))
-    ws.give(density)
-    return elastica_energy(total, params, math.prod(spacing))
+            density = ws.take(b)
+            elastica_forward(a, spacing, params, ws, b, density)
+            # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
+            sums[b] = float(np.add.reduce(density, axis=None))
+    return elastica_energy(tree_sum(sums), params, math.prod(spacing))
 
 
 def elastica_term(u: ScalarField, params: EnergyParams) -> float:

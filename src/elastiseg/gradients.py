@@ -76,30 +76,23 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     axis 0, and the cotangents written over them, live in full-size arrays,
     and block b's second stage runs after block b+1's first. Every other
     stencil stays inside its block. The terms are summed in the order of the
-    unblocked pass, so the gradient has its bits. On a tree plan each block's
-    energy density is summed right after its forward, in a block array;
-    on any other plan the blocks write one full-size density, summed whole.
+    unblocked pass, so the gradient has its bits. Each block's energy density
+    is summed right after its forward, in a block array, and the block sums
+    are combined by :func:`~elastiseg.workspace.tree_sum`.
     """
     keep = (ws.take(), ws.take() if params.beta != 0.0 else None)
-    density = None if ws.tree else ws.take()
     sums = [0.0] * len(ws.blocks)
     region = None
     if r is not None:  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
         scale = params.lam * (params.c1 - params.c2)
         region = ws.parts(r), -2.0 * scale, scale * (params.c1 + params.c2)
-    last = len(ws.blocks) - 1
     grad = held = None
-    for b in range(last + 1):
-        part = ws.take(b) if density is None else ws.parts(density)[b]
-        fwd = elastica_forward(a, spacing, params, ws, b, part, keep)
-        if density is None:
-            # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
-            sums[b] = float(np.add.reduce(part, axis=None))
-            if part is not fwd.mag:  # with beta = 0 the density is |grad u|, which the cotangents read
-                ws.give(part)
-        if b == last:  # the density is complete; with beta = 0 a full-size one is |grad u|, read before the next take
-            total = tree_sum(sums) if density is None else float(np.add.reduce(density, axis=None))
-            energy = elastica_energy(total, params, fwd.measure)
+    for b in range(len(ws.blocks)):
+        density = ws.take(b)
+        fwd = elastica_forward(a, spacing, params, ws, b, density, keep)
+        # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
+        sums[b] = float(np.add.reduce(density, axis=None))
+        if density is not fwd.mag:  # with beta = 0 the density is |grad u|, which the cotangents read
             ws.give(density)
         stage = b, *_cotangents(fwd, params, ws, b)
         grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
@@ -108,7 +101,7 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
         held = stage
     _adjoints(grad, spacing, ws, keep, region, on_block, *held)
     ws.give(*keep)
-    return energy, grad
+    return elastica_energy(tree_sum(sums), params, fwd.measure), grad
 
 
 def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int) -> tuple:

@@ -27,15 +27,14 @@ under one ``np.errstate``.
 A field larger than four blocks of the workspace's plan (1 MiB per array, half
 a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
 pass and its update block by block, each block's intermediates staying in
-cache (see :func:`~elastiseg.gradients.energy_and_gradient_raw`). On a tree
-plan (:func:`~elastiseg.workspace.is_tree`: 64^3, 96^3, and every one-block
-field) every sum of an iteration is taken block by block while the block is
-in cache, and the block sums are combined in numpy's pairwise order, which
-gives the bits of one whole-array ``np.add.reduce``: the energy over its
-density in the pass, mean|g| as each block of the gradient completes, and
-the three moments of the new mask in the update. On any other plan these
-stay whole-array sums, as a sum of partial sums in any other order would
-change the trace's last bits and, on long momentum runs, the mask.
+cache (see :func:`~elastiseg.gradients.energy_and_gradient_raw`). Every sum
+of an iteration is taken block by block while the block is in cache, and the
+block sums are combined by :func:`~elastiseg.workspace.tree_sum`: the energy
+over its density in the pass, mean|g| as each block of the gradient
+completes, and the three moments of the new mask in the update. On a tree
+plan (64^3, 96^3, and every one-block field) that gives the bits of one
+whole-array ``np.add.reduce``; on any other plan the last bits may differ,
+within the tolerance :mod:`elastiseg.workspace` states.
 """
 
 from __future__ import annotations
@@ -152,16 +151,14 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     are computed in it, in place. On a one-block field it holds N full-size
     arrays, the mask included: with beta = 0, N = ndim + 3 in every mode; with
     beta > 0, N = 11 in fast3d, 9 in lap3d, 14 in mean2d and 19 in mean3d, the
-    mean modes' pointwise curvature expressions included. On a tree plan of
+    mean modes' pointwise curvature expressions included. On a plan of
     several blocks (64^3) it holds 3 full-size arrays with beta = 0 and 4
     with beta > 0 (the mask, the differences along axis 0 and their
     cotangents, the gradient), and M block-sized ones: M = ndim + 2 in 2D
     and ndim + 3 in 3D with beta = 0; with beta > 0, M = 13 in fast3d, 9 in
-    lap3d, 14 in mean2d and 21 in mean3d. Any other plan of several blocks
-    adds a full-size density: 4 and 5 full-size arrays, with M = ndim + 1 in
-    2D and ndim + 2 in 3D at beta = 0, and 8 in lap3d. The exit energy of a
-    run that reaches ``max_iters`` is evaluated in the same workspace and
-    gives back every array it takes.
+    lap3d, 14 in mean2d and 21 in mean3d. The exit energy of a run that
+    reaches ``max_iters`` is evaluated in the same workspace and gives back
+    every array it takes.
     """
     check_same_shape(image, init)
     check_soft_mask(init, "init")
@@ -187,10 +184,9 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     c1, c2 = params.c1, params.c2
     breakdowns: list[EnergyBreakdown] = []
     converged = False
-    # on a tree plan, each iteration's block sums of |g| (taken in the pass) and of u, u*r, u*r*r (in the update)
-    tree = ws.tree
-    sums = tuple([0.0] * len(ws.blocks) for _ in range(4)) if tree else None
-    on_block = partial(_gradient_block, ws.parts(u), logistic, sums[0] if tree else None)
+    # each iteration's block sums of |g| (taken in the pass) and of u, u*r, u*r*r (in the update)
+    sums = tuple([0.0] * len(ws.blocks) for _ in range(4))
+    on_block = partial(_gradient_block, ws.parts(u), logistic, sums[0])
     r_parts = ws.parts(image.data)
 
     with np.errstate(over="ignore", invalid="ignore"):  # entered once per solve: it costs ~3 us
@@ -208,7 +204,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
                 raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
 
             # of u_it+1: its pass's region sums and constants
-            moments = mask_moments(u, image.data, ws, totals, sums[1:] if tree else None)
+            moments = mask_moments(u, image.data, ws, totals, sums[1:])
             if cfg.region_mode == "cv-means":
                 try:
                     c1, c2 = region_means(moments, lo, hi)
@@ -225,38 +221,30 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     return mask, SolverTrace(breakdowns, len(breakdowns), converged)
 
 
-def _gradient_block(us: list[np.ndarray], logistic: bool, sums: list[float] | None,
+def _gradient_block(us: list[np.ndarray], logistic: bool, sums: list[float],
                     b: int, gb: np.ndarray, tb: np.ndarray) -> None:
     """Block ``b`` of dE/du, just completed by the fused pass and still in cache; ``tb`` is scratch.
 
     With the logistic parameterization it becomes dE/dz = dE/du * u*(1-u),
-    the chain rule of u = sigmoid(z), ``us`` being the blocks of u. With
-    ``sums`` (a tree plan) the sum of its |g| goes into ``sums[b]``.
+    the chain rule of u = sigmoid(z), ``us`` being the blocks of u. The sum
+    of its |g| goes into ``sums[b]``.
     """
     if logistic:
         gb *= us[b]
         gb *= np.subtract(1.0, us[b], out=tb)  # g*u*(1-u)
-    if sums is not None:
-        sums[b] = float(np.add.reduce(np.abs(gb, out=tb), axis=None))
+    sums[b] = float(np.add.reduce(np.abs(gb, out=tb), axis=None))
 
 
 def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray, ws: Workspace,
-          cfg: SolverConfig, r_parts: list[np.ndarray], sums: tuple[list[float], ...] | None) -> float:
+          cfg: SolverConfig, r_parts: list[np.ndarray], sums: tuple[list[float], ...]) -> float:
     """One descent update of ``u`` (and ``z``, ``velocity``) in place, block by block; ``g`` is overwritten.
 
-    ``g`` is the gradient :func:`_gradient_block` finished. Returns mean|g|.
-    With ``sums`` (a tree plan) its first list holds the sum of |g| over
-    each block, and the update writes the block sums of u, u*r and u*r*r of
-    the new u into the other three, ``r_parts`` being the blocks of r.
-    Without, mean|g| is one whole-array sum.
+    ``g`` is the gradient :func:`_gradient_block` finished, and the first list
+    of ``sums`` holds the sum of its |g| over each block. Returns mean|g|.
+    The update writes the block sums of u, u*r and u*r*r of the new u into
+    the other three lists, ``r_parts`` being the blocks of r.
     """
-    if sums is None:
-        tmp = ws.take()
-        total = float(np.add.reduce(np.abs(g, out=tmp), axis=None))
-        ws.give(tmp)
-    else:
-        total = tree_sum(sums[0])
-    scale = total / g.size  # np.mean's bits, without its wrapper
+    scale = tree_sum(sums[0]) / g.size  # np.mean's bits on a tree plan, without its wrapper
     divisor = max(scale, 1e-30)
     us, gs = ws.parts(u), ws.parts(g)
     # without momentum or logit the velocity and z blocks are unused placeholders
@@ -279,11 +267,10 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
         else:
             ub += delta
             np.clip(ub, 0.0, 1.0, out=ub)
-        if sums is not None:
-            sums[1][b] = float(np.add.reduce(ub, axis=None))
-            wr = np.multiply(ub, rb, out=tb)
-            sums[2][b] = float(np.add.reduce(wr, axis=None))
-            sums[3][b] = float(np.add.reduce(np.multiply(wr, rb, out=wr), axis=None))
+        sums[1][b] = float(np.add.reduce(ub, axis=None))
+        wr = np.multiply(ub, rb, out=tb)
+        sums[2][b] = float(np.add.reduce(wr, axis=None))
+        sums[3][b] = float(np.add.reduce(np.multiply(wr, rb, out=wr), axis=None))
         ws.give(tb)
     return scale
 

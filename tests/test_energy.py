@@ -23,7 +23,7 @@ from elastiseg import (
 from elastiseg import workspace
 from elastiseg.diffops import d1, d2, grad_mag_raw
 from elastiseg.energy import mask_moments, region_means, region_sums
-from elastiseg.workspace import Workspace
+from elastiseg.workspace import Workspace, tree_sum
 
 
 def scalar_energy_2d(u, r, alpha, beta, lam, c1, c2, eps):
@@ -168,21 +168,29 @@ def test_elastica_beta_zero_reduces_to_tv():
 
 
 @pytest.mark.parametrize("planes_per_block", [None, 1, 2])
-def test_elastica_term_is_one_whole_array_sum_on_every_block_plan(monkeypatch, planes_per_block):
-    # the expression form of the fast3d elastica term, summed once over the whole field
+def test_elastica_term_is_the_tree_sum_of_its_block_sums_on_every_block_plan(monkeypatch, planes_per_block):
+    # the expression form of the fast3d elastica density, summed block by block and combined by tree_sum:
+    # one block, then 11 and 6 blocks, which are not tree plans
     rng = np.random.default_rng(12)
     shape, spacing = (11, 6, 7), (0.7, 1.0, 1.3)
     u = ScalarField(rng.random(shape), spacing)
     p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)
     if planes_per_block:
         monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 6 * 7)
-    assert len(Workspace(shape).blocks) == {None: 1, 1: 11, 2: 6}[planes_per_block]
+    blocks = Workspace(shape).blocks
+    assert len(blocks) == {None: 1, 1: 11, 2: 6}[planes_per_block]
+
+    def summed(density):
+        return tree_sum([float(np.sum(density if planes is None else density[planes[0]:planes[1]]))
+                         for planes in blocks]) * math.prod(spacing)
+
     mag = grad_mag_raw([d1(u.data, ax, spacing[ax]) for ax in range(3)])
     k = sum(d2(u.data, ax, spacing[ax]) ** 2 for ax in range(3))
-    expected = float(np.sum((0.5 * k * k + 0.01) * mag)) * math.prod(spacing)
-    assert elastica_term(u, p) == expected
+    assert elastica_term(u, p) == summed((0.5 * k * k + 0.01) * mag)
     flat = EnergyParams(alpha=0.01, beta=0.0, mode=CurvatureMode.FAST_3D)
-    assert elastica_term(u, flat) == 0.01 * tv_length(u)
+    assert elastica_term(u, flat) == 0.01 * summed(mag)
+    if planes_per_block is None:
+        assert elastica_term(u, flat) == 0.01 * tv_length(u)
 
 
 @pytest.mark.parametrize("planes_per_block", [2, 4])
@@ -193,7 +201,7 @@ def test_elastica_term_summed_by_blocks_of_a_tree_plan_has_the_whole_array_bits(
     u = ScalarField(rng.random(shape), spacing)
     monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 6 * 8)
     ws = Workspace(shape)
-    assert ws.tree and len(ws.blocks) == 32 // planes_per_block
+    assert len(ws.blocks) == 32 // planes_per_block
     mag = grad_mag_raw([d1(u.data, ax, spacing[ax]) for ax in range(3)])
     k = sum(d2(u.data, ax, spacing[ax]) ** 2 for ax in range(3))
     p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)

@@ -169,10 +169,10 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
     init = make_field(case.image.shape, 1.0, 0.5)
     cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means", stop_tol=stop_tol)
     one_block = elastiseg.workspace.BLOCK_BYTES
-    # one block, four blocks of 12 planes (a tree plan), and 48 one-plane blocks (not a tree: whole-array sums)
-    for planes, tree in ((None, True), (12, True), (1, False)):
+    # one block, eight blocks of 6 planes (a tree plan), and 48 one-plane blocks (not a tree plan)
+    for planes, n_blocks in ((None, 1), (6, 8), (1, 48)):
         monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", planes * 8 * 48 if planes else one_block)
-        assert Workspace(case.image.shape).tree == tree
+        assert len(Workspace(case.image.shape).blocks) == n_blocks
         weights.clear(), fused.clear(), masks.clear()
         _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
         # the image's totals once; then the moments of each mask u_0 .. u_last once, which give
@@ -180,9 +180,9 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
         assert weights.count(0) == 1
         evaluated = len(fused) + (0 if trace.converged else 1)
         assert trace.converged == (stop_tol > 0.0) and len(masks) == evaluated, planes
-        # a tree plan sums the moments of each updated mask in the update, block by block; any other plan
-        # takes them as whole-array sums, which is also how u_0's are taken on every plan
-        assert weights.count(2) == (1 if tree else evaluated), planes
+        # every plan sums the moments of each updated mask in the update, block by block; only u_0's
+        # are whole-array sums
+        assert weights.count(2) == 1, planes
 
 
 def test_non_finite_energy_reports_iteration_and_partial_trace():
@@ -436,16 +436,25 @@ def _traced_peak_in_arrays(image, init, params, cfg):
     return peak / image.data.nbytes
 
 
-@pytest.mark.parametrize("n, budget", [(24, 12.5), (64, 6.85)])
-def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
+def _sphere(shape):
+    return sphere_case_3d(shape, tuple((n - 1) / 2 for n in shape), shape[1] * 7 / 24, noise_sigma=0.1, seed=0)
+
+
+# 24^3 is one block, 64^3 eight blocks of 8 planes (a tree plan), 65x64x64 nine, the last of one plane
+BUDGET_SHAPES = [(24, 24, 24), (64, 64, 64), (65, 64, 64)]
+
+
+@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (12.5, 6.85, 6.85)),
+                         ids=["24-12.5", "64-6.85", "65x64x64-6.85"])
+def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
     # full-size array alive at once: the mask, the velocity, the workspace and
     # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays).
-    # 24^3 is one block (12.41 arrays measured); at 64^3, eight blocks of 8
-    # planes (a tree plan, so no full-size density), the workspace holds 3
-    # full-size arrays and 13 of an eighth (6.79)
-    case = sphere_case_3d((n, n, n), ((n - 1) / 2,) * 3, n * 7 / 24, noise_sigma=0.1, seed=0)
-    assert len(Workspace(case.image.shape).blocks) == (1 if n == 24 else 8)
+    # 24^3 is one block (12.41 arrays measured); with several blocks the
+    # workspace holds 4 full-size arrays and 13 block-sized ones (6.79 at
+    # 64^3, 6.77 at 65x64x64)
+    case = _sphere(shape)
+    assert len(Workspace(case.image.shape).blocks) == {24: 1, 64: 8, 65: 9}[shape[0]]
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
@@ -456,13 +465,15 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-@pytest.mark.parametrize("n, budget", [(24, 20.75), (64, 7.85)])
-def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(n, budget):
+@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (20.75, 7.85, 7.85)),
+                         ids=["24-20.75", "64-7.85", "65x64x64-7.85"])
+def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     # the mean modes compute every stencil output and pointwise expression in
     # the workspace: 18 arrays at beta > 0 on one block (24^3: 20.46 arrays
     # measured with the mask, the velocity, the fields and the ufunc buffers),
-    # and 3 full-size arrays and 21 of an eighth at 64^3 (7.80)
-    case = sphere_case_3d((n, n, n), ((n - 1) / 2,) * 3, n * 7 / 24, noise_sigma=0.1, seed=0)
+    # and 4 full-size arrays and 21 block-sized ones with several blocks
+    # (7.80 at 64^3, 7.77 at 65x64x64)
+    case = _sphere(shape)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
@@ -481,18 +492,10 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
         (CurvatureMode.FAST_3D, 0.0): 6, (CurvatureMode.FAST_3D, 0.5): 11,
         (CurvatureMode.LAPLACIAN_3D, 0.0): 6, (CurvatureMode.LAPLACIAN_3D, 0.5): 9,
     }
-    # several blocks: the mask, the first and second differences along axis 0, the density and the gradient
-    # are full-size (4 arrays at beta = 0, 5 at beta > 0), the rest block-sized, a block's cotangents kept
-    # until the next block's first stage is done
+    # several blocks: the mask, the first and second differences along axis 0 and the gradient are full-size
+    # (3 arrays at beta = 0, 4 at beta > 0), the rest block-sized, each block's density among them, and a
+    # block's cotangents kept until the next block's first stage is done
     expected_blocks = {
-        (CurvatureMode.MEAN_2D, 0.0): 3, (CurvatureMode.MEAN_2D, 0.5): 14,
-        (CurvatureMode.MEAN_3D, 0.0): 5, (CurvatureMode.MEAN_3D, 0.5): 21,
-        (CurvatureMode.FAST_3D, 0.0): 5, (CurvatureMode.FAST_3D, 0.5): 13,
-        (CurvatureMode.LAPLACIAN_3D, 0.0): 5, (CurvatureMode.LAPLACIAN_3D, 0.5): 8,
-    }
-    # a tree plan sums each block's density at once, so its density is a block array: one full-size array
-    # fewer (3 at beta = 0, 4 at beta > 0), and at beta = 0 and in lap3d one block array more
-    expected_tree = {
         (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 14,
         (CurvatureMode.MEAN_3D, 0.0): 6, (CurvatureMode.MEAN_3D, 0.5): 21,
         (CurvatureMode.FAST_3D, 0.0): 6, (CurvatureMode.FAST_3D, 0.5): 13,
@@ -509,7 +512,7 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     one_block = elastiseg.workspace.BLOCK_BYTES
     for (mode, beta), n in expected.items():
         # one block; one-plane blocks of under 72 voxels (not a tree plan); eight blocks of 72 (a tree plan)
-        for plan in ("one", "fallback", "tree"):
+        for plan in ("one", "one-plane", "tree"):
             if plan == "tree":
                 shape, planes = ((16, 36), 2) if mode.required_ndim == 2 else ((8, 9, 8), 1)
             else:
@@ -522,16 +525,13 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
                 cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
                 segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
                 ws = made[-1]
-                assert ws.tree == (plan != "fallback")
-                if plan == "fallback":
-                    full = 4 if beta == 0.0 else 5
-                    assert (len(ws.blocks), len(ws)) == (shape[0], full + expected_blocks[mode, beta]), (mode, beta)
-                elif plan == "tree":
-                    full = 3 if beta == 0.0 else 4
-                    assert len(ws.blocks) == 8 and len(ws._full.arrays) == full, (mode, beta, opt, par)
-                    assert len(ws) == full + expected_tree[mode, beta], (mode, beta, opt, par)
+                if plan == "one":
+                    assert len(ws) == n, (mode, beta, opt, par)
                 else:
-                    assert len(made[-1]) == n, (mode, beta, opt, par)
+                    full = 3 if beta == 0.0 else 4
+                    assert len(ws.blocks) == (8 if plan == "tree" else shape[0]), plan
+                    assert len(ws._full.arrays) == full, (mode, beta, opt, par, plan)
+                    assert len(ws) == full + expected_blocks[mode, beta], (mode, beta, opt, par, plan)
 
 
 @pytest.mark.parametrize("mode, beta", [(CurvatureMode.MEAN_2D, 0.0), (CurvatureMode.MEAN_2D, 0.5),

@@ -8,7 +8,7 @@ import elastiseg.solver
 from elastiseg import CurvatureMode, EnergyParams, ScalarField, SolverConfig, make_field, segment
 from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
 from elastiseg import workspace
-from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, is_tree, plan_blocks, tree_sum
+from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, plan_blocks, tree_sum
 
 ODD_SHAPES = [(1, 1), (3, 5), (7, 13), (96, 96), (1, 1, 1), (3, 5, 7), (9, 11, 13), (5, 1, 3)]
 
@@ -81,6 +81,24 @@ def test_block_plan_follows_the_array_size_alone():
     assert plan_blocks((5, 1000, 1000)) == [(i, i + 1) for i in range(5)]  # a plane past the block size
 
 
+def is_tree(shape, blocks):
+    """Whether ``blocks``, a plan of a field of ``shape``, are nodes of numpy's pairwise summation tree.
+
+    numpy sums n contiguous float64 elements pairwise (``pairwise_sum`` in
+    ``numpy/_core/src/umath/loops_utils.h.src``): it splits them at n/2
+    rounded down to a multiple of 8, down to leaves of at most 128 elements
+    summed with eight accumulators, and adds each split's two halves. So
+    2^k equal blocks of m elements, m a multiple of 8 and over 64, are nodes
+    of that tree (at each level n/2 is a whole number of blocks, and a pair
+    of blocks is over 128 elements, so it is split), and so is one block.
+    """
+    if len(blocks) == 1:
+        return True
+    sizes = {hi - lo for lo, hi in blocks}
+    m = sizes.pop() * math.prod(shape[1:])
+    return not sizes and len(blocks) & (len(blocks) - 1) == 0 and m % 8 == 0 and m > 64
+
+
 @pytest.mark.parametrize("shape, planes, tree", [
     ((8, 16, 16), 1, True), ((8, 128), 1, True),  # eight one-plane blocks of 256 and of 128 voxels
     ((64, 64, 64), None, True), ((96, 96, 96), None, True),  # 8 blocks of 8 planes, 32 blocks of 3 planes
@@ -93,7 +111,7 @@ def test_tree_plans_are_the_plans_whose_combined_block_sums_have_the_whole_array
     if planes:
         monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * 8 * math.prod(shape[1:]))
     blocks = plan_blocks(shape)
-    assert len(blocks) > 1 and Workspace(shape).tree == is_tree(shape, blocks) == tree
+    assert len(blocks) > 1 and is_tree(shape, blocks) == tree
     rng = np.random.default_rng(17)
     matches = []
     for _ in range(20 if tree else 50):
@@ -101,6 +119,24 @@ def test_tree_plans_are_the_plans_whose_combined_block_sums_have_the_whole_array
         sums = [float(np.add.reduce(a[lo:hi], axis=None)) for lo, hi in blocks]
         matches.append(tree_sum(sums) == float(np.add.reduce(a, axis=None)))
     assert all(matches) == tree, matches.count(False)
+
+
+@pytest.mark.parametrize("n, combine", [
+    (3, lambda s: (s[0] + s[1]) + s[2]),
+    (5, lambda s: ((s[0] + s[1]) + (s[2] + s[3])) + s[4]),
+    (6, lambda s: ((s[0] + s[1]) + (s[2] + s[3])) + (s[4] + s[5])),
+    (7, lambda s: ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + s[6])),
+    (9, lambda s: (((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))) + s[8]),
+], ids=["3", "5", "6", "7", "9"])
+def test_tree_sum_of_a_block_count_that_is_not_a_power_of_two_carries_the_odd_block_up(n, combine):
+    # on a plan that is not a tree this order is the solve's sum, so it is pinned term by term
+    rng = np.random.default_rng(n)
+    other_order = 0
+    for _ in range(200):
+        sums = [float(x) for x in (rng.random(n) - 0.5) * 10.0 ** rng.integers(-6, 7, n)]
+        assert tree_sum(list(sums)) == combine(sums), sums
+        other_order += math.fsum(sums) != combine(sums) or sum(sums) != combine(sums)
+    assert other_order > 0  # the draws tell the pinned order from the others
 
 
 def test_block_takes_views_and_gives(monkeypatch):
@@ -137,7 +173,7 @@ def test_block_takes_views_and_gives(monkeypatch):
     assert ws.views(parts[0], 1) is ws.views(parts[0], 1) is not None
     # a one-block field's block arrays are its full-size arrays, and its one block sum is the whole sum
     one = Workspace((4, 5, 6))
-    assert one.blocks == [None] and one.parts(full) == [full] and one.tree and tree_sum([2.5]) == 2.5
+    assert one.blocks == [None] and one.parts(full) == [full] and tree_sum([2.5]) == 2.5
     arr = one.take(0)
     one.give(arr)
     assert one.take() is arr and len(one) == 1
