@@ -15,11 +15,11 @@ c1=1, c2=0) and unsupervised segmentation (r = image, constants from
 length term carries the voxel measure. :func:`elastica_forward` is the one
 forward pass of the length/curvature term, run on each block of a
 workspace's plan: the scalar energy, the per-voxel density of the
-finite-difference oracle and the analytic gradient all read it. The scalar
-energy is the sum of the density every block wrote (:func:`elastica_energy`):
-each block's density is summed as soon as it is written and the block sums
-are combined in numpy's pairwise order (:func:`~elastiseg.workspace.tree_sum`),
-which on a tree plan of the workspace has the bits of the unblocked pass.
+finite-difference oracle and the analytic gradient all read it. Each block's
+forward returns the sum of its density, and the scalar energy
+(:func:`elastica_energy`) is those block sums combined by
+:func:`~elastiseg.workspace.tree_sum`, whose bits :mod:`elastiseg.workspace`
+compares with the unblocked pass's.
 
 The region terms read u only through the moments sum u, sum u*r, sum u*r^2
 (:func:`region_moments`); those of 1 - u are the totals N, sum r, sum r^2 minus
@@ -38,7 +38,7 @@ import numpy as np
 from .curvature import CurvatureMode, Pullback, curvature_forward
 from .diffops import d1, grad_mag_raw
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
-from .workspace import Workspace, tree_sum
+from .workspace import Workspace, block_sum, tree_sum
 
 
 # |c1|, |c2| bound: with |r| up to float32's maximum (all a VF32 file holds), (c - r)^2 <= ~1e200
@@ -129,26 +129,30 @@ def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[
     return abs(float(np.sum(u.data * (c1 - r.data) ** 2))), abs(float(np.sum((1.0 - u.data) * (c2 - r.data) ** 2)))
 
 
-def region_moments(w: np.ndarray | float, r: np.ndarray, ws: Workspace) -> Moments:
-    """The moments of ``r`` under ``w`` (an array, or a scalar such as 1.0), through one array of ``ws``."""
-    wr = np.multiply(w, r, out=ws.take())
-    # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
-    m1 = float(np.add.reduce(wr, axis=None))
-    m2 = float(np.add.reduce(np.multiply(wr, r, out=wr), axis=None))
+def region_moments(w: np.ndarray | float, r: np.ndarray, ws: Workspace, b: int | None = None) -> Moments:
+    """The moments of ``r`` under ``w`` (an array, or a scalar such as 1.0), through one array of ``ws``.
+
+    ``r`` and an array ``w`` are the whole field, or with ``b`` its block ``b``
+    of the plan of ``ws``, as :meth:`~elastiseg.workspace.Workspace.take` reads ``b``.
+    """
+    wr = np.multiply(w, r, out=ws.take(b))
+    m1 = block_sum(wr)
+    m2 = block_sum(np.multiply(wr, r, out=wr))
     ws.give(wr)
-    return float(np.add.reduce(w, axis=None)) if np.ndim(w) else w * r.size, m1, m2
+    return block_sum(w) if np.ndim(w) else w * r.size, m1, m2
 
 
 def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | None = None,
-                 sums: tuple[list[float], list[float], list[float]] | None = None) -> tuple[Moments, Moments]:
+                 blocks: list[Moments] | None = None) -> tuple[Moments, Moments]:
     """The moments of ``r`` under u and under 1 - u, the latter as ``totals`` (weight 1) minus the former.
 
-    ``sums``, the block sums of u, u*r and (u*r)*r over the plan of ``ws``,
-    are combined by :func:`~elastiseg.workspace.tree_sum` without another pass
-    over u; without them the moments are whole-array sums.
+    ``blocks``, the :func:`region_moments` of u on each block of the plan of
+    ``ws``, are combined component by component by
+    :func:`~elastiseg.workspace.tree_sum`, without another pass over u;
+    without them the moments are those of the whole field.
     """
     totals = region_moments(1.0, r, ws) if totals is None else totals
-    inside = region_moments(u, r, ws) if sums is None else (tree_sum(sums[0]), tree_sum(sums[1]), tree_sum(sums[2]))
+    inside = region_moments(u, r, ws) if blocks is None else tuple(tree_sum(list(m)) for m in zip(*blocks))
     return inside, tuple(t - m for t, m in zip(totals, inside))
 
 
@@ -174,17 +178,19 @@ class ElasticaForward(NamedTuple):
     measure: float
     k: np.ndarray | None            # curvature, computed only when beta != 0
     pullback: Pullback | None       # pullback of k
+    total: float                    # the block's sum of its density, (alpha + beta*K^2)*|grad u| or |grad u|
 
 
 def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace, b: int,
-                     density: np.ndarray, keep: tuple[np.ndarray, np.ndarray | None] | None = None) -> ElasticaForward:
+                     keep: tuple[np.ndarray, np.ndarray | None] | None = None) -> ElasticaForward:
     """The forward pass of the elastica term (alpha + beta*K^2) * |grad u| on block ``b`` of the plan of ``ws``.
 
     A one-block plan's block is the whole field. With beta = 0 no curvature is
-    computed and the weight is the scalar alpha*measure. The block's energy
-    density (alpha + beta*K^2) * |grad u|, or |grad u| with beta = 0, is
-    written into ``density``, an array of the block's shape that is the
-    returned ``mag`` itself with beta = 0, for :func:`elastica_energy` to sum.
+    computed and the weight is the scalar alpha*measure. The returned
+    ``total`` is the block's sum of its energy density, (alpha + beta*K^2) *
+    |grad u| or |grad u| with beta = 0, for :func:`elastica_energy`; with
+    beta != 0 the density is written into the scratch array |grad u| was
+    computed with, so the sum holds no array more.
     ``keep`` = (first, second) are full-size arrays into whose block views the
     first and (with beta != 0) second differences along axis 0 go: a gradient
     pass writes their cotangents over them and reads those across blocks. The
@@ -196,26 +202,27 @@ def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPa
                  planes=planes) for ax in range(a.ndim)]
     curved = params.beta != 0.0
     tmp = ws.take(b)
-    mag = grad_mag_raw(derivs, out=ws.take(b) if curved else density, tmp=tmp)
-    ws.give(tmp)
+    mag = grad_mag_raw(derivs, out=ws.take(b), tmp=tmp)
     if not curved:
-        return ElasticaForward(derivs, mag, params.alpha * measure, measure, None, None)
+        ws.give(tmp)
+        return ElasticaForward(derivs, mag, params.alpha * measure, measure, None, None, block_sum(mag))
     k, pullback = curvature_forward(a, spacing, params.mode, derivs, ws, b, ws.parts(keep[1])[b] if keep else None)
     # weight = alpha + beta*k*k, evaluated as (beta*k)*k + alpha
     weight = np.multiply(k, params.beta, out=ws.take(b))
     weight *= k
     weight += params.alpha
-    np.multiply(weight, mag, out=density)
+    total = block_sum(np.multiply(weight, mag, out=tmp))
+    ws.give(tmp)
     weight *= measure
-    return ElasticaForward(derivs, mag, weight, measure, k, pullback)
+    return ElasticaForward(derivs, mag, weight, measure, k, pullback, total)
 
 
 def elastica_energy(total: float, params: EnergyParams, measure: float) -> float:
-    """The elastica term from ``total``, the sum of the density :func:`elastica_forward` wrote on every block.
+    """The elastica term from ``total``, the block totals of :func:`elastica_forward` combined by ``tree_sum``.
 
-    With the bits of the unblocked field's sum: sum(weight*|grad u|) * measure,
-    or alpha * (sum|grad u| * measure) with beta = 0, exactly alpha times
-    :func:`diffops.tv_length`.
+    That is sum(weight*|grad u|) * measure, or alpha * (sum|grad u| * measure)
+    with beta = 0. On a tree plan the combined total has the unblocked sum's
+    bits, and the beta = 0 term is exactly alpha times :func:`diffops.tv_length`.
     """
     total *= measure
     return params.alpha * total if params.beta == 0.0 else total
@@ -226,10 +233,7 @@ def _elastica_only(a: np.ndarray, spacing: tuple[float, ...], params: EnergyPara
     sums = [0.0] * len(ws.blocks)
     for b in range(len(ws.blocks)):
         with ws.scope():  # the curvature pullback's arrays included
-            density = ws.take(b)
-            elastica_forward(a, spacing, params, ws, b, density)
-            # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
-            sums[b] = float(np.add.reduce(density, axis=None))
+            sums[b] = elastica_forward(a, spacing, params, ws, b).total
     return elastica_energy(tree_sum(sums), params, math.prod(spacing))
 
 
@@ -253,8 +257,8 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     elastica = np.empty(u_data.shape)
     for b, part in enumerate(ws.parts(elastica)):
         with ws.scope():
-            fwd = elastica_forward(u_data, spacing, params, ws, b, part)
-            np.multiply(fwd.weight, fwd.mag, out=part)  # over that density: the weight carries the measure
+            fwd = elastica_forward(u_data, spacing, params, ws, b)
+            np.multiply(fwd.weight, fwd.mag, out=part)  # the weight carries the measure
     region = u_data * (params.c1 - r_data) ** 2 + (1.0 - u_data) * (params.c2 - r_data) ** 2
     return elastica + params.lam * region
 

@@ -61,13 +61,14 @@ class GradCheckReport:
 
 
 def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
-                                  ws: Workspace, r: np.ndarray | None = None,
-                                  on_block: BlockHook | None = None) -> tuple[float, np.ndarray]:
-    """Elastica energy and its gradient from one forward pass and its pullback, block by block.
+                                  ws: Workspace, r: np.ndarray,
+                                  on_block: BlockHook | None) -> tuple[float, np.ndarray]:
+    """Elastica energy and the whole energy's gradient, block by block, from one forward pass and its pullback.
 
-    With ``r``, the region term's gradient is added too, and ``on_block`` is
-    called on each block of the gradient once it is complete. Every buffer of
-    the pass is given back to ``ws`` except the returned gradient.
+    The region term's gradient, linear in ``r``, is added to each block, and
+    ``on_block`` (if any) is called on each block of the gradient once it is
+    complete. Every buffer of the pass is given back to ``ws`` except the
+    returned gradient.
 
     Block b's first stage runs the forward, the pullback and the scaling of
     the cotangents of the first and second differences; its second stage
@@ -76,24 +77,18 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
     axis 0, and the cotangents written over them, live in full-size arrays,
     and block b's second stage runs after block b+1's first. Every other
     stencil stays inside its block. The terms are summed in the order of the
-    unblocked pass, so the gradient has its bits. Each block's energy density
-    is summed right after its forward, in a block array, and the block sums
-    are combined by :func:`~elastiseg.workspace.tree_sum`.
+    unblocked pass, so the gradient has its bits. The energy comes from the
+    density sums the block forwards return, combined by
+    :func:`~elastiseg.workspace.tree_sum`.
     """
     keep = (ws.take(), ws.take() if params.beta != 0.0 else None)
     sums = [0.0] * len(ws.blocks)
-    region = None
-    if r is not None:  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
-        scale = params.lam * (params.c1 - params.c2)
-        region = ws.parts(r), -2.0 * scale, scale * (params.c1 + params.c2)
+    scale = params.lam * (params.c1 - params.c2)  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
+    region = ws.parts(r), -2.0 * scale, scale * (params.c1 + params.c2)
     grad = held = None
     for b in range(len(ws.blocks)):
-        density = ws.take(b)
-        fwd = elastica_forward(a, spacing, params, ws, b, density, keep)
-        # np.add.reduce(x, axis=None) is the reduction np.sum(x) runs, without its wrapper's few us a call
-        sums[b] = float(np.add.reduce(density, axis=None))
-        if density is not fwd.mag:  # with beta = 0 the density is |grad u|, which the cotangents read
-            ws.give(density)
+        fwd = elastica_forward(a, spacing, params, ws, b, keep)
+        sums[b] = fwd.total
         stage = b, *_cotangents(fwd, params, ws, b)
         grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
         if held is not None:
@@ -124,14 +119,14 @@ def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: in
         if ax in cots.d1:
             dax += cots.d1[ax]
             ws.give(cots.d1[ax])
-    ws.give(fwd.mag, fwd.weight)  # with beta = 0 the weight is a number and |grad u| the density
+    ws.give(fwd.mag, fwd.weight)  # with beta = 0 the weight is a number, which give ignores
     return fwd.derivs, cots.d2, gk
 
 
-def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep: tuple, region,
+def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep: tuple, region: tuple,
               on_block: BlockHook | None, b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray],
               gk: np.ndarray | None) -> None:
-    """Block ``b`` of the gradient: the adjoint stencils of its cotangents, then the region term if any.
+    """Block ``b`` of the gradient: the adjoint stencils of its cotangents, then the region term.
 
     The cotangents along axis 0 are read from ``keep``, across blocks; every
     block array of block ``b`` is given back once ``on_block`` has seen the
@@ -147,11 +142,10 @@ def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep:
             g += d2(keep[1], 0, spacing[0], out=adj, ws=ws, planes=planes)
         else:
             g += d2(c, ax, spacing[ax], out=adj, ws=ws)
-    if region is not None:
-        r_parts, slope, offset = region
-        np.multiply(r_parts[b], slope, out=adj)
-        adj += offset
-        g += adj
+    r_parts, slope, offset = region
+    np.multiply(r_parts[b], slope, out=adj)
+    adj += offset
+    g += adj
     if on_block is not None:
         on_block(b, g, adj)
     # a cotangent may be shared between stencils (lap3d), so they go back only now
@@ -220,7 +214,8 @@ def gradcheck(shape: tuple[int, ...], trials: int, seed: int, params: EnergyPara
 
     Draws ``trials`` (u, r) pairs uniform on [0,1), reports the worst absolute
     and relative disagreement over all voxels, with the relative denominator
-    max(|analytic|, |fd|, 1e-8).
+    max(|analytic|, |fd|, 1e-8). Overflow and invalid operations are not
+    warned of: an error they make NaN fails the report.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -231,21 +226,22 @@ def gradcheck(shape: tuple[int, ...], trials: int, seed: int, params: EnergyPara
     max_abs = 0.0
     max_rel = 0.0
     worst: tuple[int, ...] = (0,) * len(shape)
-    for _ in range(trials):
-        u = rng.random(shape)
-        r = rng.random(shape)
-        ga = energy_and_gradient_raw(u, r, spacing, params)[1]
-        gf = fd_gradient_raw(u, r, spacing, params)
-        abs_err = np.abs(ga - gf)
-        denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
-        rel = abs_err / denom
-        trial_abs = float(abs_err.max())
-        if _worse(trial_abs, max_abs):
-            max_abs = trial_abs
-        trial_rel = float(rel.max())
-        if _worse(trial_rel, max_rel):
-            max_rel = trial_rel
-            worst = tuple(int(i) for i in np.unravel_index(int(rel.argmax()), shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            u = rng.random(shape)
+            r = rng.random(shape)
+            ga = energy_and_gradient_raw(u, r, spacing, params)[1]
+            gf = fd_gradient_raw(u, r, spacing, params)
+            abs_err = np.abs(ga - gf)
+            denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-8)
+            rel = abs_err / denom
+            trial_abs = float(abs_err.max())
+            if _worse(trial_abs, max_abs):
+                max_abs = trial_abs
+            trial_rel = float(rel.max())
+            if _worse(trial_rel, max_rel):
+                max_rel = trial_rel
+                worst = tuple(int(i) for i in np.unravel_index(int(rel.argmax()), shape))
     return GradCheckReport(max_abs, max_rel, worst, max_rel < tol)
 
 

@@ -29,12 +29,11 @@ a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
 pass and its update block by block, each block's intermediates staying in
 cache (see :func:`~elastiseg.gradients.energy_and_gradient_raw`). Every sum
 of an iteration is taken block by block while the block is in cache, and the
-block sums are combined by :func:`~elastiseg.workspace.tree_sum`: the energy
-over its density in the pass, mean|g| as each block of the gradient
-completes, and the three moments of the new mask in the update. On a tree
-plan (64^3, 96^3, and every one-block field) that gives the bits of one
-whole-array ``np.add.reduce``; on any other plan the last bits may differ,
-within the tolerance :mod:`elastiseg.workspace` states.
+block sums are combined by :func:`~elastiseg.workspace.tree_sum`: those of
+the energy density in the pass, of |g| as each block of the gradient
+completes, and the new mask's moments in the update
+(:func:`~elastiseg.energy.region_moments` per block). :mod:`elastiseg.workspace` states on which plans that has the
+whole-array sum's bits, and the tolerance on the others.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from .energy import (
     EnergyBreakdown,
     EnergyParams,
     MAX_CONSTANT,
+    Moments,
     mask_moments,
     region_means,
     region_moments,
@@ -57,7 +57,7 @@ from .energy import (
 )
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
 from .gradients import energy_and_gradient_raw
-from .workspace import Workspace, aligned_empty, tree_sum
+from .workspace import Workspace, aligned_empty, block_sum, tree_sum
 
 OPTIMIZERS = ("gd", "momentum")
 PARAMETERIZATIONS = ("clipped", "logistic")
@@ -184,9 +184,10 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     c1, c2 = params.c1, params.c2
     breakdowns: list[EnergyBreakdown] = []
     converged = False
-    # each iteration's block sums of |g| (taken in the pass) and of u, u*r, u*r*r (in the update)
-    sums = tuple([0.0] * len(ws.blocks) for _ in range(4))
-    on_block = partial(_gradient_block, ws.parts(u), logistic, sums[0])
+    # each iteration's block sums of |g|, taken in the pass, and block moments of u_it+1, taken in the update
+    g_sums = [0.0] * len(ws.blocks)
+    u_moments: list[Moments] = [(0.0, 0.0, 0.0)] * len(ws.blocks)
+    on_block = partial(_gradient_block, ws.parts(u), logistic, g_sums)
     r_parts = ws.parts(image.data)
 
     with np.errstate(over="ignore", invalid="ignore"):  # entered once per solve: it costs ~3 us
@@ -197,14 +198,14 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             if it > 0 and _record(breakdowns, bd, it - 1, cfg):
                 converged = True
                 break
-            scale = _step(u, z, velocity, g, ws, cfg, r_parts, sums)
+            scale = _step(u, z, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
             ws.give(g)
             # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped or sigmoid u in [0,1]
             if not math.isfinite(scale):
                 raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
 
             # of u_it+1: its pass's region sums and constants
-            moments = mask_moments(u, image.data, ws, totals, sums[1:])
+            moments = mask_moments(u, image.data, ws, totals, u_moments)
             if cfg.region_mode == "cv-means":
                 try:
                     c1, c2 = region_means(moments, lo, hi)
@@ -232,26 +233,25 @@ def _gradient_block(us: list[np.ndarray], logistic: bool, sums: list[float],
     if logistic:
         gb *= us[b]
         gb *= np.subtract(1.0, us[b], out=tb)  # g*u*(1-u)
-    sums[b] = float(np.add.reduce(np.abs(gb, out=tb), axis=None))
+    sums[b] = block_sum(np.abs(gb, out=tb))
 
 
 def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray, ws: Workspace,
-          cfg: SolverConfig, r_parts: list[np.ndarray], sums: tuple[list[float], ...]) -> float:
+          cfg: SolverConfig, r_parts: list[np.ndarray], g_sums: list[float], u_moments: list[Moments]) -> float:
     """One descent update of ``u`` (and ``z``, ``velocity``) in place, block by block; ``g`` is overwritten.
 
-    ``g`` is the gradient :func:`_gradient_block` finished, and the first list
-    of ``sums`` holds the sum of its |g| over each block. Returns mean|g|.
-    The update writes the block sums of u, u*r and u*r*r of the new u into
-    the other three lists, ``r_parts`` being the blocks of r.
+    ``g`` is the gradient :func:`_gradient_block` finished, and ``g_sums``
+    holds the sum of its |g| over each block. Returns mean|g|. The update
+    writes the :func:`~elastiseg.energy.region_moments` of each block of the
+    new u into ``u_moments``, ``r_parts`` being the blocks of r.
     """
-    scale = tree_sum(sums[0]) / g.size  # np.mean's bits on a tree plan, without its wrapper
+    scale = tree_sum(g_sums) / g.size  # np.mean's bits on a tree plan, without its wrapper
     divisor = max(scale, 1e-30)
     us, gs = ws.parts(u), ws.parts(g)
     # without momentum or logit the velocity and z blocks are unused placeholders
     vs = gs if velocity is None else ws.parts(velocity)
     zs = us if z is None else ws.parts(z)
     for b, (ub, gb, vb, zb, rb) in enumerate(zip(us, gs, vs, zs, r_parts)):
-        tb = ws.take(b)
         gb /= divisor
         if velocity is not None:
             vb *= MOMENTUM
@@ -263,15 +263,11 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
             delta = gb
         if z is not None:
             zb += delta
-            _sigmoid(zb, out=ub, tmp=tb)
+            _sigmoid(zb, out=ub, tmp=gb)  # g's block is dead once added
         else:
             ub += delta
             np.clip(ub, 0.0, 1.0, out=ub)
-        sums[1][b] = float(np.add.reduce(ub, axis=None))
-        wr = np.multiply(ub, rb, out=tb)
-        sums[2][b] = float(np.add.reduce(wr, axis=None))
-        sums[3][b] = float(np.add.reduce(np.multiply(wr, rb, out=wr), axis=None))
-        ws.give(tb)
+        u_moments[b] = region_moments(ub, rb, ws, b)
     return scale
 
 

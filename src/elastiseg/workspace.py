@@ -41,10 +41,10 @@ every solver iteration gives each role the array the first one gave it, and
 the views stop growing after one iteration: at most arrays * ndim * blocks of
 them, about 1 KB each. They hold no data and go with the workspace.
 
-A sum over a field is taken block by block, while each block is in cache,
-and the block sums are combined by :func:`tree_sum`. On a tree plan that is
-one whole-array ``np.add.reduce`` bit for bit: numpy sums n contiguous
-float64 elements pairwise (``pairwise_sum`` in
+A sum over a field is taken block by block (:func:`block_sum`), while each
+block is in cache, and the block sums are combined by :func:`tree_sum`. On a
+tree plan that is one whole-array ``np.add.reduce`` bit for bit: numpy sums
+n contiguous float64 elements pairwise (``pairwise_sum`` in
 ``numpy/_core/src/umath/loops_utils.h.src``), splitting them at n/2 rounded
 down to a multiple of 8, down to leaves of at most 128 elements, so 2^k equal
 blocks of m elements, m a multiple of 8 and over 64, are nodes of that tree,
@@ -94,10 +94,19 @@ def plan_blocks(shape: tuple[int, ...]) -> list[Planes | None]:
     return [(lo, min(lo + t, n)) for lo in range(0, n, t)] if t < n else [None]
 
 
+def block_sum(x: np.ndarray) -> float:
+    """The sum of one block, as ``np.add.reduce(x, axis=None)``: np.sum's reduction without its wrapper's few us.
+
+    That is numpy's pairwise sum over the block, the order whose nodes
+    :func:`tree_sum` combines.
+    """
+    return float(np.add.reduce(x, axis=None))
+
+
 def tree_sum(sums: list[float]) -> float:
     """The block sums combined pairwise, ((s0 + s1) + (s2 + s3)) + ..., as numpy's pairwise sum combines its nodes.
 
-    On a tree plan, with each block summed by ``np.add.reduce``, this is the
+    On a tree plan, with each block summed by :func:`block_sum`, this is the
     whole-array ``np.add.reduce`` bit for bit. An odd block out at a level is
     carried to the next one unchanged: five blocks give ((s0 + s1) + (s2 + s3)) + s4.
     """

@@ -1,5 +1,6 @@
 import argparse
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,17 @@ def test_gradcheck_rejects_non_finite_weights(flag, value, capsys):
     captured = capsys.readouterr()
     assert "passed=True" not in captured.out
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_gradcheck_reports_an_overflowing_weight_as_a_failed_check_without_numpy_warnings(flag, capsys):
+    # a weight of 1e308 overflows the energy, and the finite differences of infinities are NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["gradcheck", "--shape", "5,5", "--trials", "1", flag, "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert "max_rel_error=nan" in captured.out and "passed=False" in captured.out
+    assert "Warning" not in captured.err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-5"])

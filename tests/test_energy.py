@@ -13,6 +13,7 @@ from elastiseg import (
     FieldError,
     ScalarField,
     clamp01,
+    curvature,
     elastica_term,
     estimate_region_means,
     make_field,
@@ -22,7 +23,7 @@ from elastiseg import (
 )
 from elastiseg import workspace
 from elastiseg.diffops import d1, d2, grad_mag_raw
-from elastiseg.energy import mask_moments, region_means, region_sums
+from elastiseg.energy import elastica_forward, mask_moments, region_means, region_moments, region_sums
 from elastiseg.workspace import Workspace, tree_sum
 
 
@@ -208,6 +209,55 @@ def test_elastica_term_summed_by_blocks_of_a_tree_plan_has_the_whole_array_bits(
     assert elastica_term(u, p) == float(np.sum((0.5 * k * k + 0.01) * mag)) * math.prod(spacing)
     flat = EnergyParams(alpha=0.01, beta=0.0, mode=CurvatureMode.FAST_3D)
     assert elastica_term(u, flat) == 0.01 * tv_length(u)
+
+
+# arrays one forward of block 0 holds at beta = 0.5, on any plan (beta = 0 holds ndim + 2)
+FORWARD_ARRAYS = {CurvatureMode.MEAN_2D: 11, CurvatureMode.MEAN_3D: 15, CurvatureMode.FAST_3D: 10,
+                  CurvatureMode.LAPLACIAN_3D: 8}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+@pytest.mark.parametrize("plan", ["one block", "tree", "not a tree"])
+def test_each_block_forward_returns_the_sum_of_its_expression_form_density(monkeypatch, plan, mode, beta):
+    # 8 blocks of 96 voxels are a tree plan; 11 and 6 blocks, the last one short, are not
+    shape = (32, 24) if mode.required_ndim == 2 else (16, 6, 8)
+    planes = {"one block": None, "tree": 4 if len(shape) == 2 else 2, "not a tree": 3}[plan]
+    if planes:
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * 8 * math.prod(shape[1:]))
+    blocks = Workspace(shape).blocks
+    assert len(blocks) == {"one block": 1, "tree": 8, "not a tree": 11 if len(shape) == 2 else 6}[plan]
+    rng = np.random.default_rng(15)
+    spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+    u = rng.random(shape)
+    p = EnergyParams(alpha=0.01, beta=beta, mode=mode)
+    mag = grad_mag_raw([d1(u, ax, spacing[ax]) for ax in range(len(shape))])
+    k = curvature(ScalarField(u, spacing), mode).data
+    density = (beta * k * k + 0.01) * mag if beta else mag
+    for b, lo_hi in enumerate(blocks):
+        ws = Workspace(shape)
+        fwd = elastica_forward(u, spacing, p, ws, b)
+        part = density if lo_hi is None else density[lo_hi[0]:lo_hi[1]]
+        assert fwd.total == float(np.add.reduce(part, axis=None)), b
+        # the density is summed in an array the forward already holds: no array more than with a given one
+        assert len(ws) == (FORWARD_ARRAYS[mode] if beta else len(shape) + 2)
+
+
+@pytest.mark.parametrize("planes_per_block", [None, 4, 2])
+def test_block_moments_combined_by_mask_moments_have_the_whole_field_bits_on_tree_plans(monkeypatch,
+                                                                                        planes_per_block):
+    # one block, then 8 and 16 blocks of 192 and 96 voxels
+    shape = (32, 6, 8)
+    if planes_per_block:
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 48)
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        u, r = rng.random(shape), rng.random(shape)
+        ws = Workspace(shape)
+        assert len(ws.blocks) == {None: 1, 4: 8, 2: 16}[planes_per_block]
+        blocks = [region_moments(ub, rb, ws, b) for b, (ub, rb) in enumerate(zip(ws.parts(u), ws.parts(r)))]
+        assert mask_moments(u, r, ws, blocks=blocks) == mask_moments(u, r, ws)
+        assert mask_moments(u, r, ws, blocks=blocks)[0] == region_moments(u, r, ws)
 
 
 def test_elastica_constant_field():

@@ -157,14 +157,15 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
     weights = []
     real = elastiseg.energy.region_moments
 
-    def counting(w, r, ws):
-        weights.append(np.ndim(w))
-        return real(w, r, ws)
+    def counting(w, r, ws, b=None):
+        weights.append((np.ndim(w), b is None))
+        return real(w, r, ws, b)
 
     monkeypatch.setattr(elastiseg.energy, "region_moments", counting)
     monkeypatch.setattr(elastiseg.solver, "region_moments", counting)
     fused = _count_calls(monkeypatch, "energy_and_gradient_raw")
     masks = _count_calls(monkeypatch, "mask_moments")
+    updates = _count_calls(monkeypatch, "_step")
     case = small_disk(1)
     init = make_field(case.image.shape, 1.0, 0.5)
     cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means", stop_tol=stop_tol)
@@ -173,16 +174,18 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
     for planes, n_blocks in ((None, 1), (6, 8), (1, 48)):
         monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", planes * 8 * 48 if planes else one_block)
         assert len(Workspace(case.image.shape).blocks) == n_blocks
-        weights.clear(), fused.clear(), masks.clear()
+        weights.clear(), fused.clear(), masks.clear(), updates.clear()
         _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
         # the image's totals once; then the moments of each mask u_0 .. u_last once, which give
         # that mask's region sums (fused pass or exit energy) and the cv-means constants
-        assert weights.count(0) == 1
+        assert weights.count((0, True)) == 1
         evaluated = len(fused) + (0 if trace.converged else 1)
         assert trace.converged == (stop_tol > 0.0) and len(masks) == evaluated, planes
-        # every plan sums the moments of each updated mask in the update, block by block; only u_0's
-        # are whole-array sums
-        assert weights.count(2) == 1, planes
+        # every plan takes the moments of each updated mask in the update, one call per block; only u_0's
+        # are of the whole field
+        assert weights.count((2, True)) == 1, planes
+        assert weights.count((2, False)) == len(updates) * n_blocks, planes
+        assert len(weights) == 2 + len(updates) * n_blocks, planes
 
 
 def test_non_finite_energy_reports_iteration_and_partial_trace():
