@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="validate the analytic gradient against finite differences")
     p.add_argument("--shape", type=_parse_shape, default=(12, 12))
     p.add_argument("--mode", default="mean2d", choices=[m.value for m in CurvatureMode])
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_parse_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--alpha", type=float, default=0.001)
@@ -483,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gradcheck" and args.trials < 1:
-        parser.error("--trials must be >= 1")
     try:
         return args.func(args)
     except (FieldError, VolumeFormatError, MetricsError, ValueError, OSError) as exc:

@@ -2,13 +2,16 @@
 
 The mask itself is the optimization variable: projected (clipped) or logistic
 gradient descent, with the gradient normalized by its mean absolute value so
-the step size is independent of grid shape. With region_mode "cv-means" the
-foreground/background constants are re-estimated after every update
-(alternating minimization), from the moments of the mask that also give the
-next pass's region sums, and clipped into the image's range; the first step
-uses the constants from the parameter set, which also breaks the symmetry of
-a uniform init (a uniform mask would otherwise yield equal means and zero
-region force).
+the step size is independent of grid shape. The logistic parameterization
+updates z and sets u = sigmoid(z); its maps are scipy's in-place ufuncs,
+:func:`scipy.special.logit` of the init clipped into [1e-6, 1 - 1e-6] once,
+and :func:`scipy.special.expit` of each updated block of z. With region_mode
+"cv-means" the foreground/background constants are re-estimated after every
+update (alternating minimization), from the moments of the mask that also
+give the next pass's region sums, and clipped into the image's range; the
+first step uses the constants from the parameter set, which also breaks the
+symmetry of a uniform init (a uniform mask would otherwise yield equal means
+and zero region force).
 The momentum optimizer keeps a fixed fraction :data:`MOMENTUM` = 0.9 of its
 velocity, and the stop rule measures the energy change over a fixed window of
 :data:`STOP_WINDOW` = 10 iterations; only its tolerance is a setting.
@@ -17,12 +20,12 @@ One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
 update are done in place, in the same operation order as the expressions
 they stand for, so results are bit for bit those of fresh arrays. After the
-first iteration a solve allocates no full-size array. The mask is a
-workspace array, held for the whole solve, so the stencils of every iteration
-run on views built in the first one. The velocity and logit state come from
-:func:`~elastiseg.workspace.aligned_empty`, like every workspace array, so all
-of a solve's full-size float64 arrays start on a cache line. The loop runs
-under one ``np.errstate``.
+first iteration a solve allocates no full-size array, with either
+parameterization. The mask is a workspace array, held for the whole solve, so
+the stencils of every iteration run on views built in the first one. The
+velocity and logit state come from :func:`~elastiseg.workspace.aligned_empty`,
+like every workspace array, so all of a solve's full-size float64 arrays
+start on a cache line. The loop runs under one ``np.errstate``.
 
 A field larger than four blocks of the workspace's plan (1 MiB per array, half
 a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.special import expit, logit
 
 from .energy import (
     DegenerateMaskError,
@@ -68,6 +72,22 @@ STOP_WINDOW = 10  # iterations over which the stop rule measures the energy chan
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of :func:`segment`; each is checked on construction.
+
+    - ``max_iters`` (500): the most updates a solve makes; 0 runs none.
+    - ``step_size`` (0.1): the step on the gradient normalized by mean|g|.
+    - ``optimizer`` ("gd"): one of :data:`OPTIMIZERS`; "momentum" keeps
+      :data:`MOMENTUM` of the velocity.
+    - ``parameterization`` ("clipped"): one of :data:`PARAMETERIZATIONS`;
+      "clipped" projects u into [0,1], "logistic" updates z with u = sigmoid(z).
+    - ``region_mode`` ("fixed"): one of :data:`REGION_MODES`; "fixed" keeps the
+      parameter set's c1/c2, "cv-means" re-estimates them after every update.
+      This default differs from that of ``elastiseg segment --region-mode``,
+      which is "cv-means".
+    - ``stop_tol`` (1e-7): the relative energy change over
+      :data:`STOP_WINDOW` iterations below which a solve stops.
+    """
+
     max_iters: int = 500
     step_size: float = 0.1
     optimizer: str = "gd"
@@ -107,25 +127,6 @@ class NonFiniteEnergyError(RuntimeError):
 
 
 _LOGIT_CLIP = 1e-6
-
-
-def _logit(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """log(p / (1 - p)) of p = u clipped into [_LOGIT_CLIP, 1 - _LOGIT_CLIP], into ``out``."""
-    p = np.clip(u, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP, out=out)
-    p /= np.subtract(1.0, p, out=tmp)
-    return np.log(p, out=p)
-
-
-def _sigmoid(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Logistic function into ``out``: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
-    e = np.abs(z, out=tmp)
-    np.negative(e, out=e)
-    np.exp(e, out=e)  # exp(-|z|): exp(-z) where z >= 0, exp(z) elsewhere
-    pos = z >= 0
-    np.add(e, 1.0, out=out)
-    np.divide(1.0, out, out=out, where=pos)
-    np.divide(e, out, out=out, where=~pos)
-    return out
 
 
 def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
@@ -173,9 +174,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     z = velocity = None
     logistic = cfg.parameterization == "logistic"
     if logistic:
-        tmp = ws.take()
-        z = _logit(u, aligned_empty(u.shape), tmp)
-        ws.give(tmp)
+        z = aligned_empty(u.shape)
+        logit(np.clip(u, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP, out=z), out=z)
     if cfg.optimizer == "momentum":
         velocity = aligned_empty(u.shape)
         velocity.fill(0.0)
@@ -263,7 +263,7 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
             delta = gb
         if z is not None:
             zb += delta
-            _sigmoid(zb, out=ub, tmp=gb)  # g's block is dead once added
+            expit(zb, out=ub)
         else:
             ub += delta
             np.clip(ub, 0.0, 1.0, out=ub)

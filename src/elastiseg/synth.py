@@ -27,8 +27,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _noisy_image(base: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
-    if noise_sigma < 0:
-        raise FieldError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < np.inf:  # also rejects NaN
+        raise FieldError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     noisy = _rng(seed).standard_normal(base.shape)
     noisy *= noise_sigma
     noisy += base  # base + noise_sigma * noise, in one array
@@ -48,6 +48,8 @@ def _ball_case(shape, center, radius, fg, bg, noise_sigma, seed, name) -> SynthC
         raise FieldError(f"center and radius must be finite, got center {center}, radius {radius}")
     if radius <= 2.0:
         raise FieldError(f"radius must exceed 2 voxels, got {radius}")
+    if not np.all(np.isfinite((fg, bg))):
+        raise FieldError(f"fg and bg must be finite, got fg {fg}, bg {bg}")
     if fg == bg:
         raise FieldError("fg and bg must differ")
     for c, n in zip(center, shape):

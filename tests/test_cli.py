@@ -55,12 +55,15 @@ def test_synth_infeasible_geometry_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--radius", "nan"), ("--center", "nan,nan")])
+@pytest.mark.parametrize("flag,value", [("--radius", "nan"), ("--center", "nan,nan"), ("--noise", "inf"),
+                                        ("--noise", "nan"), ("--fg", "inf"), ("--fg", "nan"), ("--bg", "inf")])
 def test_synth_rejects_non_finite_geometry(flag, value, tmp_path, capsys):
-    out = tmp_path / "x"
-    assert run(["synth", "--case", "disk", "--shape", "32,32", flag, value, "--out", str(out)]) == 1
-    assert "finite" in capsys.readouterr().err
-    assert not (out / "gt.vf32").exists()
+    for case in ("disk", "tube") if flag == "--noise" else ("disk",):
+        out = tmp_path / case
+        assert run(["synth", "--case", case, "--shape", "32,32", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and "field values" not in err  # named by synth, not ScalarField's generic check
+        assert not (out / "gt.vf32").exists()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -143,6 +146,14 @@ def test_gradcheck_cli_pass_and_fail(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--trials", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-1", "abc"])
+def test_gradcheck_rejects_trials_that_are_not_a_positive_integer(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--shape", "5,5", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_gradcheck_cli_passes_a_3d_field(capsys):

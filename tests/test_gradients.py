@@ -221,10 +221,12 @@ def test_directional_derivative_at_realistic_sizes(mode, beta):
     assert abs(fd - analytic) < 1e-6 * max(abs(fd), abs(analytic))
 
 
-# the gradcheck floor misreads the first (seed 28, see the directional test above); the second has general constants
+# the gradcheck floor misreads the first (seed 28, see the directional test above); the second has general constants;
+# the workspace plan splits the third into 8 blocks of 8 planes, where gradcheck's criterion reads fd round-off
 TAYLOR_CASES = [
     ((24, 24, 24), EnergyParams(alpha=0.01, beta=2.0, mode=CurvatureMode.MEAN_3D)),
     ((64, 64), EnergyParams(alpha=0.01, beta=2.0, lam=0.7, c1=0.8, c2=0.1, mode=CurvatureMode.MEAN_2D)),
+    ((64, 64, 64), EnergyParams(alpha=0.01, beta=2.0, mode=CurvatureMode.MEAN_3D)),
 ]
 
 
@@ -236,7 +238,7 @@ def taylor_orders(u, r, v, g, p, steps):
     return np.log2(rem[:-1] / rem[1:])
 
 
-@pytest.mark.parametrize("shape,p", TAYLOR_CASES, ids=["mean3d-24^3", "mean2d-64^2"])
+@pytest.mark.parametrize("shape,p", TAYLOR_CASES, ids=["mean3d-24^3", "mean2d-64^2", "mean3d-64^3"])
 def test_taylor_remainder_decays_quadratically(shape, p):
     # scale-free beside gradcheck (Farrell et al., SIAM J. Sci. Comput. 2013): with the right gradient
     # the remainder is O(h^2), so each halving of h divides it by 4; a 1e-3 gradient error leaves O(h)

@@ -57,6 +57,17 @@ def test_disk_rejects_non_finite_geometry(center, radius):
         sphere_case_3d((16, 16, 16), (*center, 7.5), radius)
 
 
+@pytest.mark.parametrize("name,value", [("noise_sigma", float("inf")), ("noise_sigma", float("nan")),
+                                        ("fg", float("inf")), ("fg", float("nan")), ("bg", float("-inf"))])
+def test_ball_cases_reject_non_finite_levels_and_noise(name, value):
+    for make, shape, center in ((disk_case, (32, 32), (15.5, 15.5)), (sphere_case_3d, (16, 16, 16), (7.5,) * 3)):
+        with pytest.raises(FieldError, match=f"finite.*{value}"):
+            make(shape, center, 5.0, **{name: value})
+    if name == "noise_sigma":
+        with pytest.raises(FieldError, match=f"finite.*{value}"):
+            broken_tube_case((32, 32), noise_sigma=value)
+
+
 def test_image_stays_in_unit_range():
     case = disk_case((48, 48), (23.5, 23.5), 10.0, noise_sigma=0.5, seed=3)
     assert case.image.data.min() >= 0.0
