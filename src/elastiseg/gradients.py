@@ -102,6 +102,8 @@ def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], par
 def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int) -> tuple:
     """The cotangents of block ``b``'s first and second differences, with K's, as (d1, d2, gk).
 
+    That of the first difference d_i is ``d_i*(weight/mag)`` plus the
+    curvature's share: the quotient is taken once per voxel, not per axis.
     The cotangents along axis 0 are written over the differences, in the block
     views of the pass's kept arrays. K's cotangent ``gk`` goes back with the
     others, as it may be one of them (lap3d).
@@ -112,14 +114,13 @@ def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: in
         gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take(b))
         gk *= fwd.mag  # (2*beta*measure)*k*mag
         cots = fwd.pullback(gk)  # gives K back
+    q = np.divide(fwd.weight, fwd.mag, out=fwd.mag)  # weight/mag, once per voxel, over the dead mag
     for ax, dax in enumerate(fwd.derivs):
-        # weight*dax/mag, written over dax
-        dax *= fwd.weight
-        dax /= fwd.mag
+        dax *= q  # dax*(weight/mag), written over dax
         if ax in cots.d1:
             dax += cots.d1[ax]
             ws.give(cots.d1[ax])
-    ws.give(fwd.mag, fwd.weight)  # with beta = 0 the weight is a number, which give ignores
+    ws.give(q, fwd.weight)  # with beta = 0 the weight is a number, which give ignores
     return fwd.derivs, cots.d2, gk
 
 

@@ -19,13 +19,16 @@ velocity, and the stop rule measures the energy change over a fixed window of
 One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
 update are done in place, in the same operation order as the expressions
-they stand for, so results are bit for bit those of fresh arrays. After the
-first iteration a solve allocates no full-size array, with either
-parameterization. The mask is a workspace array, held for the whole solve, so
-the stencils of every iteration run on views built in the first one. The
-velocity and logit state come from :func:`~elastiseg.workspace.aligned_empty`,
-like every workspace array, so all of a solve's full-size float64 arrays
-start on a cache line. The loop runs under one ``np.errstate``.
+they stand for, so results are bit for bit those of fresh arrays. Those are
+``clip(u + g*(-step/mean|g|), 0, 1)`` with ``gd``, the velocity
+``MOMENTUM*v - g*(step/mean|g|)`` with momentum, and ``expit(z + delta)``
+with the logistic parameterization: g is multiplied once, by the step over
+its scale. After the first iteration a solve allocates no full-size array,
+with either parameterization. The mask is a workspace array, held for the
+whole solve, so the stencils of every iteration run on views built in the
+first one. The velocity and logit state come from
+:func:`~elastiseg.workspace.aligned_empty`, like every workspace array, so
+all of a solve's full-size float64 arrays start on a cache line. The loop runs under one ``np.errstate``.
 
 A field larger than four blocks of the workspace's plan (1 MiB per array, half
 a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
@@ -42,6 +45,7 @@ whole-array sum's bits, and the tolerance on the others.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -118,12 +122,19 @@ class SolverTrace:
 
 
 class NonFiniteEnergyError(RuntimeError):
-    """Energy became NaN/Inf; carries the iteration index and the partial trace."""
+    """Energy became NaN/Inf; carries the iteration index, the partial trace and the last finite state.
 
-    def __init__(self, iteration: int, trace: SolverTrace):
-        super().__init__(f"non-finite energy at iteration {iteration}")
+    ``c1``/``c2`` are the region constants of the failing pass, ``scale`` the
+    mean|g| of the last update taken (None before the first), all in the message.
+    """
+
+    def __init__(self, iteration: int, trace: SolverTrace, c1: float, c2: float, scale: float | None):
+        last = "none" if scale is None else f"{scale:.6g}"
+        super().__init__(f"non-finite energy at iteration {iteration} "
+                         f"(last finite c1={c1:.6g}, c2={c2:.6g}, mean|g|={last})")
         self.iteration = iteration
         self.trace = trace
+        self.c1, self.c2, self.scale = c1, c2, scale
 
 
 _LOGIT_CLIP = 1e-6
@@ -143,7 +154,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     to [0,1] by the caller; cv-means rejects one past ``MAX_CONSTANT`` up front
     and clips each re-estimated mean into the image's range. Raises
     :class:`NonFiniteEnergyError` if the energy or the gradient's scale
-    mean|g| is not finite (the partial trace rides on the exception).
+    mean|g| is not finite (the partial trace, the constants and the last
+    finite mean|g| ride on the exception).
 
     Memory: besides the velocity with momentum and the logit with the
     logistic parameterization, a solve holds one
@@ -184,6 +196,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     c1, c2 = params.c1, params.c2
     breakdowns: list[EnergyBreakdown] = []
     converged = False
+    scale = None  # mean|g| of the last update taken
     # each iteration's block sums of |g|, taken in the pass, and block moments of u_it+1, taken in the update
     g_sums = [0.0] * len(ws.blocks)
     u_moments: list[Moments] = [(0.0, 0.0, 0.0)] * len(ws.blocks)
@@ -195,14 +208,15 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             bd, g = energy_and_gradient_raw(u, image.data, image.spacing, params.with_constants(c1, c2), ws, moments,
                                             on_block)
             # the pass at (u_it, c_it) also yields the energy after update it-1
-            if it > 0 and _record(breakdowns, bd, it - 1, cfg):
+            if it > 0 and _record(breakdowns, bd, it - 1, cfg, (c1, c2, scale)):
                 converged = True
                 break
-            scale = _step(u, z, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
+            step_scale = _step(u, z, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
             ws.give(g)
             # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped or sigmoid u in [0,1]
-            if not math.isfinite(scale):
-                raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
+            if not math.isfinite(step_scale):
+                raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False), c1, c2, scale)
+            scale = step_scale
 
             # of u_it+1: its pass's region sums and constants
             moments = mask_moments(u, image.data, ws, totals, u_moments)
@@ -217,7 +231,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
         if cfg.max_iters > 0 and not converged:
             # no further gradient pass supplies the energy after the last update
             bd = segmentation_energy(mask, image, params.with_constants(c1, c2), ws, moments)
-            converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg)
+            converged = _record(breakdowns, bd, cfg.max_iters - 1, cfg, (c1, c2, scale))
 
     return mask, SolverTrace(breakdowns, len(breakdowns), converged)
 
@@ -242,25 +256,31 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
 
     ``g`` is the gradient :func:`_gradient_block` finished, and ``g_sums``
     holds the sum of its |g| over each block. Returns mean|g|. The update
-    writes the :func:`~elastiseg.energy.region_moments` of each block of the
-    new u into ``u_moments``, ``r_parts`` being the blocks of r.
+    is ``clip(u + g*(-step/mean|g|), 0, 1)`` with ``gd`` and
+    ``clip(u + (MOMENTUM*v - g*(step/mean|g|)), 0, 1)`` with momentum, the
+    logistic parameterization adding the same delta to z and taking u =
+    expit(z); mean|g| is taken as at least 1e-30 and step/mean|g| as at most
+    the largest float. The update writes the
+    :func:`~elastiseg.energy.region_moments` of each block of the new u into
+    ``u_moments``, ``r_parts`` being the blocks of r.
     """
     scale = tree_sum(g_sums) / g.size  # np.mean's bits on a tree plan, without its wrapper
-    divisor = max(scale, 1e-30)
+    # step/mean|g| multiplies g once; capped, so that a zero gradient still takes a zero step (0*inf is NaN)
+    factor = min(cfg.step_size / max(scale, 1e-30), sys.float_info.max)
+    if velocity is None:
+        factor = -factor
     us, gs = ws.parts(u), ws.parts(g)
     # without momentum or logit the velocity and z blocks are unused placeholders
     vs = gs if velocity is None else ws.parts(velocity)
     zs = us if z is None else ws.parts(z)
     for b, (ub, gb, vb, zb, rb) in enumerate(zip(us, gs, vs, zs, r_parts)):
-        gb /= divisor
+        gb *= factor
         if velocity is not None:
             vb *= MOMENTUM
-            gb *= cfg.step_size
-            vb -= gb  # MOMENTUM*velocity - step*g
+            vb -= gb  # MOMENTUM*velocity - g*(step/mean|g|)
             delta = vb
         else:
-            gb *= -cfg.step_size
-            delta = gb
+            delta = gb  # g*(-step/mean|g|)
         if z is not None:
             zb += delta
             expit(zb, out=ub)
@@ -271,10 +291,14 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
     return scale
 
 
-def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg: SolverConfig) -> bool:
-    """Append the energy after update ``it``; True once the stop rule fires."""
+def _record(breakdowns: list[EnergyBreakdown], bd: EnergyBreakdown, it: int, cfg: SolverConfig,
+            last: tuple[float, float, float | None]) -> bool:
+    """Append the energy after update ``it``; True once the stop rule fires.
+
+    ``last`` holds the (c1, c2, mean|g|) a :class:`NonFiniteEnergyError` carries.
+    """
     if not math.isfinite(bd.total):
-        raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False))
+        raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False), *last)
     breakdowns.append(bd)
     if len(breakdowns) > STOP_WINDOW:
         e_then = breakdowns[-1 - STOP_WINDOW].total

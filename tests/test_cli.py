@@ -1,5 +1,7 @@
 import argparse
+import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import scipy
 from scipy import ndimage
 
 import elastiseg
+import elastiseg.solver
 from elastiseg import (ScalarField, cli, evaluate_pair, is_binary, make_field, metrics, read_pgm, read_volume,
                        threshold, write_pgm, write_volume)
 from elastiseg.cli import build_parser, main
@@ -407,11 +410,46 @@ def test_segment_non_finite_run_writes_its_manifest(tmp_path, capsys):
     assert run(["segment", "--image", str(case_dir / "image.vf32"), "--init", str(case_dir / "image.vf32"),
                 "--alpha", "1e308", "--iters", "10", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "non-finite energy at iteration 0" in err and "partial trace written" in err
+    assert err == (f"error: non-finite energy at iteration 0 (last finite c1=1, c2=0, mean|g|=none); "
+                   f"partial trace written to {out / 'trace.csv'}\n")
     assert (out / "trace.csv").read_text() == "iter,elastica,region_in,region_out,total\n"
     manifest = read_manifest(out / "manifest.txt")
     assert (manifest["iterations_run"], manifest["converged"], manifest["alpha"]) == ("0", "False", "1e+308")
     assert not (out / "mask.vf32").exists()
+
+
+def test_segment_error_line_prints_the_last_finite_constants_and_scale(tmp_path, capsys, monkeypatch):
+    # dE/du turns NaN in the 3rd pass: the 2nd update was the last one taken, under cv-means constants
+    passes = []
+    real = elastiseg.solver._gradient_block
+
+    def poisoning(us, logistic, sums, b, gb, tb):
+        passes.append(b)
+        if passes.count(0) == 3:
+            gb.fill(np.nan)
+        real(us, logistic, sums, b, gb, tb)
+
+    monkeypatch.setattr(elastiseg.solver, "_gradient_block", poisoning)
+    case_dir = disk(tmp_path)
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"error: non-finite energy at iteration 2 \(last finite c1=(\S+), c2=(\S+), mean\|g\|=(\S+)\); "
+                         r"partial trace written to (\S+)\n", err)
+    assert match and match[4] == str(out / "trace.csv")
+    c1, c2, scale = (float(v) for v in match.groups()[:3])
+    assert c1 > c2 and (c1, c2) != (1.0, 0.0)  # re-estimated from the disk
+    assert 0.0 < scale < math.inf
+    assert read_manifest(out / "manifest.txt")["stop_reason"] == "non_finite"
+
+
+def test_segment_with_a_huge_step_and_no_force_leaves_the_mask_unchanged(tmp_path):
+    case_dir = disk(tmp_path)
+    out = tmp_path / "seg"
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--beta", "0", "--region-mode", "fixed",
+                "--c1", "0.5", "--c2", "0.5", "--step", "1e300", "--iters", "20", "--out", str(out)]) == 0
+    assert read_manifest(out / "manifest.txt")["stop_reason"] == "converged"
+    np.testing.assert_array_equal(read_volume(out / "mask.vf32").data, 0.5)
 
 
 @pytest.mark.parametrize("extra, rc, reason", [

@@ -19,6 +19,7 @@ from elastiseg import (
     segmentation_energy,
 )
 from elastiseg import diffops, gradients, solver, workspace
+from elastiseg.curvature import curvature_forward
 from elastiseg.diffops import d1, d1_adj, d2, dmixed, dmixed_adj
 from elastiseg.energy import elastica_forward, energy_density
 from elastiseg.gradients import FD_STEP, _elastica_energy_and_gradient, energy_and_gradient_raw, fd_gradient_raw
@@ -399,6 +400,45 @@ def test_multi_block_solves_match_the_one_block_solve_bit_for_bit(mode, monkeypa
         monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
         assert len(Workspace(shape).blocks) == n_blocks
         assert _solve_outputs(image, init, mode) == one, planes
+
+
+def ref_gradient(a, r, spacing, p):
+    """dE/du as expressions in fresh arrays: each first difference's cotangent is d_i*(weight/mag).
+
+    K and its pullback are the library's own (pinned by ``test_mean_reference``), on a one-block workspace.
+    """
+    measure = math.prod(spacing)
+    derivs = [d1(a, ax, spacing[ax]) for ax in range(a.ndim)]
+    mag = diffops.grad_mag_raw(derivs)
+    d1_cots, d2_cots = {}, {}
+    weight = p.alpha * measure
+    if p.beta != 0.0:
+        k, pullback = curvature_forward(a, spacing, p.mode, [d.copy() for d in derivs], Workspace(a.shape))
+        weight = ((k * p.beta) * k + p.alpha) * measure
+        cots = pullback((k * (2.0 * p.beta * measure)) * mag)
+        d1_cots, d2_cots = cots.d1, cots.d2
+    cot = [d * (weight / mag) + d1_cots[ax] if ax in d1_cots else d * (weight / mag) for ax, d in enumerate(derivs)]
+    g = d1_adj(cot[0], 0, spacing[0])
+    for ax in range(1, a.ndim):
+        g = g + d1_adj(cot[ax], ax, spacing[ax])
+    for ax, c in d2_cots.items():
+        g = g + d2(c, ax, spacing[ax])
+    return g + region_gradient(r, p)
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("n_blocks", [1, 8])
+def test_gradient_matches_the_expression_form_with_one_quotient_per_voxel(mode, beta, n_blocks, monkeypatch):
+    rng = np.random.default_rng(46)
+    shape = (32, 36) if mode.required_ndim == 2 else (32, 6, 8)
+    spacing = tuple(rng.uniform(0.5, 2.0, len(shape)))
+    a, r = rng.random(shape), rng.random(shape)
+    p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
+    expected = ref_gradient(a, r, spacing, p)
+    monkeypatch.setattr(workspace, "BLOCK_BYTES", 32 // n_blocks * 8 * math.prod(shape[1:]))
+    assert len(Workspace(shape).blocks) == n_blocks
+    assert energy_and_gradient_raw(a, r, spacing, p)[1].tobytes() == expected.tobytes()
 
 
 def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):

@@ -27,8 +27,8 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.energy import MAX_CONSTANT
-from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES
-from elastiseg.workspace import Workspace
+from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES, STOP_WINDOW
+from elastiseg.workspace import Workspace, block_sum
 
 
 def small_disk(seed=0):
@@ -196,6 +196,9 @@ def test_non_finite_energy_reports_iteration_and_partial_trace():
         segment(case.image, init, p, SolverConfig(max_iters=10))
     assert err.value.iteration == 0
     assert err.value.trace.iterations_run == 0
+    # the first step's scale is the non-finite one: no update was taken
+    assert (err.value.c1, err.value.c2, err.value.scale) == (1.0, 0.0, None)
+    assert str(err.value) == "non-finite energy at iteration 0 (last finite c1=1, c2=0, mean|g|=none)"
 
 
 def test_shape_mismatch_rejected():
@@ -357,10 +360,31 @@ def _non_finite(bd: EnergyBreakdown) -> EnergyBreakdown:
     return EnergyBreakdown(bd.elastica, bd.region_in, bd.region_out, float("inf"))
 
 
+def _record_scales(monkeypatch) -> list[float]:
+    """The mean|g| each update returns, in order."""
+    scales = []
+    _count_calls(monkeypatch, "_step", lambda n, out: scales.append(out) or out)
+    return scales
+
+
+def _record_constants(monkeypatch) -> list[tuple[float, float]]:
+    """The (c1, c2) each fused pass runs with, in order."""
+    constants = []
+    real = elastiseg.solver.energy_and_gradient_raw
+
+    def recording(a, r, spacing, params, *rest):
+        constants.append((params.c1, params.c2))
+        return real(a, r, spacing, params, *rest)
+
+    monkeypatch.setattr(elastiseg.solver, "energy_and_gradient_raw", recording)
+    return constants
+
+
 def test_non_finite_energy_mid_run_reports_the_update_index(monkeypatch):
     # the 4th fused pass (iteration 3) evaluates the state after update 2
     _count_calls(monkeypatch, "energy_and_gradient_raw",
                  lambda n, out: (_non_finite(out[0]), out[1]) if n == 4 else out)
+    scales = _record_scales(monkeypatch)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
@@ -368,6 +392,10 @@ def test_non_finite_energy_mid_run_reports_the_update_index(monkeypatch):
     assert err.value.iteration == 2
     assert err.value.trace.iterations_run == 2
     assert all(np.isfinite(b.total) for b in err.value.trace.breakdowns)
+    # update 2 was taken, at the scale it returned; the failing pass runs with the fixed constants
+    assert len(scales) == 3 and math.isfinite(scales[-1])
+    assert (err.value.c1, err.value.c2, err.value.scale) == (1.0, 0.0, scales[-1])
+    assert f"mean|g|={scales[-1]:.6g})" in str(err.value)
 
 
 def _poison(g: np.ndarray, value: float, everywhere: bool = False) -> np.ndarray:
@@ -398,6 +426,8 @@ def _poison_in_pass(monkeypatch, at_pass: int, value: float, everywhere: bool = 
 def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch, optimizer, param, region_mode, value):
     # the 3rd fused pass (iteration 2) records the energies after updates 0 and 1, then takes a poisoned step
     _poison_in_pass(monkeypatch, 3, value)
+    scales = _record_scales(monkeypatch)
+    constants = _record_constants(monkeypatch)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
@@ -406,6 +436,12 @@ def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch
     assert err.value.iteration == 2
     assert err.value.trace.iterations_run == 2
     assert len(err.value.trace.breakdowns) == 2
+    # the error carries the constants of the poisoned pass and the scale of update 1, the last finite one
+    assert len(scales) == 3 and not math.isfinite(scales[2]) and math.isfinite(scales[1])
+    assert (err.value.c1, err.value.c2) == constants[2]
+    assert err.value.scale == scales[1]
+    if region_mode == "cv-means":  # re-estimated after updates 0 and 1
+        assert constants[2] != constants[0]
 
 
 def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
@@ -417,16 +453,58 @@ def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
         segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10))
     assert err.value.iteration == 0
     assert err.value.trace.iterations_run == 0
+    assert (err.value.c1, err.value.c2, err.value.scale) == (1.0, 0.0, None)
 
 
 def test_non_finite_energy_after_last_update(monkeypatch):
     _count_calls(monkeypatch, "segmentation_energy", lambda n, out: _non_finite(out))
+    scales = _record_scales(monkeypatch)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
-        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=5))
+        segment(case.image, init, EnergyParams(c1=0.75, c2=0.25), SolverConfig(max_iters=5))
     assert err.value.iteration == 4
     assert err.value.trace.iterations_run == 4
+    assert len(scales) == 5
+    assert (err.value.c1, err.value.c2, err.value.scale) == (0.75, 0.25, scales[-1])
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_step_multiplies_g_once_by_the_step_over_its_scale(optimizer):
+    rng = np.random.default_rng(48)
+    shape = (32, 36)
+    ws = Workspace(shape)
+    u, g = ws.take(), ws.take()
+    u[...] = rng.uniform(0.0, 1.0, shape)
+    g[...] = rng.standard_normal(shape)
+    r = rng.random(shape)
+    velocity = 0.01 * rng.standard_normal(shape) if optimizer == "momentum" else None
+    u0, g0, v0 = u.copy(), g.copy(), None if velocity is None else velocity.copy()
+    step = 0.07
+    cfg = SolverConfig(step_size=step, optimizer=optimizer)
+    g_sums = [block_sum(np.abs(gb)) for gb in ws.parts(g)]
+    scale = elastiseg.solver._step(u, None, velocity, g, ws, cfg, ws.parts(r), g_sums, [None] * len(ws.blocks))
+    assert scale == np.mean(np.abs(g0))
+    if velocity is None:
+        expected = np.clip(u0 + g0 * (-step / scale), 0, 1)
+    else:
+        v = 0.9 * v0 - g0 * (step / scale)
+        assert velocity.tobytes() == v.tobytes()
+        expected = np.clip(u0 + v, 0, 1)
+    assert u.tobytes() == expected.tobytes()
+    assert 0 < np.count_nonzero((expected == 0.0) | (expected == 1.0)) < u.size  # the projection bites on some voxels
+
+
+@pytest.mark.parametrize("optimizer,param", itertools.product(OPTIMIZERS, PARAMETERIZATIONS))
+def test_a_zero_gradient_takes_a_zero_step_at_any_step_size(optimizer, param):
+    # c1 = c2 zeroes the region force and a uniform mask has no length force, so g = 0; step/mean|g| overflows,
+    # and the capped factor keeps 0*factor at 0 rather than NaN
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    cfg = SolverConfig(max_iters=20, step_size=1e300, optimizer=optimizer, parameterization=param)
+    mask, trace = segment(case.image, init, EnergyParams(beta=0.0, c1=0.5, c2=0.5), cfg)
+    assert trace.converged and trace.iterations_run == STOP_WINDOW + 1
+    assert mask.data.tobytes() == init.data.tobytes()
 
 
 def _traced_peak_in_arrays(image, init, params, cfg):
