@@ -192,8 +192,8 @@ def _laplacian_3d(slopes: Differences, seconds: Differences, spacing: tuple[floa
     ws.give(*seconds[1:])
 
     def pullback(gk: np.ndarray) -> Cotangents:
-        np.copyto(seconds[0], gk)  # gk is the cotangent along every axis; along axis 0 it goes over s0 (K)
-        return Cotangents({}, {0: seconds[0], 1: gk, 2: gk})
+        np.copyto(seconds[0], gk)  # gk is the cotangent along every axis: copied over s0 (K), it serves all three
+        return Cotangents({}, dict.fromkeys(range(3), seconds[0]))
 
     return k, pullback
 
@@ -221,8 +221,11 @@ def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: Curvature
     is given). The pullback may overwrite its argument, and it gives K and the
     forward's buffers it no longer needs back to ``ws``. Every mode writes the
     cotangent along axis 0 over that second difference (``second0``), never
-    given back, and the fast and mean modes do so along every axis. The caller
-    owns the cotangents, its ``derivs``, and K until it calls the pullback.
+    given back; the fast and mean modes do so along every axis, and lap3d
+    returns that one array along all three. No cotangent is the pullback's
+    argument, so the caller can give that back as soon as the pullback
+    returns. The caller owns the cotangents, its ``derivs``, and K until it
+    calls the pullback.
     """
     check_ndim(a.ndim, mode)
     ws = Workspace(a.shape) if ws is None else ws

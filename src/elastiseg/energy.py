@@ -25,6 +25,10 @@ The region terms read u only through the moments sum u, sum u*r, sum u*r^2
 (:func:`region_moments`); those of 1 - u are the totals N, sum r, sum r^2 minus
 them. A region sum is |m2 - 2c*m1 + c^2*m0|, a mean m1/m0 clipped into r's
 range; :func:`region_terms` and the oracle's density keep the direct form.
+Every moment, of the whole field or of one block, is summed block by block
+over the workspace's plan and combined by ``tree_sum``, the order of the
+solver's update, so :func:`segmentation_energy` and the solver's trace agree
+bit for bit on every plan.
 """
 
 from __future__ import annotations
@@ -130,11 +134,17 @@ def region_terms(u: ScalarField, r: ScalarField, c1: float, c2: float) -> tuple[
 
 
 def region_moments(w: np.ndarray | float, r: np.ndarray, ws: Workspace, b: int | None = None) -> Moments:
-    """The moments of ``r`` under ``w`` (an array, or a scalar such as 1.0), through one array of ``ws``.
+    """The moments of ``r`` under ``w`` (an array, or a scalar such as 1.0), through one block array of ``ws``.
 
-    ``r`` and an array ``w`` are the whole field, or with ``b`` its block ``b``
-    of the plan of ``ws``, as :meth:`~elastiseg.workspace.Workspace.take` reads ``b``.
+    With ``b``, ``r`` and an array ``w`` are block ``b`` of the plan of
+    ``ws``, as :meth:`~elastiseg.workspace.Workspace.take` reads ``b``.
+    Without it they are the whole field, whose moments are those of each block
+    combined as :func:`mask_moments` combines given block moments: in the
+    order the solver's update takes them, on every plan.
     """
+    if b is None:
+        parts = ws.parts(w) if np.ndim(w) else [w] * len(ws.blocks)
+        return _combined([region_moments(wb, rb, ws, i) for i, (wb, rb) in enumerate(zip(parts, ws.parts(r)))])
     wr = np.multiply(w, r, out=ws.take(b))
     m1 = block_sum(wr)
     m2 = block_sum(np.multiply(wr, r, out=wr))
@@ -147,13 +157,18 @@ def mask_moments(u: np.ndarray, r: np.ndarray, ws: Workspace, totals: Moments | 
     """The moments of ``r`` under u and under 1 - u, the latter as ``totals`` (weight 1) minus the former.
 
     ``blocks``, the :func:`region_moments` of u on each block of the plan of
-    ``ws``, are combined component by component by
-    :func:`~elastiseg.workspace.tree_sum`, without another pass over u;
-    without them the moments are those of the whole field.
+    ``ws``, are combined without another pass over u; without them u's
+    moments are taken by :func:`region_moments`, which sums and combines the
+    same blocks in the same order.
     """
     totals = region_moments(1.0, r, ws) if totals is None else totals
-    inside = region_moments(u, r, ws) if blocks is None else tuple(tree_sum(list(m)) for m in zip(*blocks))
+    inside = region_moments(u, r, ws) if blocks is None else _combined(blocks)
     return inside, tuple(t - m for t, m in zip(totals, inside))
+
+
+def _combined(blocks: list[Moments]) -> Moments:
+    """Block moments combined component by component by :func:`~elastiseg.workspace.tree_sum`."""
+    return tuple(tree_sum(list(m)) for m in zip(*blocks))
 
 
 def region_sums(moments: tuple[Moments, Moments], c1: float, c2: float) -> tuple[float, float]:

@@ -12,8 +12,10 @@ adds in three ufunc calls per block. The pass takes every intermediate from a
 :class:`~elastiseg.workspace.Workspace` and writes cotangents over the
 forward buffers that have died, so with a workspace reused across calls it
 allocates no array in any mode. It runs block by block over the workspace's
-plan, in two stages a block apart, with no halo and nothing computed twice
-(:func:`_elastica_energy_and_gradient`). A caller can have each block of the
+plan, in two stages a block apart, with no halo and nothing computed twice.
+A block's cotangents are held from one stage to the next, K's not among
+them: no curvature pullback returns its argument, so that array goes back as
+soon as the pullback has read it. A caller can have each block of the
 gradient handed to it as soon as the block is complete, while it is in cache:
 the solver scales it there and sums its magnitudes. The finite-difference
 oracle costs 2*3^d density calls at any size.
@@ -60,60 +62,21 @@ class GradCheckReport:
     passed: bool
 
 
-def _elastica_energy_and_gradient(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
-                                  ws: Workspace, r: np.ndarray,
-                                  on_block: BlockHook | None) -> tuple[float, np.ndarray]:
-    """Elastica energy and the whole energy's gradient, block by block, from one forward pass and its pullback.
-
-    The region term's gradient, linear in ``r``, is added to each block, and
-    ``on_block`` (if any) is called on each block of the gradient once it is
-    complete. Every buffer of the pass is given back to ``ws`` except the
-    returned gradient.
-
-    Block b's first stage runs the forward, the pullback and the scaling of
-    the cotangents of the first and second differences; its second stage
-    applies their adjoint stencils and sums the gradient. Along axis 0 a
-    stencil reads the neighbouring blocks' planes, so the differences along
-    axis 0, and the cotangents written over them, live in full-size arrays,
-    and block b's second stage runs after block b+1's first. Every other
-    stencil stays inside its block. The terms are summed in the order of the
-    unblocked pass, so the gradient has its bits. The energy comes from the
-    density sums the block forwards return, combined by
-    :func:`~elastiseg.workspace.tree_sum`.
-    """
-    keep = (ws.take(), ws.take() if params.beta != 0.0 else None)
-    sums = [0.0] * len(ws.blocks)
-    scale = params.lam * (params.c1 - params.c2)  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
-    region = ws.parts(r), -2.0 * scale, scale * (params.c1 + params.c2)
-    grad = held = None
-    for b in range(len(ws.blocks)):
-        fwd = elastica_forward(a, spacing, params, ws, b, keep)
-        sums[b] = fwd.total
-        stage = b, *_cotangents(fwd, params, ws, b)
-        grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
-        if held is not None:
-            _adjoints(grad, spacing, ws, keep, region, on_block, *held)
-        held = stage
-    _adjoints(grad, spacing, ws, keep, region, on_block, *held)
-    ws.give(*keep)
-    return elastica_energy(tree_sum(sums), params, fwd.measure), grad
-
-
 def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int) -> tuple:
-    """The cotangents of block ``b``'s first and second differences, with K's, as (d1, d2, gk).
+    """The cotangents of block ``b``'s first and second differences, as (d1, d2).
 
     That of the first difference d_i is ``d_i*(weight/mag)`` plus the
     curvature's share: the quotient is taken once per voxel, not per axis.
     The cotangents along axis 0 are written over the differences, in the block
-    views of the pass's kept arrays. K's cotangent ``gk`` goes back with the
-    others, as it may be one of them (lap3d).
+    views of the pass's kept arrays. K's cotangent ``gk`` is none of them, so
+    it goes back as soon as the pullback has read it.
     """
     cots = Cotangents({}, {})
-    gk = None
     if fwd.pullback is not None:
         gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take(b))
         gk *= fwd.mag  # (2*beta*measure)*k*mag
         cots = fwd.pullback(gk)  # gives K back
+        ws.give(gk)
     q = np.divide(fwd.weight, fwd.mag, out=fwd.mag)  # weight/mag, once per voxel, over the dead mag
     for ax, dax in enumerate(fwd.derivs):
         dax *= q  # dax*(weight/mag), written over dax
@@ -121,12 +84,11 @@ def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: in
             dax += cots.d1[ax]
             ws.give(cots.d1[ax])
     ws.give(q, fwd.weight)  # with beta = 0 the weight is a number, which give ignores
-    return fwd.derivs, cots.d2, gk
+    return fwd.derivs, cots.d2
 
 
 def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep: tuple, region: tuple,
-              on_block: BlockHook | None, b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray],
-              gk: np.ndarray | None) -> None:
+              on_block: BlockHook | None, b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray]) -> None:
     """Block ``b`` of the gradient: the adjoint stencils of its cotangents, then the region term.
 
     The cotangents along axis 0 are read from ``keep``, across blocks; every
@@ -149,29 +111,54 @@ def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep:
     g += adj
     if on_block is not None:
         on_block(b, g, adj)
-    # a cotangent may be shared between stencils (lap3d), so they go back only now
-    ws.give(adj, *d1_cots, *d2_cots.values(), gk)
+    ws.give(adj, *d1_cots, *d2_cots.values())
 
 
 def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
                             ws: Workspace | None = None, moments: tuple[Moments, Moments] | None = None,
                             on_block: BlockHook | None = None) -> tuple[EnergyBreakdown, np.ndarray]:
-    """Energy breakdown and dE/du at ``a`` from a single forward pass.
+    """Energy breakdown and dE/du at ``a`` from a single forward pass and its pullback, block by block.
 
     The region sums come from ``moments``, :func:`energy.mask_moments` of
-    ``a`` (computed when not given), the elastica term from the magnitude and
-    curvature the pullback already holds. Every intermediate is taken from
+    ``a`` (computed when not given), the elastica term from the density sums
+    the block forwards return, combined by
+    :func:`~elastiseg.workspace.tree_sum`. Every intermediate is taken from
     ``ws`` and given back to it; the returned gradient is one of its arrays,
     which the caller gives back once it is done with it. Without ``ws`` a
     throwaway workspace is used and the gradient is a fresh array. ``on_block``
     is called with (b, block b of the gradient, a scratch array of that
     block's shape) as each block is complete, in plan order; whatever it
     writes into the gradient's block is what the caller gets back.
+
+    Block b's first stage runs the forward, the pullback and the scaling of
+    the cotangents of the first and second differences; its second stage
+    applies their adjoint stencils and adds the region term's gradient,
+    linear in ``r``. Along axis 0 a stencil reads the neighbouring blocks'
+    planes, so the differences along axis 0, and the cotangents written over
+    them, live in full-size arrays, and block b's second stage runs after
+    block b+1's first. Every other stencil stays inside its block. The terms
+    are summed in the order of the unblocked pass, so the gradient has its
+    bits.
     """
     ws = Workspace(a.shape) if ws is None else ws
     moments = mask_moments(a, r, ws) if moments is None else moments
-    elastica, g = _elastica_energy_and_gradient(a, spacing, params, ws, r, on_block)
-    return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam), g
+    keep = (ws.take(), ws.take() if params.beta != 0.0 else None)
+    sums = [0.0] * len(ws.blocks)
+    scale = params.lam * (params.c1 - params.c2)  # lam*(c1-c2)*(c1+c2-2r), as r*(-2*scale) + scale*(c1+c2)
+    region = ws.parts(r), -2.0 * scale, scale * (params.c1 + params.c2)
+    grad = held = None
+    for b in range(len(ws.blocks)):
+        fwd = elastica_forward(a, spacing, params, ws, b, keep)
+        sums[b] = fwd.total
+        stage = b, *_cotangents(fwd, params, ws, b)
+        grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
+        if held is not None:
+            _adjoints(grad, spacing, ws, keep, region, on_block, *held)
+        held = stage
+    _adjoints(grad, spacing, ws, keep, region, on_block, *held)
+    ws.give(*keep)
+    elastica = elastica_energy(tree_sum(sums), params, fwd.measure)
+    return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam), grad
 
 
 def energy_gradient(u: ScalarField, r: ScalarField, params: EnergyParams) -> ScalarField:

@@ -168,8 +168,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     several blocks (64^3) it holds 3 full-size arrays with beta = 0 and 4
     with beta > 0 (the mask, the differences along axis 0 and their
     cotangents, the gradient), and M block-sized ones: M = ndim + 2 in 2D
-    and ndim + 3 in 3D with beta = 0; with beta > 0, M = 13 in fast3d, 9 in
-    lap3d, 14 in mean2d and 21 in mean3d. The exit energy of a run that
+    and ndim + 3 in 3D with beta = 0; with beta > 0, M = 12 in fast3d, 8 in
+    lap3d, 13 in mean2d and 20 in mean3d. The exit energy of a run that
     reaches ``max_iters`` is evaluated in the same workspace and gives back
     every array it takes.
     """

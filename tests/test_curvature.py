@@ -157,8 +157,11 @@ def test_every_mode_writes_its_axis0_cotangent_over_the_given_second_difference(
     u, gk = rng.random(shape), rng.random(shape)
     ws = Workspace(shape)
     second0 = ws.take()
-    cots = curvature_forward(u, spacing, mode, ws=ws, second0=second0)[1](gk.copy())
+    arg = gk.copy()
+    cots = curvature_forward(u, spacing, mode, ws=ws, second0=second0)[1](arg)
     assert cots.d2[0] is second0
+    # no cotangent is the pullback's argument, which the gradient pass gives back as soon as the pullback returns
+    assert not any(np.shares_memory(c, arg) for c in (*cots.d1.values(), *cots.d2.values()))
     # second0 was not given back: no take hands it out
     assert all(ws.take() is not second0 for _ in range(len(ws)))
     # and the cotangents pull gk back: <gk, dK(u)[v]> = sum of <cotangent, difference of v>, checked against

@@ -22,7 +22,7 @@ from elastiseg import diffops, gradients, solver, workspace
 from elastiseg.curvature import curvature_forward
 from elastiseg.diffops import d1, d1_adj, d2, dmixed, dmixed_adj
 from elastiseg.energy import elastica_forward, energy_density
-from elastiseg.gradients import FD_STEP, _elastica_energy_and_gradient, energy_and_gradient_raw, fd_gradient_raw
+from elastiseg.gradients import FD_STEP, energy_and_gradient_raw, fd_gradient_raw
 from elastiseg.workspace import Workspace
 
 DOT_SHAPES = [(3, 3), (3, 3, 3), (7, 5), (4, 6, 5), (3, 9), (12, 3, 4)]
@@ -135,8 +135,8 @@ def test_beta_zero_gradient_splits_into_tv_plus_region():
     p = EnergyParams(alpha=0.05, beta=0.0, mode=CurvatureMode.MEAN_2D)
     full = energy_and_gradient_raw(u, r, (1.0, 1.0), p)[1]
     # with c2 = c1 the region term's slope and offset are zero: the pass's gradient is the elastica part alone
-    elastica = _elastica_energy_and_gradient(u, (1.0, 1.0), p.with_constants(p.c1, p.c1), Workspace(u.shape), r, None)
-    parts = region_gradient(r, p) + elastica[1]
+    elastica = energy_and_gradient_raw(u, r, (1.0, 1.0), p.with_constants(p.c1, p.c1))[1]
+    parts = region_gradient(r, p) + elastica
     np.testing.assert_array_equal(full, parts)
 
 

@@ -28,7 +28,7 @@ from elastiseg import (
 )
 from elastiseg.energy import MAX_CONSTANT
 from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES, STOP_WINDOW
-from elastiseg.workspace import Workspace, block_sum
+from elastiseg.workspace import ALIGNMENT, Workspace, block_sum
 
 
 def small_disk(seed=0):
@@ -178,14 +178,14 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
         _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
         # the image's totals once; then the moments of each mask u_0 .. u_last once, which give
         # that mask's region sums (fused pass or exit energy) and the cv-means constants
-        assert weights.count((0, True)) == 1
+        assert weights.count((0, True)) == 1 and weights.count((0, False)) == n_blocks, planes
         evaluated = len(fused) + (0 if trace.converged else 1)
         assert trace.converged == (stop_tol > 0.0) and len(masks) == evaluated, planes
         # every plan takes the moments of each updated mask in the update, one call per block; only u_0's
-        # are of the whole field
+        # and the totals are of the whole field, and those too are taken as one call per block
         assert weights.count((2, True)) == 1, planes
-        assert weights.count((2, False)) == len(updates) * n_blocks, planes
-        assert len(weights) == 2 + len(updates) * n_blocks, planes
+        assert weights.count((2, False)) == (len(updates) + 1) * n_blocks, planes
+        assert len(weights) == 2 + (len(updates) + 2) * n_blocks, planes
 
 
 def test_non_finite_energy_reports_iteration_and_partial_trace():
@@ -285,12 +285,20 @@ def _parity_case(mode):
     return sphere_case_3d((8, 8, 8), (3.5, 3.5, 3.5), 2.5, fg=0.8, bg=0.2, noise_sigma=0.1, seed=11).image
 
 
-@pytest.mark.parametrize("mode,beta,optimizer,param,region_mode", [
-    (m, b, o, p, r) for (m, b), o, p, r in itertools.product(
-        PARITY_MODES, ("gd", "momentum"), ("clipped", "logistic"), ("fixed", "cv-means"))
+PARITY_CASES = [(m, b, o, p, r) for (m, b), o, p, r in itertools.product(
+    PARITY_MODES, ("gd", "momentum"), ("clipped", "logistic"), ("fixed", "cv-means"))]
+
+
+# each case on its one block, and on one plane per block: 16 blocks of 16 voxels or 8 of 64, not a tree plan
+@pytest.mark.parametrize("mode,beta,optimizer,param,region_mode,one_plane", [
+    pytest.param(*case, one_plane, id="-".join(map(str, case)) + ("-one-plane-blocks" if one_plane else ""))
+    for one_plane in (False, True) for case in PARITY_CASES
 ])
-def test_fused_trace_matches_separate_energy(mode, beta, optimizer, param, region_mode):
+def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer, param, region_mode, one_plane):
     image = _parity_case(mode)
+    if one_plane:
+        monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", 8 * math.prod(image.shape[1:]))
+        assert len(Workspace(image.shape).blocks) == image.shape[0]
     init = make_field(image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.01, beta=beta, mode=mode)
 
@@ -525,15 +533,15 @@ def _sphere(shape):
 BUDGET_SHAPES = [(24, 24, 24), (64, 64, 64), (65, 64, 64)]
 
 
-@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (12.5, 6.85, 6.85)),
-                         ids=["24-12.5", "64-6.85", "65x64x64-6.85"])
+@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (12.5, 6.725, 6.725)),
+                         ids=["24-12.5", "64-6.725", "65x64x64-6.725"])
 def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
     # full-size array alive at once: the mask, the velocity, the workspace and
     # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays).
     # 24^3 is one block (12.41 arrays measured); with several blocks the
-    # workspace holds 4 full-size arrays and 13 block-sized ones (6.79 at
-    # 64^3, 6.77 at 65x64x64)
+    # workspace holds 4 full-size arrays and 12 block-sized ones (6.66 at
+    # 64^3, 6.64 at 65x64x64)
     case = _sphere(shape)
     assert len(Workspace(case.image.shape).blocks) == {24: 1, 64: 8, 65: 9}[shape[0]]
     init = make_field(case.image.shape, 1.0, 0.5)
@@ -546,14 +554,14 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (20.75, 7.85, 7.85)),
-                         ids=["24-20.75", "64-7.85", "65x64x64-7.85"])
+@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (20.75, 7.725, 7.725)),
+                         ids=["24-20.75", "64-7.725", "65x64x64-7.725"])
 def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     # the mean modes compute every stencil output and pointwise expression in
     # the workspace: 18 arrays at beta > 0 on one block (24^3: 20.46 arrays
     # measured with the mask, the velocity, the fields and the ufunc buffers),
-    # and 4 full-size arrays and 21 block-sized ones with several blocks
-    # (7.80 at 64^3, 7.77 at 65x64x64)
+    # and 4 full-size arrays and 20 block-sized ones with several blocks
+    # (7.67 at 64^3, 7.64 at 65x64x64)
     case = _sphere(shape)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
@@ -565,9 +573,14 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
+# bytes of interpreter objects (views, dict entries) by which two traced peaks of one solve may differ: 304 B
+# was the worst reading of 40 repeats at 24^3, a full-size temporary there is 110592 B
+INTERPRETER_BYTES = 2048
+
+
 def test_logistic_solve_holds_only_the_logit_beyond_the_clipped_solve():
     # scipy's logit and expit write in place, so the logistic parameterization adds only the logit array and no
-    # per-update temporary: at 24^3 the difference reads 0.97 arrays
+    # per-update temporary; the logit is aligned_empty's, ALIGNMENT bytes longer than the field
     case = _sphere((24, 24, 24))
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
@@ -575,7 +588,8 @@ def test_logistic_solve_holds_only_the_logit_beyond_the_clipped_solve():
                                                 SolverConfig(max_iters=3, optimizer="momentum", parameterization=par,
                                                              region_mode="cv-means", stop_tol=0.0))
                          for par in ("clipped", "logistic"))
-    assert logistic - clipped <= 1.0, (clipped, logistic)
+    nbytes = case.image.data.nbytes
+    assert (logistic - clipped) * nbytes <= nbytes + ALIGNMENT + INTERPRETER_BYTES, (clipped, logistic)
 
 
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
@@ -588,12 +602,13 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     }
     # several blocks: the mask, the first and second differences along axis 0 and the gradient are full-size
     # (3 arrays at beta = 0, 4 at beta > 0), the rest block-sized, each block's density among them, and a
-    # block's cotangents kept until the next block's first stage is done
+    # block's cotangents (not K's, which goes back after the pullback) kept until the next block's first
+    # stage is done
     expected_blocks = {
-        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 14,
-        (CurvatureMode.MEAN_3D, 0.0): 6, (CurvatureMode.MEAN_3D, 0.5): 21,
-        (CurvatureMode.FAST_3D, 0.0): 6, (CurvatureMode.FAST_3D, 0.5): 13,
-        (CurvatureMode.LAPLACIAN_3D, 0.0): 6, (CurvatureMode.LAPLACIAN_3D, 0.5): 9,
+        (CurvatureMode.MEAN_2D, 0.0): 4, (CurvatureMode.MEAN_2D, 0.5): 13,
+        (CurvatureMode.MEAN_3D, 0.0): 6, (CurvatureMode.MEAN_3D, 0.5): 20,
+        (CurvatureMode.FAST_3D, 0.0): 6, (CurvatureMode.FAST_3D, 0.5): 12,
+        (CurvatureMode.LAPLACIAN_3D, 0.0): 6, (CurvatureMode.LAPLACIAN_3D, 0.5): 8,
     }
     made = []
 
