@@ -163,9 +163,7 @@ def cmd_synth(args) -> int:
     if tube:
         case = broken_tube_case(shape, args.width, args.gaps, args.gap_len, args.noise, args.seed)
     else:
-        ndim, make = (2, disk_case) if args.case == "disk" else (3, sphere_case_3d)
-        if len(shape) != ndim:
-            raise FieldError(f"{args.case} case needs a {ndim}D shape")
+        make = disk_case if args.case == "disk" else sphere_case_3d
         case = make(shape, args.center, args.radius, args.fg, args.bg, args.noise, args.seed)
     gen_s = time.perf_counter() - t0
 

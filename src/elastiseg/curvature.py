@@ -14,17 +14,19 @@ three stencil passes, and a plain second-derivative sum (laplacian_3d) for
 comparison; note the fast variant is NOT the Laplacian despite using the same
 kernels: it squares each term and is therefore nonnegative.
 
-Each mode is written once, as a forward function that returns K and its
-pullback: a map from a cotangent of K to the cotangents of the first and
-second differences the forward read. The estimators below, the energy and its
-analytic gradient all evaluate that one definition. A mode reads the first
-and second differences of u on one block of a
-:class:`~elastiseg.workspace.Workspace`'s plan, which :func:`curvature_forward`
-computes, and computes in place in block arrays of that workspace, one ufunc
-per operation of its formula and in the formula's order, so a pass with a
-reused workspace allocates no array and has the bits of the formula evaluated
-as written. Its only stencils, the mixed differences and their adjoints, run
-along axes >= 1, inside the block.
+This module owns K: each mode is written once, as a forward function that
+returns K and its pullback, a map from a cotangent of K to the cotangents of
+the first and second differences the forward read. The estimators below, the
+energy and its analytic gradient all evaluate that one definition through
+:func:`curvature_forward`. The differences are not K's: a mode reads those of
+u on one block of a :class:`~elastiseg.workspace.Workspace`'s plan as its
+caller made them, :func:`curvature` here and
+:func:`~elastiseg.energy.elastica_forward`, which owns the elastica density,
+both through one private helper. A mode computes in place in block arrays of
+that workspace, one ufunc per operation of its formula and in the formula's
+order, so a pass with a reused workspace allocates no array and has the bits
+of the formula evaluated as written. Its only stencils, the mixed differences
+and their adjoints, run along axes >= 1, inside the block.
 """
 
 from __future__ import annotations
@@ -206,44 +208,49 @@ _FORWARD_BY_MODE = {
 }
 
 
-def curvature_forward(a: np.ndarray, spacing: tuple[float, ...], mode: CurvatureMode,
-                      derivs: Differences | None = None, ws: Workspace | None = None, b: int = 0,
-                      second0: np.ndarray | None = None) -> tuple[np.ndarray, Pullback]:
-    """Per-voxel curvature of ``a`` in ``mode`` on block ``b`` of the plan of ``ws``, and its pullback.
+def _differences(stencil: Callable, a: np.ndarray, spacing: tuple[float, ...], ws: Workspace, b: int,
+                 axis0: np.ndarray | None = None) -> list[np.ndarray]:
+    """``stencil`` (d1 or d2) of ``a`` along each axis on block ``b`` of the plan of ``ws``, each in a block array.
 
-    A one-block plan's block is the whole field. ``derivs`` are the first
-    differences of ``a`` along each axis on the block, for a caller that
-    already holds them; the mean modes read them and compute them when they
-    are not given. The second differences are computed here, the one along
-    axis 0 into ``second0`` when given (a caller that reads its cotangent
-    across blocks passes a block view of a full-size array). Stencil outputs,
-    K and every intermediate come from ``ws`` (a throwaway workspace when none
-    is given). The pullback may overwrite its argument, and it gives K and the
-    forward's buffers it no longer needs back to ``ws``. Every mode writes the
-    cotangent along axis 0 over that second difference (``second0``), never
-    given back; the fast and mean modes do so along every axis, and lap3d
-    returns that one array along all three. No cotangent is the pullback's
-    argument, so the caller can give that back as soon as the pullback
-    returns. The caller owns the cotangents, its ``derivs``, and K until it
-    calls the pullback.
+    The one along axis 0 goes into ``axis0`` when given: a block view of a
+    full-size array, for a caller that reads it, or its cotangent, across
+    blocks.
     """
-    check_ndim(a.ndim, mode)
-    ws = Workspace(a.shape) if ws is None else ws
     planes = ws.blocks[b]
-    if derivs is None and mode in (CurvatureMode.MEAN_2D, CurvatureMode.MEAN_3D):
-        derivs = [d1(a, ax, spacing[ax], out=ws.take(b), ws=ws, planes=planes) for ax in range(a.ndim)]
-    seconds = [d2(a, ax, spacing[ax], out=second0 if ax == 0 and second0 is not None else ws.take(b), ws=ws,
-                  planes=planes) for ax in range(a.ndim)]
-    return _FORWARD_BY_MODE[mode](derivs, seconds, spacing, ws, b)
+    return [stencil(a, ax, spacing[ax], out=ws.take(b) if ax or axis0 is None else axis0, ws=ws, planes=planes)
+            for ax in range(a.ndim)]
+
+
+def curvature_forward(slopes: Differences | None, seconds: Differences, spacing: tuple[float, ...],
+                      mode: CurvatureMode, ws: Workspace, b: int) -> tuple[np.ndarray, Pullback]:
+    """Per-voxel curvature in ``mode`` from differences on block ``b`` of the plan of ``ws``, and its pullback.
+
+    ``slopes`` and ``seconds`` are the first and second differences of u
+    along each axis on the block, made by the caller; the fast and lap3d
+    modes read no slopes. K and every intermediate come from ``ws``. The
+    pullback may overwrite its argument, and it gives K and the forward's
+    buffers it no longer needs back to ``ws``. It writes the cotangent of each
+    second difference over that difference (lap3d returns the one along axis
+    0 along all three axes), so a caller that passed a block view of a
+    full-size array along axis 0 finds that cotangent there. No cotangent is
+    the pullback's argument, so the caller can give that back as soon as the
+    pullback returns. The caller owns the differences, the cotangents, and K
+    until it calls the pullback.
+    """
+    check_ndim(len(seconds), mode)
+    return _FORWARD_BY_MODE[mode](slopes, seconds, spacing, ws, b)
 
 
 def curvature(u: ScalarField, mode: CurvatureMode) -> ScalarField:
     """Per-voxel curvature of ``u`` in the estimator selected by ``mode``, block by block."""
     ws = Workspace(u.shape)
     k = ws.take()
+    mean = mode in (CurvatureMode.MEAN_2D, CurvatureMode.MEAN_3D)
     for b, part in enumerate(ws.parts(k)):
         with ws.scope():
-            np.copyto(part, curvature_forward(u.data, u.spacing, mode, ws=ws, b=b)[0])
+            slopes = _differences(d1, u.data, u.spacing, ws, b) if mean else None
+            seconds = _differences(d2, u.data, u.spacing, ws, b)
+            np.copyto(part, curvature_forward(slopes, seconds, u.spacing, mode, ws, b)[0])
     return u.with_data(k)
 
 

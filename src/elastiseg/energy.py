@@ -12,10 +12,15 @@ pointwise (each voxel's curvature scales that voxel's gradient magnitude).
 The same assembly serves supervised evaluation (r = ground-truth mask,
 c1=1, c2=0) and unsupervised segmentation (r = image, constants from
 :func:`estimate_region_means`). Region sums are plain sums; only the
-length term carries the voxel measure. :func:`elastica_forward` is the one
-forward pass of the length/curvature term, run on each block of a
-workspace's plan: the scalar energy, the per-voxel density of the
-finite-difference oracle and the analytic gradient all read it. Each block's
+length term carries the voxel measure. This module owns the elastica
+density: :func:`elastica_forward` is the one forward pass of the
+length/curvature term, run on each block of a workspace's plan, and it
+returns the density's pullback, so the density and its derivative are
+written once, here. It makes the differences of u that it and K read, and
+takes K and K's pullback from :mod:`elastiseg.curvature`. The scalar energy,
+the per-voxel density of the finite-difference oracle and the analytic
+gradient (:mod:`elastiseg.gradients`, which schedules the blocks, applies
+the adjoint stencils and adds the region term) all read it. Each block's
 forward returns the sum of its density, and the scalar energy
 (:func:`elastica_energy`) is those block sums combined by
 :func:`~elastiseg.workspace.tree_sum`, whose bits :mod:`elastiseg.workspace`
@@ -35,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curvature import CurvatureMode, Pullback, curvature_forward
-from .diffops import d1, grad_mag_raw
+from .curvature import Cotangents, CurvatureMode, _differences, curvature_forward
+from .diffops import d1, d2, grad_mag_raw
 from .field import FieldError, ScalarField, check_ndim, check_same_shape, check_soft_mask
 from .workspace import Workspace, block_sum, tree_sum
 
@@ -185,51 +190,75 @@ def region_means(moments: tuple[Moments, Moments], lo: float, hi: float) -> tupl
 
 
 class ElasticaForward(NamedTuple):
-    """Forward intermediates of the elastica term on one block, as its gradient reads them."""
+    """The elastica term's forward on one block, with its pullback."""
 
-    derivs: list[np.ndarray]        # first differences along each axis
     mag: np.ndarray                 # Charbonnier-smoothed |grad u|
     weight: np.ndarray | float      # (alpha + beta*K^2) * measure, per voxel
-    measure: float
     k: np.ndarray | None            # curvature, computed only when beta != 0
-    pullback: Pullback | None       # pullback of k
     total: float                    # the block's sum of its density, (alpha + beta*K^2)*|grad u| or |grad u|
+    pullback: Callable[[], Cotangents]  # the cotangents of the block's first and second differences of u
 
 
 def elastica_forward(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace, b: int,
                      keep: tuple[np.ndarray, np.ndarray | None] | None = None) -> ElasticaForward:
     """The forward pass of the elastica term (alpha + beta*K^2) * |grad u| on block ``b`` of the plan of ``ws``.
 
-    A one-block plan's block is the whole field. With beta = 0 no curvature is
-    computed and the weight is the scalar alpha*measure. The returned
-    ``total`` is the block's sum of its energy density, (alpha + beta*K^2) *
-    |grad u| or |grad u| with beta = 0, for :func:`elastica_energy`; with
-    beta != 0 the density is written into the scratch array |grad u| was
-    computed with, so the sum holds no array more.
+    A one-block plan's block is the whole field. The first differences of u,
+    and with beta != 0 the second ones, are made here and K is computed from
+    them by :func:`~elastiseg.curvature.curvature_forward`; with beta = 0 no
+    curvature is computed and the weight is the scalar alpha*measure. The
+    returned ``total`` is the block's sum of its energy density,
+    (alpha + beta*K^2) * |grad u| or |grad u| with beta = 0, for
+    :func:`elastica_energy`; with beta != 0 the density is written into the
+    scratch array |grad u| was computed with, so the sum holds no array more.
     ``keep`` = (first, second) are full-size arrays into whose block views the
     first and (with beta != 0) second differences along axis 0 go: a gradient
-    pass writes their cotangents over them and reads those across blocks. The
-    other returned arrays are taken from ``ws`` and owned by the caller.
+    pass reads their cotangents there, across blocks. The other returned
+    arrays are taken from ``ws`` and owned by the caller.
+
+    The returned ``pullback``, which takes no argument, is the derivative of
+    the block's term: K's cotangent 2*beta*measure*K*|grad u| goes through
+    K's own pullback, and the cotangent of the first difference d_i is
+    d_i*(weight/|grad u|), the quotient taken once per voxel, plus K's share.
+    It writes each cotangent over its difference, gives every other array
+    of the forward back to ``ws``, and returns the cotangents, which the
+    caller owns.
     """
-    planes = ws.blocks[b]
     measure = math.prod(spacing)
-    derivs = [d1(a, ax, spacing[ax], out=ws.parts(keep[0])[b] if keep and ax == 0 else ws.take(b), ws=ws,
-                 planes=planes) for ax in range(a.ndim)]
-    curved = params.beta != 0.0
+    derivs = _differences(d1, a, spacing, ws, b, ws.parts(keep[0])[b] if keep else None)
     tmp = ws.take(b)
     mag = grad_mag_raw(derivs, out=ws.take(b), tmp=tmp)
-    if not curved:
-        ws.give(tmp)
-        return ElasticaForward(derivs, mag, params.alpha * measure, measure, None, None, block_sum(mag))
-    k, pullback = curvature_forward(a, spacing, params.mode, derivs, ws, b, ws.parts(keep[1])[b] if keep else None)
-    # weight = alpha + beta*k*k, evaluated as (beta*k)*k + alpha
-    weight = np.multiply(k, params.beta, out=ws.take(b))
-    weight *= k
-    weight += params.alpha
-    total = block_sum(np.multiply(weight, mag, out=tmp))
+    k = k_pullback = None
+    if params.beta == 0.0:
+        weight, total = params.alpha * measure, block_sum(mag)
+    else:
+        seconds = _differences(d2, a, spacing, ws, b, ws.parts(keep[1])[b] if keep else None)
+        k, k_pullback = curvature_forward(derivs, seconds, spacing, params.mode, ws, b)
+        # weight = alpha + beta*k*k, evaluated as (beta*k)*k + alpha
+        weight = np.multiply(k, params.beta, out=ws.take(b))
+        weight *= k
+        weight += params.alpha
+        total = block_sum(np.multiply(weight, mag, out=tmp))
+        weight *= measure
     ws.give(tmp)
-    weight *= measure
-    return ElasticaForward(derivs, mag, weight, measure, k, pullback, total)
+
+    def pullback() -> Cotangents:
+        cots = Cotangents({}, {})
+        if k_pullback is not None:
+            gk = np.multiply(k, 2.0 * params.beta * measure, out=ws.take(b))
+            gk *= mag  # (2*beta*measure)*k*mag
+            cots = k_pullback(gk)  # gives K back
+            ws.give(gk)
+        q = np.divide(weight, mag, out=mag)  # weight/mag, once per voxel, over the dead mag
+        for ax, dax in enumerate(derivs):
+            dax *= q  # dax*(weight/mag), written over dax
+            if ax in cots.d1:
+                dax += cots.d1[ax]
+                ws.give(cots.d1[ax])
+        ws.give(q, weight)  # with beta = 0 the weight is a number, which give ignores
+        return Cotangents(dict(enumerate(derivs)), cots.d2)
+
+    return ElasticaForward(mag, weight, k, total, pullback)
 
 
 def elastica_energy(total: float, params: EnergyParams, measure: float) -> float:

@@ -1,12 +1,14 @@
 """Analytic gradient of the segmentation energy, with a finite-difference oracle.
 
-The elastica gradient is one mode-independent pullback of
-:func:`energy.elastica_forward`: the cotangent of |grad u| and of the
-curvature (through the active mode's own pullback in :mod:`curvature`) land
-on the first and second stencil outputs; ``d1_adj`` carries the first ones
-back to u, and ``d2``, which is self-adjoint, the second ones. Every
-adjoint can be validated by a dot-product test. The region part is linear in
-the mask: its gradient lambda*((c1-r)^2 - (c2-r)^2) is the affine map
+The elastica part's derivative is not written here: :mod:`energy` owns the
+density and returns its pullback with each block's forward
+(:func:`energy.elastica_forward`), which pulls K's cotangent back through
+the active mode's own pullback in :mod:`curvature` and lands every cotangent
+on the first and second stencil outputs. This module schedules the blocks
+and applies the adjoint stencils: ``d1_adj`` carries the first ones back to
+u, and ``d2``, which is self-adjoint, the second ones. Every adjoint can be
+validated by a dot-product test. The region part is linear in the mask: its
+gradient lambda*((c1-r)^2 - (c2-r)^2) is the affine map
 lambda*(c1-c2)*(c1+c2-2r) of r, which the fused :func:`energy_and_gradient_raw`
 adds in three ufunc calls per block. The pass takes every intermediate from a
 :class:`~elastiseg.workspace.Workspace` and writes cotangents over the
@@ -33,7 +35,6 @@ from .curvature import Cotangents
 from .diffops import d1_adj, d2
 from .energy import (
     EnergyBreakdown,
-    ElasticaForward,
     EnergyParams,
     Moments,
     elastica_energy,
@@ -62,34 +63,9 @@ class GradCheckReport:
     passed: bool
 
 
-def _cotangents(fwd: ElasticaForward, params: EnergyParams, ws: Workspace, b: int) -> tuple:
-    """The cotangents of block ``b``'s first and second differences, as (d1, d2).
-
-    That of the first difference d_i is ``d_i*(weight/mag)`` plus the
-    curvature's share: the quotient is taken once per voxel, not per axis.
-    The cotangents along axis 0 are written over the differences, in the block
-    views of the pass's kept arrays. K's cotangent ``gk`` is none of them, so
-    it goes back as soon as the pullback has read it.
-    """
-    cots = Cotangents({}, {})
-    if fwd.pullback is not None:
-        gk = np.multiply(fwd.k, 2.0 * params.beta * fwd.measure, out=ws.take(b))
-        gk *= fwd.mag  # (2*beta*measure)*k*mag
-        cots = fwd.pullback(gk)  # gives K back
-        ws.give(gk)
-    q = np.divide(fwd.weight, fwd.mag, out=fwd.mag)  # weight/mag, once per voxel, over the dead mag
-    for ax, dax in enumerate(fwd.derivs):
-        dax *= q  # dax*(weight/mag), written over dax
-        if ax in cots.d1:
-            dax += cots.d1[ax]
-            ws.give(cots.d1[ax])
-    ws.give(q, fwd.weight)  # with beta = 0 the weight is a number, which give ignores
-    return fwd.derivs, cots.d2
-
-
 def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep: tuple, region: tuple,
-              on_block: BlockHook | None, b: int, d1_cots: list[np.ndarray], d2_cots: dict[int, np.ndarray]) -> None:
-    """Block ``b`` of the gradient: the adjoint stencils of its cotangents, then the region term.
+              on_block: BlockHook | None, b: int, cots: Cotangents) -> None:
+    """Block ``b`` of the gradient: the adjoint stencils of its cotangents ``cots``, then the region term.
 
     The cotangents along axis 0 are read from ``keep``, across blocks; every
     block array of block ``b`` is given back once ``on_block`` has seen the
@@ -98,9 +74,9 @@ def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep:
     planes = ws.blocks[b]
     g = d1_adj(keep[0], 0, spacing[0], out=ws.parts(grad)[b], ws=ws, planes=planes)
     adj = ws.take(b)
-    for ax in range(1, len(d1_cots)):
-        g += d1_adj(d1_cots[ax], ax, spacing[ax], out=adj, ws=ws)
-    for ax, c in d2_cots.items():
+    for ax in range(1, len(cots.d1)):
+        g += d1_adj(cots.d1[ax], ax, spacing[ax], out=adj, ws=ws)
+    for ax, c in cots.d2.items():
         if ax == 0:
             g += d2(keep[1], 0, spacing[0], out=adj, ws=ws, planes=planes)
         else:
@@ -111,7 +87,7 @@ def _adjoints(grad: np.ndarray, spacing: tuple[float, ...], ws: Workspace, keep:
     g += adj
     if on_block is not None:
         on_block(b, g, adj)
-    ws.give(adj, *d1_cots, *d2_cots.values())
+    ws.give(adj, *cots.d1.values(), *cots.d2.values())
 
 
 def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, ...], params: EnergyParams,
@@ -150,14 +126,14 @@ def energy_and_gradient_raw(a: np.ndarray, r: np.ndarray, spacing: tuple[float, 
     for b in range(len(ws.blocks)):
         fwd = elastica_forward(a, spacing, params, ws, b, keep)
         sums[b] = fwd.total
-        stage = b, *_cotangents(fwd, params, ws, b)
+        stage = b, fwd.pullback()
         grad = ws.take() if grad is None else grad  # after block 0's scratch went back, for a one-block field
         if held is not None:
             _adjoints(grad, spacing, ws, keep, region, on_block, *held)
         held = stage
     _adjoints(grad, spacing, ws, keep, region, on_block, *held)
     ws.give(*keep)
-    elastica = elastica_energy(tree_sum(sums), params, fwd.measure)
+    elastica = elastica_energy(tree_sum(sums), params, math.prod(spacing))
     return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam), grad
 
 

@@ -11,6 +11,7 @@ the float32 payload or the foreground bool mask.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -62,9 +63,7 @@ def read_volume(path: str | os.PathLike) -> ScalarField:
             raise VolumeFormatError("invalid extent or spacing token") from exc
         if any(n < 1 for n in shape):
             raise VolumeFormatError(f"extents must be >= 1, got {shape}")
-        count = 1
-        for n in shape:
-            count *= n
+        count = math.prod(shape)
         # compare sizes before reading, so a forged header cannot demand a huge buffer
         available = os.fstat(fh.fileno()).st_size - fh.tell()
         if available < 4 * count:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from elastiseg import (
     mean_curvature_2d,
     mean_curvature_3d,
 )
+from elastiseg import workspace
 from elastiseg.curvature import curvature_forward
 from elastiseg.diffops import d1, d2, dmixed
 from elastiseg.energy import EnergyParams, elastica_forward
@@ -138,7 +141,9 @@ def test_dispatch_matches_direct_calls():
 
 
 @pytest.mark.parametrize("mode", list(CurvatureMode))
-def test_curvature_is_the_k_the_energy_weighs(mode):
+def test_curvature_is_the_k_the_energy_weighs(mode, monkeypatch):
+    # the two make their differences separately: on one block, then on every block of a tree plan (8 blocks) and
+    # of a plan that is not a tree (5 blocks, the last one short)
     rng = np.random.default_rng(10)
     shape = (13, 11) if mode.required_ndim == 2 else (7, 6, 5)
     for _ in range(5):
@@ -146,19 +151,34 @@ def test_curvature_is_the_k_the_energy_weighs(mode):
         f = ScalarField(rng.random(shape), spacing)
         fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode), Workspace(shape), 0)
         np.testing.assert_array_equal(curvature(f, mode).data, fwd.k)
+    shape = (24, 9) if mode.required_ndim == 2 else (24, 7, 6)
+    plane = 8 * math.prod(shape[1:])
+    for planes, n_blocks, last in ((3, 8, (21, 24)), (5, 5, (20, 24))):
+        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
+        ws = Workspace(shape)
+        assert len(ws.blocks) == n_blocks and ws.blocks[-1] == last
+        spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
+        f = ScalarField(rng.random(shape), spacing)
+        k = curvature(f, mode).data
+        for b, (lo, hi) in enumerate(ws.blocks):
+            with ws.scope():
+                fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode), ws, b)
+                np.testing.assert_array_equal(k[lo:hi], fwd.k, err_msg=f"{planes} planes, block {b}")
 
 
 @pytest.mark.parametrize("mode", list(CurvatureMode))
 def test_every_mode_writes_its_axis0_cotangent_over_the_given_second_difference(mode):
-    # a caller that reads the cotangent along axis 0 across blocks finds it in the second0 it passed
+    # a caller that reads the cotangent along axis 0 across blocks finds it in the seconds[0] it passed
     rng = np.random.default_rng(14)
     shape = (9, 8) if mode.required_ndim == 2 else (7, 6, 5)
     spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))
     u, gk = rng.random(shape), rng.random(shape)
     ws = Workspace(shape)
-    second0 = ws.take()
+    slopes = [d1(u, ax, spacing[ax], out=ws.take(), ws=ws) for ax in range(len(shape))]
+    seconds = [d2(u, ax, spacing[ax], out=ws.take(), ws=ws) for ax in range(len(shape))]
+    second0 = seconds[0]
     arg = gk.copy()
-    cots = curvature_forward(u, spacing, mode, ws=ws, second0=second0)[1](arg)
+    cots = curvature_forward(slopes, seconds, spacing, mode, ws, 0)[1](arg)
     assert cots.d2[0] is second0
     # no cotangent is the pullback's argument, which the gradient pass gives back as soon as the pullback returns
     assert not any(np.shares_memory(c, arg) for c in (*cots.d1.values(), *cots.d2.values()))
@@ -169,7 +189,7 @@ def test_every_mode_writes_its_axis0_cotangent_over_the_given_second_difference(
     v, h = rng.random(shape), 1e-6
     pulled = sum(np.vdot(c, d1(v, ax, spacing[ax])) for ax, c in cots.d1.items())
     pulled += sum(np.vdot(c, d2(v, ax, spacing[ax])) for ax, c in cots.d2.items())
-    k_plus, k_minus = (curvature_forward(u + s * h * v, spacing, mode)[0] for s in (1.0, -1.0))
+    k_plus, k_minus = (curvature(ScalarField(u + s * h * v, spacing), mode).data for s in (1.0, -1.0))
     assert pulled == pytest.approx(np.vdot(gk, k_plus - k_minus) / (2.0 * h), rel=1e-6)
 
 

@@ -413,7 +413,8 @@ def ref_gradient(a, r, spacing, p):
     d1_cots, d2_cots = {}, {}
     weight = p.alpha * measure
     if p.beta != 0.0:
-        k, pullback = curvature_forward(a, spacing, p.mode, [d.copy() for d in derivs], Workspace(a.shape))
+        seconds = [d2(a, ax, spacing[ax]) for ax in range(a.ndim)]
+        k, pullback = curvature_forward([d.copy() for d in derivs], seconds, spacing, p.mode, Workspace(a.shape), 0)
         weight = ((k * p.beta) * k + p.alpha) * measure
         cots = pullback((k * (2.0 * p.beta * measure)) * mag)
         d1_cots, d2_cots = cots.d1, cots.d2
@@ -509,8 +510,9 @@ def test_workspace_free_calls_return_unaliased_arrays():
     np.testing.assert_array_equal(g1, before)
     fwd1 = elastica_forward(u, (1.0, 1.0, 1.0), p, Workspace(u.shape), 0)
     fwd2 = elastica_forward(u, (1.0, 1.0, 1.0), p, Workspace(u.shape), 0)
-    arrays1 = [*fwd1.derivs, fwd1.mag, fwd1.weight, fwd1.k]
-    arrays2 = [*fwd2.derivs, fwd2.mag, fwd2.weight, fwd2.k]
+    cots1, cots2 = fwd1.pullback(), fwd2.pullback()  # the first and second differences' cotangents, over them
+    arrays1 = [fwd1.mag, fwd1.weight, fwd1.k, *cots1.d1.values(), *cots1.d2.values()]
+    arrays2 = [fwd2.mag, fwd2.weight, fwd2.k, *cots2.d1.values(), *cots2.d2.values()]
     assert not any(np.shares_memory(x, y) for x in arrays1 for y in arrays2)
     assert len({id(x) for x in arrays1}) == len(arrays1)
 

@@ -14,9 +14,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from elastiseg import CurvatureMode, EnergyParams
-from elastiseg.curvature import _FORWARD_BY_MODE, Cotangents, curvature_forward
-from elastiseg.diffops import _slopes, d1, d1_adj
+from elastiseg import CurvatureMode, EnergyParams, ScalarField, curvature
+from elastiseg.curvature import _FORWARD_BY_MODE, Cotangents, _differences, curvature_forward
+from elastiseg.diffops import _slopes, d1, d1_adj, d2
 from elastiseg.gradients import energy_and_gradient_raw
 from elastiseg.workspace import Workspace
 
@@ -83,9 +83,11 @@ def test_curvature_and_cotangents_match_the_expression_form(monkeypatch, mode, s
     a, _, spacing, gk = _case(mode, spacing_kind, 5)
     results = []
     for forward in (ref_mean(*MEAN_CONSTANTS[mode]), _FORWARD_BY_MODE[mode]):
-        derivs = _slopes(a, spacing) if given_slopes else None
+        # the caller's own fresh slopes, or workspace arrays made as curvature() makes them
+        ws = Workspace(a.shape)
+        slopes = _slopes(a, spacing) if given_slopes else _differences(d1, a, spacing, ws, 0)
         monkeypatch.setitem(_FORWARD_BY_MODE, mode, forward)
-        k, pullback = curvature_forward(a, spacing, mode, derivs, Workspace(a.shape))
+        k, pullback = curvature_forward(slopes, _differences(d2, a, spacing, ws, 0), spacing, mode, ws, 0)
         k_bytes = k.tobytes()  # read before the pullback, which gives K back
         results.append((k_bytes, _bytes(pullback(gk.copy()))))
     assert results[0] == results[1]
@@ -103,9 +105,9 @@ def test_energy_and_gradient_match_the_expression_form(monkeypatch, mode, beta, 
         bd, g = energy_and_gradient_raw(a, r, spacing, params, ws)
         passes.append((bd, g.tobytes()))
         ws.give(g)
-    k = curvature_forward(a, spacing, mode)[0].tobytes()
+    k = curvature(ScalarField(a, spacing), mode).data.tobytes()
     monkeypatch.setitem(_FORWARD_BY_MODE, mode, ref_mean(*MEAN_CONSTANTS[mode]))
-    assert k == curvature_forward(a, spacing, mode)[0].tobytes()
+    assert k == curvature(ScalarField(a, spacing), mode).data.tobytes()
     ref_bd, ref_g = energy_and_gradient_raw(a, r, spacing, params, Workspace(a.shape))
     for bd, g in passes:
         assert _bits(bd) == _bits(ref_bd)
