@@ -39,7 +39,6 @@ from .gradients import gradcheck
 from .metrics import MetricsError, _binary_data, count_components_raw, dice_raw, hd95_raw
 from .solver import (
     OPTIMIZERS,
-    PARAMETERIZATIONS,
     REGION_MODES,
     NonFiniteEnergyError,
     SolverConfig,
@@ -283,7 +282,7 @@ def cmd_segment(args) -> int:
     params = EnergyParams(alpha=args.alpha, beta=args.beta, lam=getattr(args, "lambda"),
                           c1=args.c1, c2=args.c2, mode=mode)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
-                       parameterization=args.param, region_mode=args.region_mode)
+                       region_mode=args.region_mode)
     check_threshold(args.threshold)
     gt = None
     if args.gt:
@@ -451,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="gd")
-    p.add_argument("--param", choices=PARAMETERIZATIONS, default="clipped")
     p.add_argument("--region-mode", choices=REGION_MODES, default="cv-means")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)

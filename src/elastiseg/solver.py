@@ -1,17 +1,14 @@
 """Segmentation by direct minimization of the energy over a soft mask.
 
-The mask itself is the optimization variable: projected (clipped) or logistic
-gradient descent, with the gradient normalized by its mean absolute value so
-the step size is independent of grid shape. The logistic parameterization
-updates z and sets u = sigmoid(z); its maps are scipy's in-place ufuncs,
-:func:`scipy.special.logit` of the init clipped into [1e-6, 1 - 1e-6] once,
-and :func:`scipy.special.expit` of each updated block of z. With region_mode
-"cv-means" the foreground/background constants are re-estimated after every
-update (alternating minimization), from the moments of the mask that also
-give the next pass's region sums, and clipped into the image's range; the
-first step uses the constants from the parameter set, which also breaks the
-symmetry of a uniform init (a uniform mask would otherwise yield equal means
-and zero region force).
+The mask itself is the optimization variable: projected (clipped) gradient
+descent, with the gradient normalized by its mean absolute value so the step
+size is independent of grid shape. With region_mode "cv-means" the
+foreground/background constants are re-estimated after every update
+(alternating minimization), from the moments of the mask that also give the
+next pass's region sums, and clipped into the image's range; the first step
+uses the constants from the parameter set, which also breaks the symmetry of
+a uniform init (a uniform mask would otherwise yield equal means and zero
+region force).
 The momentum optimizer keeps a fixed fraction :data:`MOMENTUM` = 0.9 of its
 velocity, and the stop rule measures the energy change over a fixed window of
 :data:`STOP_WINDOW` = 10 iterations; only its tolerance is a setting.
@@ -20,15 +17,14 @@ One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
 update are done in place, in the same operation order as the expressions
 they stand for, so results are bit for bit those of fresh arrays. Those are
-``clip(u + g*(-step/mean|g|), 0, 1)`` with ``gd``, the velocity
-``MOMENTUM*v - g*(step/mean|g|)`` with momentum, and ``expit(z + delta)``
-with the logistic parameterization: g is multiplied once, by the step over
-its scale. After the first iteration a solve allocates no full-size array,
-with either parameterization. The mask is a workspace array, held for the
-whole solve, so the stencils of every iteration run on views built in the
-first one. The velocity and logit state come from
-:func:`~elastiseg.workspace.aligned_empty`, like every workspace array, so
-all of a solve's full-size float64 arrays start on a cache line. The loop runs under one ``np.errstate``.
+``clip(u + g*(-step/mean|g|), 0, 1)`` with ``gd`` and the velocity
+``MOMENTUM*v - g*(step/mean|g|)`` with momentum: g is multiplied once, by the
+step over its scale. After the first iteration a solve allocates no
+full-size array. The mask is a workspace array, held for the whole solve, so
+the stencils of every iteration run on views built in the first one. The
+velocity comes from :func:`~elastiseg.workspace.aligned_empty`, like every
+workspace array, so all of a solve's full-size float64 arrays start on a
+cache line. The loop runs under one ``np.errstate``.
 
 A field larger than four blocks of the workspace's plan (1 MiB per array, half
 a 2 MiB L2; a 64^3 field, not the 96^2 tube or the 256^2 disk) runs its
@@ -50,7 +46,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .energy import (
     DegenerateMaskError,
@@ -68,7 +63,6 @@ from .gradients import energy_and_gradient_raw
 from .workspace import Workspace, aligned_empty, block_sum, tree_sum
 
 OPTIMIZERS = ("gd", "momentum")
-PARAMETERIZATIONS = ("clipped", "logistic")
 REGION_MODES = ("fixed", "cv-means")
 MOMENTUM = 0.9  # velocity decay of the "momentum" optimizer
 STOP_WINDOW = 10  # iterations over which the stop rule measures the energy change
@@ -82,8 +76,6 @@ class SolverConfig:
     - ``step_size`` (0.1): the step on the gradient normalized by mean|g|.
     - ``optimizer`` ("gd"): one of :data:`OPTIMIZERS`; "momentum" keeps
       :data:`MOMENTUM` of the velocity.
-    - ``parameterization`` ("clipped"): one of :data:`PARAMETERIZATIONS`;
-      "clipped" projects u into [0,1], "logistic" updates z with u = sigmoid(z).
     - ``region_mode`` ("fixed"): one of :data:`REGION_MODES`; "fixed" keeps the
       parameter set's c1/c2, "cv-means" re-estimates them after every update.
       This default differs from that of ``elastiseg segment --region-mode``,
@@ -95,7 +87,6 @@ class SolverConfig:
     max_iters: int = 500
     step_size: float = 0.1
     optimizer: str = "gd"
-    parameterization: str = "clipped"
     region_mode: str = "fixed"
     stop_tol: float = 1e-7
 
@@ -106,8 +97,6 @@ class SolverConfig:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.parameterization not in PARAMETERIZATIONS:
-            raise ValueError(f"parameterization must be one of {PARAMETERIZATIONS}, got {self.parameterization!r}")
         if self.region_mode not in REGION_MODES:
             raise ValueError(f"region_mode must be one of {REGION_MODES}, got {self.region_mode!r}")
         if not 0.0 <= self.stop_tol < math.inf:
@@ -137,9 +126,6 @@ class NonFiniteEnergyError(RuntimeError):
         self.c1, self.c2, self.scale = c1, c2, scale
 
 
-_LOGIT_CLIP = 1e-6
-
-
 def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             cfg: SolverConfig = SolverConfig()) -> tuple[ScalarField, SolverTrace]:
     """Minimize the energy of a soft mask against ``image``.
@@ -157,8 +143,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     mean|g| is not finite (the partial trace, the constants and the last
     finite mean|g| ride on the exception).
 
-    Memory: besides the velocity with momentum and the logit with the
-    logistic parameterization, a solve holds one
+    Memory: besides the velocity with momentum, a solve holds one
     :class:`~elastiseg.workspace.Workspace` for all of its iterations: the
     mask lives in it, and the fused pass, the update and the region moments
     are computed in it, in place. On a one-block field it holds N full-size
@@ -183,11 +168,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     ws = Workspace(init.shape)
     u = ws.take()  # held for the whole solve: ws keeps the views every pass's stencils read of it
     np.copyto(u, init.data)
-    z = velocity = None
-    logistic = cfg.parameterization == "logistic"
-    if logistic:
-        z = aligned_empty(u.shape)
-        logit(np.clip(u, _LOGIT_CLIP, 1.0 - _LOGIT_CLIP, out=z), out=z)
+    velocity = None
     if cfg.optimizer == "momentum":
         velocity = aligned_empty(u.shape)
         velocity.fill(0.0)
@@ -200,7 +181,7 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     # each iteration's block sums of |g|, taken in the pass, and block moments of u_it+1, taken in the update
     g_sums = [0.0] * len(ws.blocks)
     u_moments: list[Moments] = [(0.0, 0.0, 0.0)] * len(ws.blocks)
-    on_block = partial(_gradient_block, ws.parts(u), logistic, g_sums)
+    on_block = partial(_gradient_block, g_sums)
     r_parts = ws.parts(image.data)
 
     with np.errstate(over="ignore", invalid="ignore"):  # entered once per solve: it costs ~3 us
@@ -211,9 +192,9 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
             if it > 0 and _record(breakdowns, bd, it - 1, cfg, (c1, c2, scale)):
                 converged = True
                 break
-            step_scale = _step(u, z, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
+            step_scale = _step(u, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
             ws.give(g)
-            # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped or sigmoid u in [0,1]
+            # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped u in [0,1]
             if not math.isfinite(step_scale):
                 raise NonFiniteEnergyError(it, SolverTrace(breakdowns, len(breakdowns), False), c1, c2, scale)
             scale = step_scale
@@ -236,31 +217,24 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     return mask, SolverTrace(breakdowns, len(breakdowns), converged)
 
 
-def _gradient_block(us: list[np.ndarray], logistic: bool, sums: list[float],
-                    b: int, gb: np.ndarray, tb: np.ndarray) -> None:
+def _gradient_block(sums: list[float], b: int, gb: np.ndarray, tb: np.ndarray) -> None:
     """Block ``b`` of dE/du, just completed by the fused pass and still in cache; ``tb`` is scratch.
 
-    With the logistic parameterization it becomes dE/dz = dE/du * u*(1-u),
-    the chain rule of u = sigmoid(z), ``us`` being the blocks of u. The sum
-    of its |g| goes into ``sums[b]``.
+    The sum of its |g| goes into ``sums[b]``.
     """
-    if logistic:
-        gb *= us[b]
-        gb *= np.subtract(1.0, us[b], out=tb)  # g*u*(1-u)
     sums[b] = block_sum(np.abs(gb, out=tb))
 
 
-def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: np.ndarray, ws: Workspace,
-          cfg: SolverConfig, r_parts: list[np.ndarray], g_sums: list[float], u_moments: list[Moments]) -> float:
-    """One descent update of ``u`` (and ``z``, ``velocity``) in place, block by block; ``g`` is overwritten.
+def _step(u: np.ndarray, velocity: np.ndarray | None, g: np.ndarray, ws: Workspace, cfg: SolverConfig,
+          r_parts: list[np.ndarray], g_sums: list[float], u_moments: list[Moments]) -> float:
+    """One descent update of ``u`` (and ``velocity``) in place, block by block; ``g`` is overwritten.
 
     ``g`` is the gradient :func:`_gradient_block` finished, and ``g_sums``
     holds the sum of its |g| over each block. Returns mean|g|. The update
     is ``clip(u + g*(-step/mean|g|), 0, 1)`` with ``gd`` and
-    ``clip(u + (MOMENTUM*v - g*(step/mean|g|)), 0, 1)`` with momentum, the
-    logistic parameterization adding the same delta to z and taking u =
-    expit(z); mean|g| is taken as at least 1e-30 and step/mean|g| as at most
-    the largest float. The update writes the
+    ``clip(u + (MOMENTUM*v - g*(step/mean|g|)), 0, 1)`` with momentum;
+    mean|g| is taken as at least 1e-30 and step/mean|g| as at most the
+    largest float. The update writes the
     :func:`~elastiseg.energy.region_moments` of each block of the new u into
     ``u_moments``, ``r_parts`` being the blocks of r.
     """
@@ -270,23 +244,15 @@ def _step(u: np.ndarray, z: np.ndarray | None, velocity: np.ndarray | None, g: n
     if velocity is None:
         factor = -factor
     us, gs = ws.parts(u), ws.parts(g)
-    # without momentum or logit the velocity and z blocks are unused placeholders
+    # without momentum the velocity blocks are g's own, so u takes g*(-step/mean|g|)
     vs = gs if velocity is None else ws.parts(velocity)
-    zs = us if z is None else ws.parts(z)
-    for b, (ub, gb, vb, zb, rb) in enumerate(zip(us, gs, vs, zs, r_parts)):
+    for b, (ub, gb, vb, rb) in enumerate(zip(us, gs, vs, r_parts)):
         gb *= factor
         if velocity is not None:
             vb *= MOMENTUM
             vb -= gb  # MOMENTUM*velocity - g*(step/mean|g|)
-            delta = vb
-        else:
-            delta = gb  # g*(-step/mean|g|)
-        if z is not None:
-            zb += delta
-            expit(zb, out=ub)
-        else:
-            ub += delta
-            np.clip(ub, 0.0, 1.0, out=ub)
+        ub += vb
+        np.clip(ub, 0.0, 1.0, out=ub)
         u_moments[b] = region_moments(ub, rb, ws, b)
     return scale
 

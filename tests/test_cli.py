@@ -341,6 +341,18 @@ def test_segment_rejects_a_non_finite_step_before_the_solve(step, tmp_path, caps
     assert not (out / "mask.vf32").exists()
 
 
+def test_segment_has_no_param_flag(tmp_path, capsys):
+    # the mask is the variable of a projected descent, with no logistic parameterization: --param is a usage error
+    case_dir = disk(tmp_path)
+    out = tmp_path / "seg"
+    with pytest.raises(SystemExit) as exc:
+        run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "5", "--param", "logistic",
+             "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--param" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_checks_the_reference_shape_before_the_solve(tmp_path, capsys):
     run(["synth", "--case", "disk", "--shape", "16,16", "--radius", "5", "--out", str(tmp_path / "img")])
     run(["synth", "--case", "sphere", "--shape", "8,8,8", "--radius", "3", "--out", str(tmp_path / "ref")])
@@ -423,11 +435,11 @@ def test_segment_error_line_prints_the_last_finite_constants_and_scale(tmp_path,
     passes = []
     real = elastiseg.solver._gradient_block
 
-    def poisoning(us, logistic, sums, b, gb, tb):
+    def poisoning(sums, b, gb, tb):
         passes.append(b)
         if passes.count(0) == 3:
             gb.fill(np.nan)
-        real(us, logistic, sums, b, gb, tb)
+        real(sums, b, gb, tb)
 
     monkeypatch.setattr(elastiseg.solver, "_gradient_block", poisoning)
     case_dir = disk(tmp_path)

@@ -329,12 +329,12 @@ def test_reused_workspace_matches_fresh_calls_bit_for_bit(mode):
 
 
 def _solves(image, init, mode):
-    """Mask and trace (a row of energy components per entry) of a solve in every optimizer, parameterization,
-    region mode and beta in {0, 0.5}."""
-    for opt, par, region in itertools.product(solver.OPTIMIZERS, solver.PARAMETERIZATIONS, solver.REGION_MODES):
+    """Mask and trace (a row of energy components per entry) of a solve in every optimizer, region mode and beta
+    in {0, 0.5}."""
+    for opt, region in itertools.product(solver.OPTIMIZERS, solver.REGION_MODES):
         for beta in (0.0, 0.5):
             p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
-            cfg = SolverConfig(max_iters=6, optimizer=opt, parameterization=par, region_mode=region, stop_tol=0.0)
+            cfg = SolverConfig(max_iters=6, optimizer=opt, region_mode=region, stop_tol=0.0)
             mask, trace = segment(image, init, p, cfg)
             yield mask.data, np.array([dataclasses.astuple(bd) for bd in trace.breakdowns])
 
@@ -493,7 +493,7 @@ def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
     monkeypatch.setattr(solver, "Workspace", Watched)
     gc.disable()
     try:
-        segment(image, init, p, SolverConfig(max_iters=5, optimizer="momentum", parameterization="logistic"))
+        segment(image, init, p, SolverConfig(max_iters=5, optimizer="momentum"))
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()

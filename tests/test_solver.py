@@ -27,8 +27,8 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.energy import MAX_CONSTANT
-from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES, STOP_WINDOW
-from elastiseg.workspace import ALIGNMENT, Workspace, block_sum
+from elastiseg.solver import OPTIMIZERS, REGION_MODES, STOP_WINDOW
+from elastiseg.workspace import Workspace, block_sum
 
 
 def small_disk(seed=0):
@@ -89,17 +89,6 @@ def test_fixed_constants_mode():
     p = EnergyParams(alpha=0.001, beta=0.0, c1=1.0, c2=0.0, mode=CurvatureMode.MEAN_2D)
     mask, _ = segment(case.image, init, p, SolverConfig(max_iters=200, region_mode="fixed"))
     assert dice(threshold(mask), case.ground_truth) >= 0.95
-
-
-def test_logistic_parameterization_stays_open_interval():
-    case = small_disk(4)
-    init = make_field(case.image.shape, 1.0, 0.5)
-    p = EnergyParams(alpha=0.001, beta=0.0, mode=CurvatureMode.MEAN_2D)
-    cfg = SolverConfig(max_iters=150, parameterization="logistic", region_mode="cv-means")
-    mask, _ = segment(case.image, init, p, cfg)
-    assert mask.data.min() > 0.0
-    assert mask.data.max() < 1.0
-    assert dice(threshold(mask), case.ground_truth) >= 0.9
 
 
 def test_momentum_optimizer_converges():
@@ -234,8 +223,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(optimizer="adam")
     with pytest.raises(ValueError):
-        SolverConfig(parameterization="raw")
-    with pytest.raises(ValueError):
         SolverConfig(region_mode="other")
 
 
@@ -285,16 +272,15 @@ def _parity_case(mode):
     return sphere_case_3d((8, 8, 8), (3.5, 3.5, 3.5), 2.5, fg=0.8, bg=0.2, noise_sigma=0.1, seed=11).image
 
 
-PARITY_CASES = [(m, b, o, p, r) for (m, b), o, p, r in itertools.product(
-    PARITY_MODES, ("gd", "momentum"), ("clipped", "logistic"), ("fixed", "cv-means"))]
+PARITY_CASES = [(m, b, o, r) for (m, b), o, r in itertools.product(PARITY_MODES, OPTIMIZERS, REGION_MODES)]
 
 
 # each case on its one block, and on one plane per block: 16 blocks of 16 voxels or 8 of 64, not a tree plan
-@pytest.mark.parametrize("mode,beta,optimizer,param,region_mode,one_plane", [
+@pytest.mark.parametrize("mode,beta,optimizer,region_mode,one_plane", [
     pytest.param(*case, one_plane, id="-".join(map(str, case)) + ("-one-plane-blocks" if one_plane else ""))
     for one_plane in (False, True) for case in PARITY_CASES
 ])
-def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer, param, region_mode, one_plane):
+def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer, region_mode, one_plane):
     image = _parity_case(mode)
     if one_plane:
         monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", 8 * math.prod(image.shape[1:]))
@@ -303,8 +289,8 @@ def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer,
     params = EnergyParams(alpha=0.01, beta=beta, mode=mode)
 
     def run(iters):
-        cfg = SolverConfig(max_iters=iters, step_size=0.05, optimizer=optimizer, parameterization=param,
-                           region_mode=region_mode, stop_tol=0.0)
+        cfg = SolverConfig(max_iters=iters, step_size=0.05, optimizer=optimizer, region_mode=region_mode,
+                           stop_tol=0.0)
         return segment(image, init, params, cfg)
 
     _, full = run(PARITY_ITERS)
@@ -419,19 +405,19 @@ def _poison_in_pass(monkeypatch, at_pass: int, value: float, everywhere: bool = 
     passes = []
     real = elastiseg.solver._gradient_block
 
-    def poisoning(us, logistic, sums, b, gb, tb):
+    def poisoning(sums, b, gb, tb):
         if b == 0:
             passes.append(None)
         if len(passes) == at_pass and (everywhere or b == 0):
             _poison(gb, value, everywhere)
-        real(us, logistic, sums, b, gb, tb)
+        real(sums, b, gb, tb)
 
     monkeypatch.setattr(elastiseg.solver, "_gradient_block", poisoning)
 
 
-@pytest.mark.parametrize("optimizer,param,region_mode", itertools.product(OPTIMIZERS, PARAMETERIZATIONS, REGION_MODES))
+@pytest.mark.parametrize("optimizer,region_mode", itertools.product(OPTIMIZERS, REGION_MODES))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch, optimizer, param, region_mode, value):
+def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch, optimizer, region_mode, value):
     # the 3rd fused pass (iteration 2) records the energies after updates 0 and 1, then takes a poisoned step
     _poison_in_pass(monkeypatch, 3, value)
     scales = _record_scales(monkeypatch)
@@ -440,7 +426,7 @@ def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
         segment(case.image, init, EnergyParams(),
-                SolverConfig(max_iters=10, optimizer=optimizer, parameterization=param, region_mode=region_mode))
+                SolverConfig(max_iters=10, optimizer=optimizer, region_mode=region_mode))
     assert err.value.iteration == 2
     assert err.value.trace.iterations_run == 2
     assert len(err.value.trace.breakdowns) == 2
@@ -491,7 +477,7 @@ def test_step_multiplies_g_once_by_the_step_over_its_scale(optimizer):
     step = 0.07
     cfg = SolverConfig(step_size=step, optimizer=optimizer)
     g_sums = [block_sum(np.abs(gb)) for gb in ws.parts(g)]
-    scale = elastiseg.solver._step(u, None, velocity, g, ws, cfg, ws.parts(r), g_sums, [None] * len(ws.blocks))
+    scale = elastiseg.solver._step(u, velocity, g, ws, cfg, ws.parts(r), g_sums, [None] * len(ws.blocks))
     assert scale == np.mean(np.abs(g0))
     if velocity is None:
         expected = np.clip(u0 + g0 * (-step / scale), 0, 1)
@@ -503,13 +489,13 @@ def test_step_multiplies_g_once_by_the_step_over_its_scale(optimizer):
     assert 0 < np.count_nonzero((expected == 0.0) | (expected == 1.0)) < u.size  # the projection bites on some voxels
 
 
-@pytest.mark.parametrize("optimizer,param", itertools.product(OPTIMIZERS, PARAMETERIZATIONS))
-def test_a_zero_gradient_takes_a_zero_step_at_any_step_size(optimizer, param):
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_a_zero_gradient_takes_a_zero_step_at_any_step_size(optimizer):
     # c1 = c2 zeroes the region force and a uniform mask has no length force, so g = 0; step/mean|g| overflows,
     # and the capped factor keeps 0*factor at 0 rather than NaN
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    cfg = SolverConfig(max_iters=20, step_size=1e300, optimizer=optimizer, parameterization=param)
+    cfg = SolverConfig(max_iters=20, step_size=1e300, optimizer=optimizer)
     mask, trace = segment(case.image, init, EnergyParams(beta=0.0, c1=0.5, c2=0.5), cfg)
     assert trace.converged and trace.iterations_run == STOP_WINDOW + 1
     assert mask.data.tobytes() == init.data.tobytes()
@@ -573,25 +559,6 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-# bytes of interpreter objects (views, dict entries) by which two traced peaks of one solve may differ: 304 B
-# was the worst reading of 40 repeats at 24^3, a full-size temporary there is 110592 B
-INTERPRETER_BYTES = 2048
-
-
-def test_logistic_solve_holds_only_the_logit_beyond_the_clipped_solve():
-    # scipy's logit and expit write in place, so the logistic parameterization adds only the logit array and no
-    # per-update temporary; the logit is aligned_empty's, ALIGNMENT bytes longer than the field
-    case = _sphere((24, 24, 24))
-    init = make_field(case.image.shape, 1.0, 0.5)
-    params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
-    clipped, logistic = (_traced_peak_in_arrays(case.image, init, params,
-                                                SolverConfig(max_iters=3, optimizer="momentum", parameterization=par,
-                                                             region_mode="cv-means", stop_tol=0.0))
-                         for par in ("clipped", "logistic"))
-    nbytes = case.image.data.nbytes
-    assert (logistic - clipped) * nbytes <= nbytes + ALIGNMENT + INTERPRETER_BYTES, (clipped, logistic)
-
-
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     rng = np.random.default_rng(8)
     expected = {  # beta = 0: the mask, the first differences, |grad u| and one scratch array
@@ -630,17 +597,17 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
                                 one_block if plan == "one" else planes * 8 * math.prod(shape[1:]))
             image = ScalarField(rng.random(shape), 1.0)
             init = make_field(shape, 1.0, 0.5)
-            for opt, par in itertools.product(OPTIMIZERS, PARAMETERIZATIONS):
-                cfg = SolverConfig(max_iters=4, optimizer=opt, parameterization=par, region_mode="cv-means")
+            for opt in OPTIMIZERS:
+                cfg = SolverConfig(max_iters=4, optimizer=opt, region_mode="cv-means")
                 segment(image, init, EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
                 ws = made[-1]
                 if plan == "one":
-                    assert len(ws) == n, (mode, beta, opt, par)
+                    assert len(ws) == n, (mode, beta, opt)
                 else:
                     full = 3 if beta == 0.0 else 4
                     assert len(ws.blocks) == (8 if plan == "tree" else shape[0]), plan
-                    assert len(ws._full.arrays) == full, (mode, beta, opt, par, plan)
-                    assert len(ws) == full + expected_blocks[mode, beta], (mode, beta, opt, par, plan)
+                    assert len(ws._full.arrays) == full, (mode, beta, opt, plan)
+                    assert len(ws) == full + expected_blocks[mode, beta], (mode, beta, opt, plan)
 
 
 @pytest.mark.parametrize("mode, beta", [(CurvatureMode.MEAN_2D, 0.0), (CurvatureMode.MEAN_2D, 0.5),

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import elastiseg.solver
 from elastiseg import CurvatureMode, EnergyParams, ScalarField, SolverConfig, make_field, segment
-from elastiseg.solver import OPTIMIZERS, PARAMETERIZATIONS
+from elastiseg.solver import OPTIMIZERS
 from elastiseg import workspace
 from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, plan_blocks, tree_sum
 
@@ -48,26 +47,25 @@ def test_take_hands_out_aligned_arrays_through_give_take_cycles(shape):
     assert_solver_array(fresh, shape)
 
 
-@pytest.mark.parametrize("opt, par", list(itertools.product(OPTIMIZERS, PARAMETERIZATIONS)))
+@pytest.mark.parametrize("opt", OPTIMIZERS)
 @pytest.mark.parametrize("shape, mode", [((13, 11), CurvatureMode.MEAN_2D), ((7, 9, 5), CurvatureMode.MEAN_3D),
                                          ((7, 9, 5), CurvatureMode.FAST_3D)])
-def test_solver_mask_velocity_and_logit_are_aligned(monkeypatch, opt, par, shape, mode):
+def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, shape, mode):
     seen = []
     real_step = elastiseg.solver._step
 
-    def recording_step(u, z, velocity, g, *rest):
-        seen.append((u, z, velocity, g))
-        return real_step(u, z, velocity, g, *rest)
+    def recording_step(u, velocity, g, *rest):
+        seen.append((u, velocity, g))
+        return real_step(u, velocity, g, *rest)
 
     monkeypatch.setattr(elastiseg.solver, "_step", recording_step)
     image = ScalarField(np.random.default_rng(2).random(shape), 1.0)
-    cfg = SolverConfig(max_iters=3, optimizer=opt, parameterization=par, stop_tol=0.0)
+    cfg = SolverConfig(max_iters=3, optimizer=opt, stop_tol=0.0)
     segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=0.5, mode=mode), cfg)
     assert len(seen) == 3
-    for u, z, velocity, g in seen:
-        assert (z is not None) == (par == "logistic")
+    for u, velocity, g in seen:
         assert (velocity is not None) == (opt == "momentum")
-        for arr in (u, z, velocity, g):
+        for arr in (u, velocity, g):
             if arr is not None:
                 assert_solver_array(arr, shape)
 
