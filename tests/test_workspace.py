@@ -48,9 +48,11 @@ def test_take_hands_out_aligned_arrays_through_give_take_cycles(shape):
 
 
 @pytest.mark.parametrize("opt", OPTIMIZERS)
+@pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize("shape, mode", [((13, 11), CurvatureMode.MEAN_2D), ((7, 9, 5), CurvatureMode.MEAN_3D),
                                          ((7, 9, 5), CurvatureMode.FAST_3D)])
-def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, shape, mode):
+def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, beta, shape, mode):
+    # the workspace holds fewer arrays at beta = 0 than at beta > 0
     seen = []
     real_step = elastiseg.solver._step
 
@@ -61,7 +63,7 @@ def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, shape, mode):
     monkeypatch.setattr(elastiseg.solver, "_step", recording_step)
     image = ScalarField(np.random.default_rng(2).random(shape), 1.0)
     cfg = SolverConfig(max_iters=3, optimizer=opt, stop_tol=0.0)
-    segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=0.5, mode=mode), cfg)
+    segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
     assert len(seen) == 3
     for u, velocity, g in seen:
         assert (velocity is not None) == (opt == "momentum")
