@@ -315,7 +315,16 @@ def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams, ws
     check_ndim(u.ndim, params.mode)
     ws = Workspace(u.shape) if ws is None else ws
     moments = mask_moments(u.data, r.data, ws) if moments is None else moments
-    elastica = _elastica_only(u.data, u.spacing, params, ws)
+    return segmentation_energy_raw(u.data, u.spacing, params, ws, moments)
+
+
+def segmentation_energy_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace,
+                            moments: tuple[Moments, Moments]) -> EnergyBreakdown:
+    """Energy of mask array ``a`` by component, in the arithmetic of ``a``; ``ws`` gets every array back.
+
+    The region sums come from ``moments``, :func:`mask_moments` of ``a``.
+    """
+    elastica = _elastica_only(a, spacing, params, ws)
     return EnergyBreakdown.assemble(elastica, *region_sums(moments, params.c1, params.c2), params.lam)
 
 

@@ -10,17 +10,21 @@ once. A caller that passes no workspace gets a throwaway one: the code path is
 the same and every array it returns is fresh.
 
 The block plan (:func:`plan_blocks`) splits a field into blocks of whole
-planes along axis 0, about :data:`BLOCK_BYTES` per float64 array, so that the
+planes along axis 0, about :data:`BLOCK_ELEMENTS` per array, so that the
 intermediates of one block stay in a core's L2 cache from one ufunc to the
-next: at 64^3 a full-size array is 2 MiB, the size of the L2 of the 2-vCPU
-Xeon VM timed below, and there an out-of-place multiply of such arrays streams
-from L3 in 289 us, where sixteen on L2-resident pieces of 16384 elements take
-16 x 5.7 us (best of 300 calls). A field whose one array is at most four
-blocks (1 MiB, half the L2) is a single block, and its block arrays are the
-full-size arrays themselves. ``take(b)`` hands out an array of
-block ``b``'s shape, ``take()`` a full-size one, and :meth:`Workspace.parts`
-the views of a full-size array on each block. The plan depends on the shape
-alone.
+next: at 64^3 a full-size float64 array is 2 MiB, the size of the L2 of the
+2-vCPU Xeon VM timed below, and there an out-of-place multiply of such arrays
+streams from L3 in 289 us, where sixteen on L2-resident pieces of 16384
+elements take 16 x 5.7 us (best of 300 calls). A field whose one array is at
+most four blocks' elements is a single block, and its block arrays are the
+full-size arrays themselves. The plan counts elements, not bytes, so a
+float32 workspace has the float64 one's blocks at half their bytes: at 64^3
+a plan by bytes would make the float32 field one block, and a 20-iteration
+fast3d momentum solve took 8.8 ms per iteration on one block against 7.0 on
+blocks of 8 planes, 7.8 on 4 and 8.8 on 16 (best of 5, same VM). ``take(b)`` hands out
+an array of block ``b``'s shape, ``take()`` a full-size one, and
+:meth:`Workspace.parts` the views of a full-size array on each block. The
+plan depends on the shape alone.
 
 Every array comes from :func:`aligned_empty`, whose data starts on an
 :data:`ALIGNMENT`-byte boundary. ``np.empty`` only guarantees 16 bytes, and an
@@ -42,9 +46,10 @@ the views stop growing after one iteration: at most arrays * ndim * blocks of
 them, about 1 KB each. They hold no data and go with the workspace.
 
 A sum over a field is taken block by block (:func:`block_sum`), while each
-block is in cache, and the block sums are combined by :func:`tree_sum`. On a
-tree plan that is one whole-array ``np.add.reduce`` bit for bit: numpy sums
-n contiguous float64 elements pairwise (``pairwise_sum`` in
+block is in cache, and the block sums, float64 whatever the workspace's dtype,
+are combined by :func:`tree_sum`. On a float64 tree plan that is one
+whole-array ``np.add.reduce`` bit for bit: numpy sums n contiguous float64
+elements pairwise (``pairwise_sum`` in
 ``numpy/_core/src/umath/loops_utils.h.src``), splitting them at n/2 rounded
 down to a multiple of 8, down to leaves of at most 128 elements, so 2^k equal
 blocks of m elements, m a multiple of 8 and over 64, are nodes of that tree,
@@ -56,7 +61,10 @@ solve is deterministic, but its last bits may differ from the whole-array
 sum's. That is the tolerance: small solves on such plans stay within 1e-12
 of the one-block solve (3e-14 measured), and a 20-iteration fast3d momentum
 solve of a 65x64x64 sphere writes a float32 mask that differs from the
-whole-array sums' by at most 2.9e-6, with the same thresholded mask.
+whole-array sums' by at most 2.9e-6, with the same thresholded mask. A
+float32 block is summed in float64, pairwise within each of the buffered
+chunks numpy casts it in, so its sums are deterministic and hold float64's
+error, but no tree rule applies to them.
 """
 
 from __future__ import annotations
@@ -67,47 +75,49 @@ from contextlib import contextmanager
 import numpy as np
 
 ALIGNMENT = 64  # bytes: one cache line, and one AVX-512 register
-BLOCK_BYTES = 1 << 18  # bytes per float64 array of one block: 8 planes at 64^3
+BLOCK_ELEMENTS = 1 << 15  # elements per array of one block: 8 planes at 64^3
 
 Planes = tuple[int, int]  # [lo, hi) along axis 0
 
 
-def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialised C-contiguous float64 array of ``shape`` whose data starts on an ALIGNMENT-byte boundary."""
+def aligned_empty(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """Uninitialised C-contiguous array of ``shape`` and ``dtype`` whose data starts on an ALIGNMENT-byte boundary."""
     n = math.prod(shape)
-    pad = ALIGNMENT // 8
-    raw = np.empty(n + pad)  # float64 data is 8-byte aligned, so a boundary lies within the first pad elements
-    start = (-raw.ctypes.data % ALIGNMENT) // 8
+    size = np.dtype(dtype).itemsize
+    pad = ALIGNMENT // size
+    raw = np.empty(n + pad, dtype)  # data is itemsize-aligned, so a boundary lies within the first pad elements
+    start = (-raw.ctypes.data % ALIGNMENT) // size
     return raw[start:start + n].reshape(shape)
 
 
 def plan_blocks(shape: tuple[int, ...]) -> list[Planes | None]:
-    """The plane ranges along axis 0 of a field of ``shape``; ``[None]`` (the whole field) up to 4 blocks' bytes.
+    """The plane ranges along axis 0 of a field of ``shape``; ``[None]`` (the whole field) up to 4 blocks' elements.
 
-    Larger fields get blocks of ``BLOCK_BYTES // plane bytes`` planes (at least
-    one), the last one shorter when the planes do not divide evenly.
+    Larger fields get blocks of ``BLOCK_ELEMENTS // plane elements`` planes
+    (at least one), the last one shorter when the planes do not divide evenly.
     """
-    if not shape or 8 * math.prod(shape) <= 4 * BLOCK_BYTES:
+    if not shape or math.prod(shape) <= 4 * BLOCK_ELEMENTS:
         return [None]
     n = shape[0]
-    t = max(1, BLOCK_BYTES // (8 * math.prod(shape[1:])))
+    t = max(1, BLOCK_ELEMENTS // math.prod(shape[1:]))
     return [(lo, min(lo + t, n)) for lo in range(0, n, t)] if t < n else [None]
 
 
 def block_sum(x: np.ndarray) -> float:
-    """The sum of one block, as ``np.add.reduce(x, axis=None)``: np.sum's reduction without its wrapper's few us.
+    """The sum of one block in float64, as ``np.add.reduce``: np.sum's reduction without its wrapper's few us.
 
-    That is numpy's pairwise sum over the block, the order whose nodes
-    :func:`tree_sum` combines.
+    For a float64 block that is numpy's pairwise sum over the block, the order
+    whose nodes :func:`tree_sum` combines; a float32 block is cast to float64
+    as it is summed, so its sum carries float64's error, not float32's.
     """
-    return float(np.add.reduce(x, axis=None))
+    return float(np.add.reduce(x, axis=None, dtype=np.float64))
 
 
 def tree_sum(sums: list[float]) -> float:
     """The block sums combined pairwise, ((s0 + s1) + (s2 + s3)) + ..., as numpy's pairwise sum combines its nodes.
 
-    On a tree plan, with each block summed by :func:`block_sum`, this is the
-    whole-array ``np.add.reduce`` bit for bit. An odd block out at a level is
+    On a tree plan of float64 blocks, each summed by :func:`block_sum`, this
+    is the whole-array ``np.add.reduce`` bit for bit. An odd block out at a level is
     carried to the next one unchanged: five blocks give ((s0 + s1) + (s2 + s3)) + s4.
     """
     while len(sums) > 1:
@@ -150,24 +160,24 @@ def shift_views(a: np.ndarray, axis: int, planes: Planes | None = None, n: int |
 
 
 class _Pool:
-    """Arrays of one shape in allocation order, with a free flag each."""
+    """Arrays of one shape and dtype in allocation order, with a free flag each."""
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = shape
+    def __init__(self, shape: tuple[int, ...], dtype):
+        self.shape, self.dtype = shape, dtype
         self.arrays: list[np.ndarray] = []
         self.free: list[bool] = []
 
 
 class Workspace:
-    """Uninitialised float64 arrays of one shape and of its blocks' shape, handed out and taken back."""
+    """Uninitialised arrays of one dtype, of one shape and of its blocks' shape, handed out and taken back."""
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], dtype=np.float64):
         self.shape = tuple(shape)
         self.blocks = plan_blocks(self.shape)
         self._single = self.blocks[0] is None
-        self._full = _Pool(self.shape)
+        self._full = _Pool(self.shape, dtype)
         # block arrays of a one-block field are the full-size arrays
-        self._block = self._full if self._single else _Pool((self.blocks[0][1],) + self.shape[1:])
+        self._block = self._full if self._single else _Pool((self.blocks[0][1],) + self.shape[1:], dtype)
         last = self.blocks[-1]
         self._short_block = len(self.blocks) - 1 if last and last[1] - last[0] != self._block.shape[0] else -1
         self._short: dict[int, np.ndarray] = {}  # the short last block's view by allocation index of its array
@@ -199,7 +209,7 @@ class Workspace:
 
     def _allocate(self, pool: _Pool) -> int:
         i = len(pool.arrays)
-        arr = aligned_empty(pool.shape)
+        arr = aligned_empty(pool.shape, pool.dtype)
         self._index[id(arr)] = pool.free, i
         pool.arrays.append(arr)
         pool.free.append(True)

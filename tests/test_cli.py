@@ -173,8 +173,11 @@ def test_segment_end_to_end_with_metrics(tmp_path):
               "--beta", "0", "--iters", "300", "--out", str(out), "--gt", str(case_dir / "gt.vf32")])
     assert rc == 0
     trace = (out / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,elastica,region_in,region_out,total"
+    # the columns after total are appended: a reader of the first five keeps working
+    assert trace[0] == "iter,elastica,region_in,region_out,total,c1,c2,mean_abs_g"
     assert len(trace) > 10
+    rows = [[float(x) for x in line.split(",")] for line in trace[1:]]
+    assert all(len(row) == 8 and 0.0 <= row[6] < row[5] <= 1.0 and row[7] > 0.0 for row in rows)
     metrics = (out / "metrics.csv").read_text().splitlines()
     dice_value = float(metrics[1].split(",")[1])
     assert dice_value >= 0.95
@@ -353,6 +356,27 @@ def test_segment_has_no_param_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_segment_solves_in_float32_unless_asked_for_float64(tmp_path, capsys):
+    case_dir = disk(tmp_path)
+    image = read_volume(case_dir / "image.vf32")
+    init = make_field(image.shape, image.spacing, 0.5)
+    masks = []
+    for flags, precision in (([], "float32"), (["--precision", "float64"], "float64")):
+        out = tmp_path / precision
+        assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "20", *flags,
+                    "--out", str(out)]) == 0
+        assert read_manifest(out / "manifest.txt")["precision"] == precision
+        # the library's solve at the CLI's defaults, in the same precision, gives the same mask
+        mask, _ = elastiseg.segment(image, init, elastiseg.EnergyParams(),
+                                    elastiseg.SolverConfig(max_iters=20, region_mode="cv-means", precision=precision))
+        masks.append(read_volume(out / "mask.vf32").data)
+        assert masks[-1].tobytes() == mask.data.astype(np.float32).astype(np.float64).tobytes()
+    assert masks[0].tobytes() != masks[1].tobytes()
+    with pytest.raises(SystemExit) as exc:
+        run(["segment", "--image", str(case_dir / "image.vf32"), "--precision", "float16", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2 and "--precision" in capsys.readouterr().err
+
+
 def test_segment_checks_the_reference_shape_before_the_solve(tmp_path, capsys):
     run(["synth", "--case", "disk", "--shape", "16,16", "--radius", "5", "--out", str(tmp_path / "img")])
     run(["synth", "--case", "sphere", "--shape", "8,8,8", "--radius", "3", "--out", str(tmp_path / "ref")])
@@ -424,7 +448,7 @@ def test_segment_non_finite_run_writes_its_manifest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: non-finite energy at iteration 0 (last finite c1=1, c2=0, mean|g|=none); "
                    f"partial trace written to {out / 'trace.csv'}\n")
-    assert (out / "trace.csv").read_text() == "iter,elastica,region_in,region_out,total\n"
+    assert (out / "trace.csv").read_text() == "iter,elastica,region_in,region_out,total,c1,c2,mean_abs_g\n"
     manifest = read_manifest(out / "manifest.txt")
     assert (manifest["iterations_run"], manifest["converged"], manifest["alpha"]) == ("0", "False", "1e+308")
     assert not (out / "mask.vf32").exists()

@@ -152,9 +152,9 @@ def test_curvature_is_the_k_the_energy_weighs(mode, monkeypatch):
         fwd = elastica_forward(f.data, f.spacing, EnergyParams(beta=2.0, mode=mode), Workspace(shape), 0)
         np.testing.assert_array_equal(curvature(f, mode).data, fwd.k)
     shape = (24, 9) if mode.required_ndim == 2 else (24, 7, 6)
-    plane = 8 * math.prod(shape[1:])
+    plane = math.prod(shape[1:])
     for planes, n_blocks, last in ((3, 8, (21, 24)), (5, 5, (20, 24))):
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes * plane)
         ws = Workspace(shape)
         assert len(ws.blocks) == n_blocks and ws.blocks[-1] == last
         spacing = tuple(float(s) for s in rng.uniform(0.5, 2.0, len(shape)))

@@ -177,7 +177,7 @@ def test_elastica_term_is_the_tree_sum_of_its_block_sums_on_every_block_plan(mon
     u = ScalarField(rng.random(shape), spacing)
     p = EnergyParams(alpha=0.01, beta=0.5, mode=CurvatureMode.FAST_3D)
     if planes_per_block:
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 6 * 7)
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes_per_block * 6 * 7)
     blocks = Workspace(shape).blocks
     assert len(blocks) == {None: 1, 1: 11, 2: 6}[planes_per_block]
 
@@ -200,7 +200,7 @@ def test_elastica_term_summed_by_blocks_of_a_tree_plan_has_the_whole_array_bits(
     rng = np.random.default_rng(13)
     shape, spacing = (32, 6, 8), (0.7, 1.0, 1.3)
     u = ScalarField(rng.random(shape), spacing)
-    monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 6 * 8)
+    monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes_per_block * 6 * 8)
     ws = Workspace(shape)
     assert len(ws.blocks) == 32 // planes_per_block
     mag = grad_mag_raw([d1(u.data, ax, spacing[ax]) for ax in range(3)])
@@ -224,7 +224,7 @@ def test_each_block_forward_returns_the_sum_of_its_expression_form_density(monke
     shape = (32, 24) if mode.required_ndim == 2 else (16, 6, 8)
     planes = {"one block": None, "tree": 4 if len(shape) == 2 else 2, "not a tree": 3}[plan]
     if planes:
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * 8 * math.prod(shape[1:]))
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes * math.prod(shape[1:]))
     blocks = Workspace(shape).blocks
     assert len(blocks) == {"one block": 1, "tree": 8, "not a tree": 11 if len(shape) == 2 else 6}[plan]
     rng = np.random.default_rng(15)
@@ -249,7 +249,7 @@ def test_block_moments_combined_by_mask_moments_have_the_whole_field_bits_on_tre
     # one block, then 8 and 16 blocks of 192 and 96 voxels
     shape = (32, 6, 8)
     if planes_per_block:
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes_per_block * 8 * 48)
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes_per_block * 48)
     rng = np.random.default_rng(16)
     for _ in range(20):
         u, r = rng.random(shape), rng.random(shape)

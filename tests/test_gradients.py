@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from elastiseg import (
     CurvatureMode,
@@ -334,7 +335,7 @@ def _solves(image, init, mode):
     for opt, region in itertools.product(solver.OPTIMIZERS, solver.REGION_MODES):
         for beta in (0.0, 0.5):
             p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
-            cfg = SolverConfig(max_iters=6, optimizer=opt, region_mode=region, stop_tol=0.0)
+            cfg = SolverConfig(max_iters=6, optimizer=opt, region_mode=region, stop_tol=0.0, precision="float64")
             mask, trace = segment(image, init, p, cfg)
             yield mask.data, np.array([dataclasses.astuple(bd) for bd in trace.breakdowns])
 
@@ -363,9 +364,8 @@ def test_kept_stencil_views_match_views_rebuilt_on_every_call_bit_for_bit(mode, 
     monkeypatch.setattr(Workspace, "views", lambda self, a, axis, planes=None: None)  # every stencil call rebuilds its views
     rebuilt = list(_solve_outputs(image, init, mode))
     assert kept == rebuilt
-    # the loop's stencils ran on kept views: only the exit energy's reads of the output mask rebuilt theirs
-    n_rebuilt = len(rebuilt_by) - n_kept
-    assert n_kept * 5 < n_rebuilt
+    # every stencil of a solve, the exit energy's included, ran on kept views
+    assert n_kept == 0 < len(rebuilt_by)
 
 
 @pytest.mark.parametrize("mode", list(CurvatureMode))
@@ -377,11 +377,11 @@ def test_multi_block_solves_match_the_one_block_solve_bit_for_bit(mode, monkeypa
     init = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
     assert Workspace(shape).blocks == [None]
     one = list(_solves(image, init, mode))
-    plane = 8 * math.prod(shape[1:])
+    plane = math.prod(shape[1:])
     # plans that are not trees (13 one-plane blocks, then a short last block): their block sums combine in
     # another order than the whole-array sum, so a solve repeats its own bytes and stays within 1e-12 of one block
     for planes, n_blocks in ((1, 13), (2, 7), (3, 5)):
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes * plane)
         assert len(Workspace(shape).blocks) == n_blocks
         blocked = list(_solves(image, init, mode))
         assert _solve_outputs(image, init, mode) == _as_bytes(blocked), planes
@@ -392,14 +392,45 @@ def test_multi_block_solves_match_the_one_block_solve_bit_for_bit(mode, monkeypa
     shape = (32, 36) if mode.required_ndim == 2 else (32, 6, 8)
     image = ScalarField(rng.random(shape), spacing)
     init = ScalarField(rng.uniform(0.2, 0.8, shape), spacing)
-    monkeypatch.setattr(workspace, "BLOCK_BYTES", 1 << 18)
+    monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", 1 << 15)
     assert Workspace(shape).blocks == [None]
     one = _solve_outputs(image, init, mode)
-    plane = 8 * math.prod(shape[1:])
+    plane = math.prod(shape[1:])
     for planes, n_blocks in ((2, 16), (4, 8)):
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * plane)
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes * plane)
         assert len(Workspace(shape).blocks) == n_blocks
         assert _solve_outputs(image, init, mode) == one, planes
+
+
+# max|g32 - g64| / max|g64| read at most 7.4e-7 (mean3d), 6.3e-7 (lap3d), 1.6e-7 (mean2d) and 1.5e-7 (fast3d)
+# over 20 seeds and beta in {0, 0.5, 2} of these fields; the energies at most 3.9e-9 apart, relative
+FLOAT32_GRADIENT_TOL = 2e-6
+FLOAT32_ENERGY_TOL = 2e-8
+
+
+@pytest.mark.parametrize("mode", list(CurvatureMode))
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+@pytest.mark.parametrize("one_plane", [False, True], ids=["one-block", "one-plane-blocks"])
+def test_float32_pass_is_the_float64_pass_to_float32_rounding(mode, beta, one_plane, monkeypatch):
+    # blurred random fields, in [0, 1] and exactly float32 numbers, so both passes read the same inputs
+    rng = np.random.default_rng(47)
+    shape = (48, 40) if mode.required_ndim == 2 else (20, 18, 16)
+    if one_plane:
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", math.prod(shape[1:]))
+    u, r = (_blurred(rng, shape).astype(np.float32) for _ in range(2))
+    spacing = (1.0,) * len(shape)
+    p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
+    bd64, g64 = energy_and_gradient_raw(u.astype(np.float64), r.astype(np.float64), spacing, p)
+    bd32, g32 = energy_and_gradient_raw(u, r, spacing, p, Workspace(shape, np.float32))
+    assert g32.dtype == np.float32 and len(Workspace(shape).blocks) == (shape[0] if one_plane else 1)
+    assert np.max(np.abs(g32 - g64)) <= FLOAT32_GRADIENT_TOL * np.max(np.abs(g64))
+    # every sum is taken in float64, so the energy holds float32's rounding of the summands only
+    assert abs(bd32.total - bd64.total) <= FLOAT32_ENERGY_TOL * bd64.total
+
+
+def _blurred(rng, shape):
+    x = ndimage.gaussian_filter(rng.random(shape), 2.0)
+    return (x - x.min()) / (x.max() - x.min())
 
 
 def ref_gradient(a, r, spacing, p):
@@ -437,7 +468,7 @@ def test_gradient_matches_the_expression_form_with_one_quotient_per_voxel(mode, 
     a, r = rng.random(shape), rng.random(shape)
     p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
     expected = ref_gradient(a, r, spacing, p)
-    monkeypatch.setattr(workspace, "BLOCK_BYTES", 32 // n_blocks * 8 * math.prod(shape[1:]))
+    monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", 32 // n_blocks * math.prod(shape[1:]))
     assert len(Workspace(shape).blocks) == n_blocks
     assert energy_and_gradient_raw(a, r, spacing, p)[1].tobytes() == expected.tobytes()
 
@@ -446,17 +477,17 @@ def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
     made = []
 
     class Recording(Workspace):
-        def __init__(self, shape):
-            super().__init__(shape)
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(self)
 
     monkeypatch.setattr(solver, "Workspace", Recording)
     rng = np.random.default_rng(43)
-    one_block = workspace.BLOCK_BYTES
+    one_block = workspace.BLOCK_ELEMENTS
     for mode, multi in itertools.product(CurvatureMode, (False, True)):
         shape = (12, 10) if mode.required_ndim == 2 else (8, 9, 7)
         # one plane per block splits the field into shape[0] blocks
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", 8 * math.prod(shape[1:]) if multi else one_block)
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", math.prod(shape[1:]) if multi else one_block)
         image = ScalarField(rng.random(shape), 1.0)
         init = ScalarField(np.full(shape, 0.5), 1.0)
         p = EnergyParams(alpha=0.01, beta=0.5, mode=mode)
@@ -486,8 +517,8 @@ def test_kept_stencil_views_are_bounded_and_go_with_the_workspace(monkeypatch):
     refs = []
 
     class Watched(Workspace):
-        def __init__(self, shape):
-            super().__init__(shape)
+        def __init__(self, *args):
+            super().__init__(*args)
             refs.append(weakref.ref(self))
 
     monkeypatch.setattr(solver, "Workspace", Watched)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.energy import MAX_CONSTANT
-from elastiseg.solver import OPTIMIZERS, REGION_MODES, STOP_WINDOW
+from elastiseg.solver import OPTIMIZERS, PRECISIONS, REGION_MODES, STOP_WINDOW
 from elastiseg.workspace import Workspace, block_sum
 
 
@@ -142,8 +143,9 @@ def test_cv_means_keeps_its_constants_when_the_mask_sum_rounds_to_the_voxel_coun
     r[100, 37] = 0.0
     image = ScalarField(r, 1.0)
     p = EnergyParams(alpha=0.001, beta=0.0, c1=0.9, c2=0.3, mode=CurvatureMode.MEAN_2D)
+    # float64: a step of 1.5e-12 is below float32's resolution at 1
     mask, trace = segment(image, make_field(r.shape, 1.0, 1.0), p,
-                          SolverConfig(max_iters=1, step_size=1e-12, region_mode="cv-means"))
+                          SolverConfig(max_iters=1, step_size=1e-12, region_mode="cv-means", precision="float64"))
     u = mask.data
     assert float(np.sum(u)) == u.size and float(np.sum(1.0 - u)) > 0.0
     with pytest.raises(DegenerateMaskError):
@@ -171,10 +173,10 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
     case = small_disk(1)
     init = make_field(case.image.shape, 1.0, 0.5)
     cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means", stop_tol=stop_tol)
-    one_block = elastiseg.workspace.BLOCK_BYTES
+    one_block = elastiseg.workspace.BLOCK_ELEMENTS
     # one block, eight blocks of 6 planes (a tree plan), and 48 one-plane blocks (not a tree plan)
     for planes, n_blocks in ((None, 1), (6, 8), (1, 48)):
-        monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", planes * 8 * 48 if planes else one_block)
+        monkeypatch.setattr(elastiseg.workspace, "BLOCK_ELEMENTS", planes * 48 if planes else one_block)
         assert len(Workspace(case.image.shape).blocks) == n_blocks
         weights.clear(), fused.clear(), masks.clear(), updates.clear()
         _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
@@ -223,9 +225,24 @@ def test_cv_means_solves_an_image_at_the_constant_bound():
     # the soft-weighted means of this image round to 1e100 * (1 + 2**-52) unless held at the bound
     image = make_field((8, 8), 1.0, MAX_CONSTANT)
     init = ScalarField(np.random.default_rng(3).random((8, 8)), 1.0)
-    _, trace = segment(image, init, EnergyParams(), SolverConfig(max_iters=3, region_mode="cv-means"))
+    # float64: the bound is past float32's range, which a float32 solve rejects up front
+    _, trace = segment(image, init, EnergyParams(),
+                       SolverConfig(max_iters=3, region_mode="cv-means", precision="float64"))
     assert trace.iterations_run == 3
     assert all(math.isfinite(bd.total) for bd in trace.breakdowns)
+
+
+def test_float32_rejects_an_image_past_its_range_before_solving(monkeypatch):
+    image, init = make_field((8, 8), 1.0, 1e39), make_field((8, 8), 1.0, 0.5)
+    cfg = SolverConfig(max_iters=3, region_mode="fixed")
+    passes = []
+    real = elastiseg.solver.energy_and_gradient_raw
+    monkeypatch.setattr(elastiseg.solver, "energy_and_gradient_raw", lambda *a: passes.append(a) or real(*a))
+    with pytest.raises(FieldError, match="precision float32 needs image values"):
+        segment(image, init, EnergyParams(), cfg)
+    assert passes == []
+    _, trace = segment(image, init, EnergyParams(), replace(cfg, precision="float64"))
+    assert trace.iterations_run == 3 and all(math.isfinite(bd.total) for bd in trace.breakdowns)
 
 
 def test_config_validation():
@@ -237,6 +254,8 @@ def test_config_validation():
         SolverConfig(optimizer="adam")
     with pytest.raises(ValueError):
         SolverConfig(region_mode="other")
+    with pytest.raises(ValueError, match="precision"):
+        SolverConfig(precision="float16")
 
 
 @pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan),
@@ -263,13 +282,18 @@ def test_mode_dimension_mismatch_rejected():
         segment(case.image, init, EnergyParams(mode=CurvatureMode.FAST_3D), SolverConfig(max_iters=5))
 
 
-def test_converging_disk_stops_where_it_always_has():
+def test_converging_disk_stops_where_it_always_has(precision="float64"):
     case = disk_case((48, 48), (23.5, 23.5), 11, 0.8, 0.2, 0.1, 1)
     init = make_field(case.image.shape, 1.0, 0.5)
     p = EnergyParams(alpha=0.001, beta=0.0, mode=CurvatureMode.MEAN_2D)
-    _, trace = segment(case.image, init, p, SolverConfig(max_iters=2000, region_mode="cv-means"))
+    _, trace = segment(case.image, init, p,
+                       SolverConfig(max_iters=2000, region_mode="cv-means", precision=precision))
     assert trace.iterations_run == 437
     assert trace.converged
+
+
+def test_converging_disk_stops_in_float32_where_float64_stops():
+    test_converging_disk_stops_where_it_always_has("float32")
 
 
 # --- the trace energy of update i comes from the gradient pass of iteration i+1 ---
@@ -298,14 +322,14 @@ PARITY_CASES = [(m, b, o, r) for (m, b), o, r in itertools.product(PARITY_MODES,
 def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer, region_mode, one_plane, step):
     image = _parity_case(mode)
     if one_plane:
-        monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES", 8 * math.prod(image.shape[1:]))
+        monkeypatch.setattr(elastiseg.workspace, "BLOCK_ELEMENTS", math.prod(image.shape[1:]))
         assert len(Workspace(image.shape).blocks) == image.shape[0]
     init = make_field(image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.01, beta=beta, mode=mode)
 
     def run(iters):
         cfg = SolverConfig(max_iters=iters, step_size=step, optimizer=optimizer, region_mode=region_mode,
-                           stop_tol=0.0)
+                           stop_tol=0.0, precision="float64")
         return segment(image, init, params, cfg)
 
     _, full = run(PARITY_ITERS)
@@ -322,10 +346,31 @@ def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer,
         assert short.breakdowns[-1] == want
 
 
+@pytest.mark.parametrize("region_mode", REGION_MODES)
+def test_trace_rows_carry_their_energys_constants_and_their_updates_scale(monkeypatch, region_mode):
+    scales = _record_scales(monkeypatch)
+    constants = _record_constants(monkeypatch)
+    real = elastiseg.solver.segmentation_energy_raw
+
+    def recording(a, spacing, params, *rest):
+        constants.append((params.c1, params.c2))
+        return real(a, spacing, params, *rest)
+
+    monkeypatch.setattr(elastiseg.solver, "segmentation_energy_raw", recording)
+    case = small_disk()
+    init = make_field(case.image.shape, 1.0, 0.5)
+    cfg = SolverConfig(max_iters=8, region_mode=region_mode, stop_tol=0.0)
+    _, trace = segment(case.image, init, EnergyParams(c1=0.75, c2=0.25), cfg)
+    # entry i is the energy after update i: fused pass i+1 evaluates it, the exit energy the last one
+    assert len(constants) == 9 and list(zip(trace.c1, trace.c2)) == constants[1:]
+    assert trace.mean_abs_g == scales and len(scales) == 8
+    assert (trace.c1[0] != 0.75) == (region_mode == "cv-means")
+
+
 def test_single_iteration_records_one_breakdown():
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1))
+    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1, precision="float64"))
     assert trace.iterations_run == 1
     assert trace.breakdowns == [segmentation_energy(mask, case.image, EnergyParams(beta=0.5))]
     assert not trace.converged
@@ -346,7 +391,7 @@ def _count_calls(monkeypatch, name, override=None):
 
 def test_one_fused_pass_per_iteration(monkeypatch):
     fused = _count_calls(monkeypatch, "energy_and_gradient_raw")
-    separate = _count_calls(monkeypatch, "segmentation_energy")
+    separate = _count_calls(monkeypatch, "segmentation_energy_raw")
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     cfg = SolverConfig(max_iters=20, region_mode="cv-means", stop_tol=0.0)
@@ -357,7 +402,7 @@ def test_one_fused_pass_per_iteration(monkeypatch):
 
 
 def test_converged_run_needs_no_separate_energy(monkeypatch):
-    separate = _count_calls(monkeypatch, "segmentation_energy")
+    separate = _count_calls(monkeypatch, "segmentation_energy_raw")
     img = make_field((16, 16), 1.0, 0.0)
     p = EnergyParams(alpha=0.001, beta=0.0, c1=1.0, c2=0.0, mode=CurvatureMode.MEAN_2D)
     _, trace = segment(img, img, p, SolverConfig(max_iters=500, region_mode="fixed"))
@@ -468,7 +513,7 @@ def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
 
 
 def test_non_finite_energy_after_last_update(monkeypatch):
-    _count_calls(monkeypatch, "segmentation_energy", lambda n, out: _non_finite(out))
+    _count_calls(monkeypatch, "segmentation_energy_raw", lambda n, out: _non_finite(out))
     scales = _record_scales(monkeypatch)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
@@ -537,41 +582,51 @@ def _sphere(shape):
 BUDGET_SHAPES = [(24, 24, 24), (64, 64, 64), (65, 64, 64)]
 
 
-@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (12.5, 6.725, 6.725)),
-                         ids=["24-12.5", "64-6.725", "65x64x64-6.725"])
-def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
+def _budgets(float64, float32):
+    """(precision, shape, budget) of each of BUDGET_SHAPES, the float64 cases keeping their ids."""
+    cases = [pytest.param("float64", shape, b, id=f"{shape[0]}-{b}".replace("65-", "65x64x64-"))
+             for shape, b in zip(BUDGET_SHAPES, float64)]
+    return cases + [pytest.param("float32", shape, b, id=f"float32-{shape[0]}-{b}".replace("65-", "65x64x64-"))
+                    for shape, b in zip(BUDGET_SHAPES, float32)]
+
+
+# budgets in float64 arrays of the field: in float32 each workspace array, the velocity and the cast image
+# are half of one, and the output field's copy a whole one
+@pytest.mark.parametrize("precision, shape, budget", _budgets((12.5, 6.725, 6.725), (7.5, 3.975, 3.975)))
+def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape, budget):
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
     # full-size array alive at once: the mask, the velocity, the workspace and
     # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays).
     # 24^3 is one block (12.41 arrays measured); with several blocks the
     # workspace holds 4 full-size arrays and 12 block-sized ones (6.66 at
-    # 64^3, 6.64 at 65x64x64)
+    # 64^3, 6.64 at 65x64x64). In float32: 7.33 at 24^3, 3.91 at 64^3 and 3.90
+    # at 65x64x64
     case = _sphere(shape)
     assert len(Workspace(case.image.shape).blocks) == {24: 1, 64: 8, 65: 9}[shape[0]]
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
                                     SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
-                                                 stop_tol=0.0))
+                                                 stop_tol=0.0, precision=precision))
              for k in (3, 15)]
     assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-@pytest.mark.parametrize("shape, budget", zip(BUDGET_SHAPES, (20.75, 7.725, 7.725)),
-                         ids=["24-20.75", "64-7.725", "65x64x64-7.725"])
-def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
+@pytest.mark.parametrize("precision, shape, budget", _budgets((20.75, 7.725, 7.725), (11.75, 4.5, 4.5)))
+def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape, budget):
     # the mean modes compute every stencil output and pointwise expression in
     # the workspace: 18 arrays at beta > 0 on one block (24^3: 20.46 arrays
     # measured with the mask, the velocity, the fields and the ufunc buffers),
     # and 4 full-size arrays and 20 block-sized ones with several blocks
-    # (7.67 at 64^3, 7.64 at 65x64x64)
+    # (7.67 at 64^3, 7.64 at 65x64x64). In float32: 11.43 at 24^3, 4.42 at
+    # 64^3 and 4.41 at 65x64x64
     case = _sphere(shape)
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
                                     SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
-                                                 stop_tol=0.0))
+                                                 stop_tol=0.0, precision=precision))
              for k in (3, 15)]
     assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
@@ -582,16 +637,23 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(shape, budget):
 INTERPRETER_BYTES = 2048
 
 
-def test_momentum_velocity_does_not_raise_the_peak_memory():
-    # the velocity is freed before the output field's copy, so a momentum solve peaks no higher than a gd solve
+def test_momentum_velocity_does_not_raise_the_peak_memory(precision="float64"):
+    # the velocity is freed before the output field's copy, so a float64 momentum solve peaks no higher than a
+    # gd solve; in float32 the loop, velocity included, can peak above the float64 output copy, by at most the
+    # velocity's own bytes (0.495 of 0.5 float64 arrays measured at 24^3)
     case = _sphere((24, 24, 24))
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     gd, momentum = (_traced_peak_in_arrays(case.image, init, params,
                                            SolverConfig(max_iters=3, optimizer=opt, region_mode="cv-means",
-                                                        stop_tol=0.0))
+                                                        stop_tol=0.0, precision=precision))
                     for opt in ("gd", "momentum"))
-    assert (momentum - gd) * case.image.data.nbytes <= INTERPRETER_BYTES, (gd, momentum)
+    velocity = 0 if precision == "float64" else case.image.data.nbytes // 2
+    assert (momentum - gd) * case.image.data.nbytes <= velocity + INTERPRETER_BYTES, (gd, momentum)
+
+
+def test_float32_momentum_velocity_raises_the_peak_memory_by_its_own_bytes_at_most():
+    test_momentum_velocity_does_not_raise_the_peak_memory("float32")
 
 
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
@@ -615,12 +677,12 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
     made = []
 
     class Recording(elastiseg.solver.Workspace):
-        def __init__(self, shape):
-            super().__init__(shape)
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(self)
 
     monkeypatch.setattr(elastiseg.solver, "Workspace", Recording)
-    one_block = elastiseg.workspace.BLOCK_BYTES
+    one_block = elastiseg.workspace.BLOCK_ELEMENTS
     for (mode, beta), n in expected.items():
         # one block; one-plane blocks of under 72 voxels (not a tree plan); eight blocks of 72 (a tree plan)
         for plan in ("one", "one-plane", "tree"):
@@ -628,8 +690,8 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
                 shape, planes = ((16, 36), 2) if mode.required_ndim == 2 else ((8, 9, 8), 1)
             else:
                 shape, planes = ((12, 12) if mode.required_ndim == 2 else (8, 9, 7)), 1
-            monkeypatch.setattr(elastiseg.workspace, "BLOCK_BYTES",
-                                one_block if plan == "one" else planes * 8 * math.prod(shape[1:]))
+            monkeypatch.setattr(elastiseg.workspace, "BLOCK_ELEMENTS",
+                                one_block if plan == "one" else planes * math.prod(shape[1:]))
             image = ScalarField(rng.random(shape), 1.0)
             init = make_field(shape, 1.0, 0.5)
             for opt in OPTIMIZERS:
@@ -652,8 +714,8 @@ def test_max_iters_solve_evaluates_its_exit_energy_in_its_one_workspace(monkeypa
     made = []
     real_init = Workspace.__init__
 
-    def recording_init(self, shape):
-        real_init(self, shape)
+    def recording_init(self, *args):
+        real_init(self, *args)
         made.append(self)
 
     monkeypatch.setattr(Workspace, "__init__", recording_init)

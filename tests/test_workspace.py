@@ -5,25 +5,56 @@ import pytest
 
 import elastiseg.solver
 from elastiseg import CurvatureMode, EnergyParams, ScalarField, SolverConfig, make_field, segment
-from elastiseg.solver import OPTIMIZERS
+from elastiseg.solver import OPTIMIZERS, PRECISIONS
 from elastiseg import workspace
-from elastiseg.workspace import ALIGNMENT, BLOCK_BYTES, Workspace, aligned_empty, plan_blocks, tree_sum
+from elastiseg.workspace import ALIGNMENT, BLOCK_ELEMENTS, Workspace, aligned_empty, block_sum, plan_blocks, tree_sum
 
 ODD_SHAPES = [(1, 1), (3, 5), (7, 13), (96, 96), (1, 1, 1), (3, 5, 7), (9, 11, 13), (5, 1, 3)]
 
 
-def assert_solver_array(arr, shape):
+def assert_solver_array(arr, shape, dtype=np.float64):
     assert arr.ctypes.data % ALIGNMENT == 0
     assert arr.flags.c_contiguous and arr.flags.writeable
-    assert arr.dtype == np.float64
+    assert arr.dtype == dtype
     assert arr.shape == shape
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
-def test_aligned_empty_starts_on_a_cache_line(shape):
+def test_aligned_empty_starts_on_a_cache_line(shape, dtype=np.float64):
     # successive allocations land at different offsets from numpy's own 16-byte alignment
     for _ in range(8):
-        assert_solver_array(aligned_empty(shape), shape)
+        assert_solver_array(aligned_empty(shape, dtype), shape, dtype)
+
+
+@pytest.mark.parametrize("shape", ODD_SHAPES)
+def test_aligned_empty_float32_starts_on_a_cache_line(shape):
+    # numpy aligns float32 data to 4 bytes at least, so the padding is counted in 4-byte elements
+    test_aligned_empty_starts_on_a_cache_line(shape, np.float32)
+
+
+def test_a_float32_workspace_hands_out_aligned_float32_arrays_on_the_float64_plan(monkeypatch):
+    # the plan counts elements: a float32 workspace splits a field where a float64 one does
+    shape = (64, 64, 64)
+    ws = Workspace(shape, np.float32)
+    assert ws.blocks == Workspace(shape).blocks == [(lo, lo + 8) for lo in range(0, 64, 8)]
+    assert_solver_array(ws.take(), shape, np.float32)
+    assert_solver_array(ws.take(3), (8, 64, 64), np.float32)
+    monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", 2 * 6 * 8)
+    short = Workspace((9, 6, 8), np.float32)
+    assert_solver_array(short.take(4), (1, 6, 8), np.float32)
+
+
+@pytest.mark.parametrize("shape", [(7,), (1000,), (96, 96), (8, 64, 64), (3, 5, 7)])
+def test_block_sum_is_float64_whatever_the_block_dtype(shape):
+    rng = np.random.default_rng(19)
+    a = rng.random(shape) - 0.3
+    # a float64 block's sum is np.add.reduce's, bit for bit, so the tree rule below holds for block_sum
+    assert block_sum(a) == float(np.add.reduce(a, axis=None))
+    b = a.astype(np.float32)
+    exact = math.fsum(b.ravel().astype(np.float64))
+    # a float32 block's is float64's: within a few float64 ulps of the exact sum of its values, far below float32's
+    assert abs(block_sum(b) - exact) <= 1e-14 * math.fsum(np.abs(b.ravel().astype(np.float64)))
+    assert isinstance(block_sum(b), float)
 
 
 @pytest.mark.parametrize("shape", ODD_SHAPES)
@@ -62,20 +93,22 @@ def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, beta, shape, mod
 
     monkeypatch.setattr(elastiseg.solver, "_step", recording_step)
     image = ScalarField(np.random.default_rng(2).random(shape), 1.0)
-    cfg = SolverConfig(max_iters=3, optimizer=opt, stop_tol=0.0)
-    segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
-    assert len(seen) == 3
-    for u, velocity, g in seen:
-        assert (velocity is not None) == (opt == "momentum")
-        for arr in (u, velocity, g):
-            if arr is not None:
-                assert_solver_array(arr, shape)
+    for precision in PRECISIONS:  # each array of the solve's dtype
+        cfg = SolverConfig(max_iters=3, optimizer=opt, stop_tol=0.0, precision=precision)
+        segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
+        assert len(seen) == 3
+        for u, velocity, g in seen:
+            assert (velocity is not None) == (opt == "momentum")
+            for arr in (u, velocity, g):
+                if arr is not None:
+                    assert_solver_array(arr, shape, np.dtype(precision))
+        seen.clear()
 
 
 def test_block_plan_follows_the_array_size_alone():
-    # up to four blocks' bytes (1 MiB, half a 2 MiB L2) a field is one block: the 96^2 tube and the 256^2 disk
+    # up to four blocks' elements (1 MiB in float64, half a 2 MiB L2) a field is one block: the 96^2 tube and the 256^2 disk
     for shape in [(96, 96), (256, 256), (16, 16, 16), (32, 64, 64)]:
-        assert 8 * np.prod(shape) <= 4 * BLOCK_BYTES and plan_blocks(shape) == [None], shape
+        assert np.prod(shape) <= 4 * BLOCK_ELEMENTS and plan_blocks(shape) == [None], shape
     assert plan_blocks((64, 64, 64)) == [(lo, lo + 8) for lo in range(0, 64, 8)]  # 256 KiB per block array
     assert plan_blocks((513, 512)) == [(lo, min(lo + 64, 513)) for lo in range(0, 513, 64)]  # a short last block
     assert plan_blocks((5, 1000, 1000)) == [(i, i + 1) for i in range(5)]  # a plane past the block size
@@ -109,14 +142,14 @@ def test_tree_plans_are_the_plans_whose_combined_block_sums_have_the_whole_array
     # numpy's pairwise summation decides which block sums combine to np.add.reduce's bits: a numpy
     # that changes its rule fails here, before the solver's block sums drift from its whole-array ones
     if planes:
-        monkeypatch.setattr(workspace, "BLOCK_BYTES", planes * 8 * math.prod(shape[1:]))
+        monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", planes * math.prod(shape[1:]))
     blocks = plan_blocks(shape)
     assert len(blocks) > 1 and is_tree(shape, blocks) == tree
     rng = np.random.default_rng(17)
     matches = []
     for _ in range(20 if tree else 50):
         a = rng.random(shape) - 0.3
-        sums = [float(np.add.reduce(a[lo:hi], axis=None)) for lo, hi in blocks]
+        sums = [block_sum(a[lo:hi]) for lo, hi in blocks]
         matches.append(tree_sum(sums) == float(np.add.reduce(a, axis=None)))
     assert all(matches) == tree, matches.count(False)
 
@@ -140,7 +173,7 @@ def test_tree_sum_of_a_block_count_that_is_not_a_power_of_two_carries_the_odd_bl
 
 
 def test_block_takes_views_and_gives(monkeypatch):
-    monkeypatch.setattr(workspace, "BLOCK_BYTES", 2 * 8 * 6 * 8)  # two planes of (9, 6, 8)
+    monkeypatch.setattr(workspace, "BLOCK_ELEMENTS", 2 * 6 * 8)  # two planes of (9, 6, 8)
     shape = (9, 6, 8)
     ws = Workspace(shape)
     assert ws.blocks == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
