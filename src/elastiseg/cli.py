@@ -9,12 +9,10 @@ the flag's own name (``lambda``, ``region_mode``; the value the run used,
 such as ``mode=mean2d`` for ``auto``), then its results and per-stage wall
 times. A flag that does not apply to the run is absent. ``segment`` records
 why its solve stopped as ``stop_reason``: ``converged`` (the stop rule fired),
-``max_iters`` (``--iters 0`` included) or ``non_finite``, and the
-arithmetic it solved in as ``precision``: ``float32`` unless ``--precision
-float64`` asks for the solves of earlier versions. Its ``trace.csv`` has a
-row per update: the energy components, then the region constants that energy
-was taken with and the update's mean|g|. Every manifest ends
-with the versions that produced it (``elastiseg``, ``python``, ``numpy``,
+``max_iters`` (``--iters 0`` included) or ``non_finite``. Its ``trace.csv``
+has a row per update: the energy components, then the region constants that
+energy was taken with and the update's mean|g|. Every manifest ends with the
+versions that produced it (``elastiseg``, ``python``, ``numpy``,
 ``scipy``, ``blas``: the BLAS numpy was built against, name and version) and
 ``cpu_count``. ``synth``, ``curvbench`` and ``gradcheck`` reject a ``--shape``
 one float64 array of which would exceed the machine's physical memory, before
@@ -43,7 +41,6 @@ from .gradients import gradcheck
 from .metrics import MetricsError, _binary_data, count_components_raw, dice_raw, hd95_raw
 from .solver import (
     OPTIMIZERS,
-    PRECISIONS,
     REGION_MODES,
     NonFiniteEnergyError,
     SolverConfig,
@@ -287,7 +284,7 @@ def cmd_segment(args) -> int:
     params = EnergyParams(alpha=args.alpha, beta=args.beta, lam=getattr(args, "lambda"),
                           c1=args.c1, c2=args.c2, mode=mode)
     cfg = SolverConfig(max_iters=args.iters, step_size=args.step, optimizer=args.optimizer,
-                       region_mode=args.region_mode, precision=args.precision)
+                       region_mode=args.region_mode)
     check_threshold(args.threshold)
     gt = None
     if args.gt:
@@ -457,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="gd")
     p.add_argument("--region-mode", choices=REGION_MODES, default="cv-means")
-    p.add_argument("--precision", choices=PRECISIONS, default="float32",
-                   help="the solve's arithmetic; sums are float64 either way, and float64 reproduces earlier runs")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.add_argument("--gt", default=None)

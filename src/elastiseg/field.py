@@ -21,8 +21,9 @@ class ScalarField:
     """A 2D or 3D real-valued grid with per-axis physical spacing.
 
     ``data`` is float64 and C-ordered (last axis fastest varying); it is made
-    read-only on construction, so every operation returns a new field. Internal
-    arithmetic is always double precision even when files store float32.
+    read-only on construction, so every operation returns a new field. Field
+    operations compute in double precision even when files store float32; a
+    solve computes in the solver's dtype (:data:`elastiseg.solver.DTYPE`).
     """
 
     data: np.ndarray

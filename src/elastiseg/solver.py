@@ -13,16 +13,19 @@ The momentum optimizer keeps a fixed fraction :data:`MOMENTUM` = 0.9 of its
 velocity, and the stop rule measures the energy change over a fixed window of
 :data:`STOP_WINDOW` = 10 iterations; only its tolerance is a setting.
 
-A solve runs in the arithmetic of ``SolverConfig.precision``: float32 by
-default, float64 to reproduce the solves of earlier versions bit for bit. The
-image and the init are cast into it once, which for the float32 values a VF32
-file holds is exact, and the mask, the velocity and every workspace array are
-of that dtype. Every sum (the energy density's, mean|g| and the region
-moments) accumulates in float64 whatever the dtype
-(:func:`~elastiseg.workspace.block_sum`), so the energy, the constants and the
-stop rule are float64 numbers in either precision. On blurred random fields
-the float32 gradient is within 2e-6*max|g| of the float64 one at the same mask
-in every mode (7.4e-7 the worst reading), and the energy within 2e-8 relative.
+A solve runs in the arithmetic of :data:`DTYPE`, float32. The image and the
+init are cast into it once, which for the float32 values a VF32 file holds is
+exact, and the mask, the velocity and every workspace array are of that
+dtype. Every sum (the energy density's, mean|g| and the region moments)
+accumulates in float64 (:func:`~elastiseg.workspace.block_sum`), so the
+energy, the constants and the stop rule are float64 numbers. On blurred random
+fields the float32 gradient is within 2e-6*max|g| of the float64 one at the
+same mask in every mode (7.4e-7 the worst reading), and the energy within
+2e-8 relative. A float32 solve that turns non-finite is run again in
+float64, the arithmetic of earlier versions: float32's range ends at 3.4e38,
+which a large image, constant or weight, or a fine spacing (1e-5 in fast3d
+with beta > 0) can pass where float64 finishes. A float64 :data:`DTYPE`
+reproduces earlier versions' solves bit for bit.
 
 One workspace (:mod:`elastiseg.workspace`) serves every iteration's fused
 energy+gradient pass, and the normalisation, momentum and projection of each
@@ -75,7 +78,7 @@ from .workspace import Workspace, aligned_empty, block_sum, tree_sum
 
 OPTIMIZERS = ("gd", "momentum")
 REGION_MODES = ("fixed", "cv-means")
-PRECISIONS = ("float32", "float64")
+DTYPE = np.float32  # the arithmetic of a solve, which segment() runs again in float64 if it turns non-finite
 MOMENTUM = 0.9  # velocity decay of the "momentum" optimizer
 STOP_WINDOW = 10  # iterations over which the stop rule measures the energy change
 
@@ -94,8 +97,6 @@ class SolverConfig:
       which is "cv-means".
     - ``stop_tol`` (1e-7): the relative energy change over
       :data:`STOP_WINDOW` iterations below which a solve stops.
-    - ``precision`` ("float32"): one of :data:`PRECISIONS`, the dtype the
-      solve computes in; "float64" reproduces the solves of earlier versions.
     """
 
     max_iters: int = 500
@@ -103,7 +104,6 @@ class SolverConfig:
     optimizer: str = "gd"
     region_mode: str = "fixed"
     stop_tol: float = 1e-7
-    precision: str = "float32"
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
@@ -116,8 +116,6 @@ class SolverConfig:
             raise ValueError(f"region_mode must be one of {REGION_MODES}, got {self.region_mode!r}")
         if not 0.0 <= self.stop_tol < math.inf:
             raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
 
 
 @dataclass(frozen=True)
@@ -176,8 +174,9 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     and clips each re-estimated mean into the image's range. Raises
     :class:`NonFiniteEnergyError` if the energy or the gradient's scale
     mean|g| is not finite (the partial trace, the constants and the last
-    finite mean|g| ride on the exception). ``cfg.precision`` float32 rejects
-    an image past float32's range up front.
+    finite mean|g| ride on the exception). A solve runs in :data:`DTYPE`,
+    and one that turns non-finite in float32 is run again in float64, which
+    raises its own error if it turns non-finite too.
 
     Memory: besides the velocity with momentum, a solve holds one
     :class:`~elastiseg.workspace.Workspace` for all of its iterations: the
@@ -201,11 +200,19 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     lo, hi = float(image.data.min()), float(image.data.max())  # the re-estimated c1/c2 are means within this range
     if cfg.region_mode == "cv-means" and max(-lo, hi) > MAX_CONSTANT:
         raise FieldError(f"cv-means needs image values in [-{MAX_CONSTANT:g}, {MAX_CONSTANT:g}]")
-    dtype = np.dtype(cfg.precision)
-    largest = float(np.finfo(dtype).max)
-    if max(-lo, hi) > largest:
-        raise FieldError(f"precision {cfg.precision} needs image values in [-{largest:g}, {largest:g}]")
+    with np.errstate(over="ignore", invalid="ignore"):  # entered once per solve: it costs ~3 us
+        try:
+            return _solve(image, init, params, cfg, lo, hi, DTYPE)
+        except NonFiniteEnergyError:
+            if DTYPE == np.float64:
+                raise
+        # float32's range may end where float64's does not; the failed run's arrays went with its error
+        return _solve(image, init, params, cfg, lo, hi, np.float64)
 
+
+def _solve(image: ScalarField, init: ScalarField, params: EnergyParams, cfg: SolverConfig, lo: float, hi: float,
+           dtype: type[np.floating]) -> tuple[ScalarField, SolverTrace]:
+    """:func:`segment`'s solve in ``dtype``, of an image in [lo, hi], under its caller's ``np.errstate``."""
     r = image.data.astype(dtype, copy=False)
     ws = Workspace(init.shape, dtype)
     u = ws.take()  # held for the whole solve: ws keeps the views every pass's stencils read of it
@@ -226,34 +233,33 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     on_block = partial(_gradient_block, g_sums)
     r_parts = ws.parts(r)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # entered once per solve: it costs ~3 us
-        for it in range(cfg.max_iters):
-            bd, g = energy_and_gradient_raw(u, r, image.spacing, params.with_constants(c1, c2), ws, moments, on_block)
-            # the pass at (u_it, c_it) also yields the energy after update it-1
-            if it > 0 and _record(rows, bd, it - 1, cfg, (c1, c2, scale)):
-                converged = True
-                break
-            step_scale = _step(u, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
-            ws.give(g)
-            # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped u in [0,1]
-            if not math.isfinite(step_scale):
-                raise NonFiniteEnergyError(it, _trace(rows, False), c1, c2, scale)
-            scale = step_scale
+    for it in range(cfg.max_iters):
+        bd, g = energy_and_gradient_raw(u, r, image.spacing, params.with_constants(c1, c2), ws, moments, on_block)
+        # the pass at (u_it, c_it) also yields the energy after update it-1
+        if it > 0 and _record(rows, bd, it - 1, cfg, (c1, c2, scale)):
+            converged = True
+            break
+        step_scale = _step(u, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
+        ws.give(g)
+        # a NaN or inf in g makes its scale non-finite; a finite scale keeps the clipped u in [0,1]
+        if not math.isfinite(step_scale):
+            raise NonFiniteEnergyError(it, _trace(rows, False), c1, c2, scale)
+        scale = step_scale
 
-            # of u_it+1: its pass's region sums and constants
-            moments = mask_moments(u, r, ws, totals, u_moments)
-            if cfg.region_mode == "cv-means":
-                try:
-                    c1, c2 = region_means(moments, lo, hi)
-                except DegenerateMaskError:  # a degenerate mask keeps the previous constants
-                    pass
+        # of u_it+1: its pass's region sums and constants
+        moments = mask_moments(u, r, ws, totals, u_moments)
+        if cfg.region_mode == "cv-means":
+            try:
+                c1, c2 = region_means(moments, lo, hi)
+            except DegenerateMaskError:  # a degenerate mask keeps the previous constants
+                pass
 
-        del velocity, r, r_parts  # freed first, so that the output field's copy does not raise the peak memory
-        if cfg.max_iters > 0 and not converged:
-            # no further gradient pass supplies the energy after the last update: it is taken on u, in the
-            # arithmetic of every other entry the stop rule compares
-            bd = segmentation_energy_raw(u, image.spacing, params.with_constants(c1, c2), ws, moments)
-            converged = _record(rows, bd, cfg.max_iters - 1, cfg, (c1, c2, scale))
+    del velocity, r, r_parts  # freed first, so that the output field's copy does not raise the peak memory
+    if cfg.max_iters > 0 and not converged:
+        # no further gradient pass supplies the energy after the last update: it is taken on u, in the
+        # arithmetic of every other entry the stop rule compares
+        bd = segmentation_energy_raw(u, image.spacing, params.with_constants(c1, c2), ws, moments)
+        converged = _record(rows, bd, cfg.max_iters - 1, cfg, (c1, c2, scale))
 
     return image.with_data(u), _trace(rows, converged)
 

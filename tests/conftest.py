@@ -1,0 +1,10 @@
+import numpy as np
+import pytest
+
+import elastiseg.solver
+
+
+@pytest.fixture
+def float64_solves(monkeypatch):
+    """Solves run in float64, the arithmetic of earlier versions, whose bits the test pins."""
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", np.float64)

@@ -219,7 +219,7 @@ def _disk_dice(alpha, seed):
     case = disk_case((128, 128), (63.5, 63.5), 30.0, fg=0.8, bg=0.2, noise_sigma=0.1, seed=seed)
     init = make_field(case.image.shape, 1.0, 0.5)
     p = EnergyParams(alpha=alpha, beta=0.0, mode=CurvatureMode.MEAN_2D)
-    mask, _ = segment(case.image, init, p, SolverConfig(max_iters=500, region_mode="cv-means", precision="float64"))
+    mask, _ = segment(case.image, init, p, SolverConfig(max_iters=500, region_mode="cv-means"))
     return dice(threshold(mask), case.ground_truth)
 
 
@@ -250,8 +250,7 @@ def test_criterion_8_connectedness():
         res = {}
         for beta in (0.0, 2.0):
             p = EnergyParams(alpha=0.001, beta=beta, lam=0.1, mode=CurvatureMode.MEAN_2D)
-            cfg = SolverConfig(max_iters=2000, step_size=0.005, optimizer="momentum", region_mode="cv-means",
-                               precision="float64")
+            cfg = SolverConfig(max_iters=2000, step_size=0.005, optimizer="momentum", region_mode="cv-means")
             mask, _ = segment(case.image, init, p, cfg)
             b = threshold(mask)
             res[beta] = (count_components(b), hd95(b, case.ground_truth) if b.data.any() else np.inf)

@@ -356,25 +356,21 @@ def test_segment_has_no_param_flag(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_segment_solves_in_float32_unless_asked_for_float64(tmp_path, capsys):
+def test_segment_writes_the_librarys_solve_in_its_dtype(tmp_path, monkeypatch):
     case_dir = disk(tmp_path)
     image = read_volume(case_dir / "image.vf32")
     init = make_field(image.shape, image.spacing, 0.5)
     masks = []
-    for flags, precision in (([], "float32"), (["--precision", "float64"], "float64")):
-        out = tmp_path / precision
-        assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "20", *flags,
-                    "--out", str(out)]) == 0
-        assert read_manifest(out / "manifest.txt")["precision"] == precision
-        # the library's solve at the CLI's defaults, in the same precision, gives the same mask
+    for dtype in (np.float32, np.float64):  # the solver's own, then the arithmetic of earlier versions
+        monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
+        out = tmp_path / dtype.__name__
+        assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "20", "--out", str(out)]) == 0
+        # the library's solve at the CLI's defaults gives the same mask
         mask, _ = elastiseg.segment(image, init, elastiseg.EnergyParams(),
-                                    elastiseg.SolverConfig(max_iters=20, region_mode="cv-means", precision=precision))
+                                    elastiseg.SolverConfig(max_iters=20, region_mode="cv-means"))
         masks.append(read_volume(out / "mask.vf32").data)
         assert masks[-1].tobytes() == mask.data.astype(np.float32).astype(np.float64).tobytes()
     assert masks[0].tobytes() != masks[1].tobytes()
-    with pytest.raises(SystemExit) as exc:
-        run(["segment", "--image", str(case_dir / "image.vf32"), "--precision", "float16", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2 and "--precision" in capsys.readouterr().err
 
 
 def test_segment_checks_the_reference_shape_before_the_solve(tmp_path, capsys):
@@ -454,6 +450,7 @@ def test_segment_non_finite_run_writes_its_manifest(tmp_path, capsys):
     assert not (out / "mask.vf32").exists()
 
 
+@pytest.mark.usefixtures("float64_solves")  # a fault injected once would meet only the float32 run, not the rerun
 def test_segment_error_line_prints_the_last_finite_constants_and_scale(tmp_path, capsys, monkeypatch):
     # dE/du turns NaN in the 3rd pass: the 2nd update was the last one taken, under cv-means constants
     passes = []

@@ -335,7 +335,7 @@ def _solves(image, init, mode):
     for opt, region in itertools.product(solver.OPTIMIZERS, solver.REGION_MODES):
         for beta in (0.0, 0.5):
             p = EnergyParams(alpha=0.01, beta=beta, lam=0.7, c1=0.8, c2=0.1, mode=mode)
-            cfg = SolverConfig(max_iters=6, optimizer=opt, region_mode=region, stop_tol=0.0, precision="float64")
+            cfg = SolverConfig(max_iters=6, optimizer=opt, region_mode=region, stop_tol=0.0)
             mask, trace = segment(image, init, p, cfg)
             yield mask.data, np.array([dataclasses.astuple(bd) for bd in trace.breakdowns])
 
@@ -350,6 +350,7 @@ def _solve_outputs(image, init, mode):
 
 
 @pytest.mark.parametrize("mode", list(CurvatureMode))
+@pytest.mark.usefixtures("float64_solves")
 def test_kept_stencil_views_match_views_rebuilt_on_every_call_bit_for_bit(mode, monkeypatch):
     rng = np.random.default_rng(42)
     shape = (11, 9) if mode.required_ndim == 2 else (7, 6, 8)
@@ -369,6 +370,7 @@ def test_kept_stencil_views_match_views_rebuilt_on_every_call_bit_for_bit(mode, 
 
 
 @pytest.mark.parametrize("mode", list(CurvatureMode))
+@pytest.mark.usefixtures("float64_solves")
 def test_multi_block_solves_match_the_one_block_solve_bit_for_bit(mode, monkeypatch):
     rng = np.random.default_rng(44)
     shape = (13, 9) if mode.required_ndim == 2 else (13, 6, 8)

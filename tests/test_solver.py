@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.energy import MAX_CONSTANT
-from elastiseg.solver import OPTIMIZERS, PRECISIONS, REGION_MODES, STOP_WINDOW
+from elastiseg.solver import OPTIMIZERS, REGION_MODES, STOP_WINDOW
 from elastiseg.workspace import Workspace, block_sum
 
 
@@ -137,15 +136,15 @@ def test_cv_means_survives_degenerate_all_foreground_init(monkeypatch):
     assert np.isfinite([b.total for b in trace.breakdowns]).all()
 
 
+@pytest.mark.usefixtures("float64_solves")  # a step of 1.5e-12 is below float32's resolution at 1
 def test_cv_means_keeps_its_constants_when_the_mask_sum_rounds_to_the_voxel_count():
     # one dark voxel among bright ones: a tiny step moves that voxel alone, to 1 - 1.5e-12
     r = np.ones((256, 256))
     r[100, 37] = 0.0
     image = ScalarField(r, 1.0)
     p = EnergyParams(alpha=0.001, beta=0.0, c1=0.9, c2=0.3, mode=CurvatureMode.MEAN_2D)
-    # float64: a step of 1.5e-12 is below float32's resolution at 1
     mask, trace = segment(image, make_field(r.shape, 1.0, 1.0), p,
-                          SolverConfig(max_iters=1, step_size=1e-12, region_mode="cv-means", precision="float64"))
+                          SolverConfig(max_iters=1, step_size=1e-12, region_mode="cv-means"))
     u = mask.data
     assert float(np.sum(u)) == u.size and float(np.sum(1.0 - u)) > 0.0
     with pytest.raises(DegenerateMaskError):
@@ -225,24 +224,63 @@ def test_cv_means_solves_an_image_at_the_constant_bound():
     # the soft-weighted means of this image round to 1e100 * (1 + 2**-52) unless held at the bound
     image = make_field((8, 8), 1.0, MAX_CONSTANT)
     init = ScalarField(np.random.default_rng(3).random((8, 8)), 1.0)
-    # float64: the bound is past float32's range, which a float32 solve rejects up front
-    _, trace = segment(image, init, EnergyParams(),
-                       SolverConfig(max_iters=3, region_mode="cv-means", precision="float64"))
+    _, trace = segment(image, init, EnergyParams(), SolverConfig(max_iters=3, region_mode="cv-means"))
     assert trace.iterations_run == 3
     assert all(math.isfinite(bd.total) for bd in trace.breakdowns)
 
 
-def test_float32_rejects_an_image_past_its_range_before_solving(monkeypatch):
-    image, init = make_field((8, 8), 1.0, 1e39), make_field((8, 8), 1.0, 0.5)
-    cfg = SolverConfig(max_iters=3, region_mode="fixed")
-    passes = []
-    real = elastiseg.solver.energy_and_gradient_raw
-    monkeypatch.setattr(elastiseg.solver, "energy_and_gradient_raw", lambda *a: passes.append(a) or real(*a))
-    with pytest.raises(FieldError, match="precision float32 needs image values"):
-        segment(image, init, EnergyParams(), cfg)
-    assert passes == []
-    _, trace = segment(image, init, EnergyParams(), replace(cfg, precision="float64"))
+def _recording_workspace_dtypes(monkeypatch):
+    dtypes = []
+    real = elastiseg.solver.Workspace
+    monkeypatch.setattr(elastiseg.solver, "Workspace", lambda shape, dtype: dtypes.append(dtype) or real(shape, dtype))
+    return dtypes
+
+
+# values float64 holds but a float32 pass overflows on: a large image, constant or weight, a fine spacing
+PAST_FLOAT32 = [
+    pytest.param((8, 8), 1e20, 1.0, {}, id="image-1e20"),
+    pytest.param((8, 8), 1.0, 1.0, {"c1": 1e30}, id="c1-1e30"),
+    pytest.param((8, 8), 1.0, 1.0, {"alpha": 1e37}, id="alpha-1e37"),
+    pytest.param((8, 8), 1.0, 1e-10, {"beta": 1.0}, id="mean2d-spacing-1e-10"),
+    pytest.param((6, 6, 6), 1.0, 1e-5, {"beta": 1.0, "mode": CurvatureMode.FAST_3D}, id="fast3d-spacing-1e-5"),
+]
+
+
+@pytest.mark.parametrize("shape, value, spacing, kwargs", PAST_FLOAT32)
+@pytest.mark.parametrize("region_mode", REGION_MODES)
+def test_a_solve_past_float32s_range_is_run_again_in_float64(monkeypatch, shape, value, spacing, kwargs,
+                                                              region_mode):
+    fg = np.zeros(shape)
+    fg.flat[::3] = 1.0
+    image, init = ScalarField(value * fg, spacing), ScalarField(0.25 + 0.5 * fg, spacing)
+    p, cfg = EnergyParams(**kwargs), SolverConfig(max_iters=3, optimizer="momentum", region_mode=region_mode,
+                                                  stop_tol=0.0)
+    dtypes = _recording_workspace_dtypes(monkeypatch)
+    mask, trace = segment(image, init, p, cfg)
+    assert dtypes == [np.float32, np.float64]
     assert trace.iterations_run == 3 and all(math.isfinite(bd.total) for bd in trace.breakdowns)
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", np.float64)
+    mask64, trace64 = segment(image, init, p, cfg)
+    assert mask.data.tobytes() == mask64.data.tobytes() and trace == trace64
+
+
+def test_a_solve_non_finite_in_float64_too_raises_the_float64_error(monkeypatch):
+    fg = np.zeros((8, 8))
+    fg.flat[::3] = 1.0
+    dtypes = _recording_workspace_dtypes(monkeypatch)
+    with pytest.raises(NonFiniteEnergyError) as err:  # r^2 = 1e400 is past float64's range as well
+        segment(ScalarField(1e200 * fg, 1.0), ScalarField(0.25 + 0.5 * fg, 1.0), EnergyParams(),
+                SolverConfig(max_iters=3))
+    assert dtypes == [np.float32, np.float64]
+    assert err.value.iteration == 0 and err.value.trace.iterations_run == 0
+
+
+def test_a_finite_float32_solve_is_not_run_again(monkeypatch):
+    case = small_disk()
+    dtypes = _recording_workspace_dtypes(monkeypatch)
+    segment(case.image, make_field(case.image.shape, 1.0, 0.5), EnergyParams(beta=0.5),
+            SolverConfig(max_iters=5, region_mode="cv-means"))
+    assert dtypes == [np.float32]
 
 
 def test_config_validation():
@@ -254,8 +292,6 @@ def test_config_validation():
         SolverConfig(optimizer="adam")
     with pytest.raises(ValueError):
         SolverConfig(region_mode="other")
-    with pytest.raises(ValueError, match="precision"):
-        SolverConfig(precision="float16")
 
 
 @pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan),
@@ -282,18 +318,15 @@ def test_mode_dimension_mismatch_rejected():
         segment(case.image, init, EnergyParams(mode=CurvatureMode.FAST_3D), SolverConfig(max_iters=5))
 
 
-def test_converging_disk_stops_where_it_always_has(precision="float64"):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_converging_disk_stops_where_it_always_has(monkeypatch, dtype):
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     case = disk_case((48, 48), (23.5, 23.5), 11, 0.8, 0.2, 0.1, 1)
     init = make_field(case.image.shape, 1.0, 0.5)
     p = EnergyParams(alpha=0.001, beta=0.0, mode=CurvatureMode.MEAN_2D)
-    _, trace = segment(case.image, init, p,
-                       SolverConfig(max_iters=2000, region_mode="cv-means", precision=precision))
+    _, trace = segment(case.image, init, p, SolverConfig(max_iters=2000, region_mode="cv-means"))
     assert trace.iterations_run == 437
     assert trace.converged
-
-
-def test_converging_disk_stops_in_float32_where_float64_stops():
-    test_converging_disk_stops_where_it_always_has("float32")
 
 
 # --- the trace energy of update i comes from the gradient pass of iteration i+1 ---
@@ -319,6 +352,7 @@ PARITY_CASES = [(m, b, o, r) for (m, b), o, r in itertools.product(PARITY_MODES,
                  + ("" if step == 0.05 else f"-step{step}"))
     for step in (0.05, 1.0) for one_plane in (False, True) for case in PARITY_CASES
 ])
+@pytest.mark.usefixtures("float64_solves")
 def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer, region_mode, one_plane, step):
     image = _parity_case(mode)
     if one_plane:
@@ -329,7 +363,7 @@ def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer,
 
     def run(iters):
         cfg = SolverConfig(max_iters=iters, step_size=step, optimizer=optimizer, region_mode=region_mode,
-                           stop_tol=0.0, precision="float64")
+                           stop_tol=0.0)
         return segment(image, init, params, cfg)
 
     _, full = run(PARITY_ITERS)
@@ -367,10 +401,11 @@ def test_trace_rows_carry_their_energys_constants_and_their_updates_scale(monkey
     assert (trace.c1[0] != 0.75) == (region_mode == "cv-means")
 
 
+@pytest.mark.usefixtures("float64_solves")
 def test_single_iteration_records_one_breakdown():
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1, precision="float64"))
+    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1))
     assert trace.iterations_run == 1
     assert trace.breakdowns == [segmentation_energy(mask, case.image, EnergyParams(beta=0.5))]
     assert not trace.converged
@@ -434,6 +469,7 @@ def _record_constants(monkeypatch) -> list[tuple[float, float]]:
     return constants
 
 
+@pytest.mark.usefixtures("float64_solves")  # a fault injected once would meet only the float32 run, not the rerun
 def test_non_finite_energy_mid_run_reports_the_update_index(monkeypatch):
     # the 4th fused pass (iteration 3) evaluates the state after update 2
     _count_calls(monkeypatch, "energy_and_gradient_raw",
@@ -475,6 +511,7 @@ def _poison_in_pass(monkeypatch, at_pass: int, value: float, everywhere: bool = 
     monkeypatch.setattr(elastiseg.solver, "_gradient_block", poisoning)
 
 
+@pytest.mark.usefixtures("float64_solves")  # a fault injected once would meet only the float32 run, not the rerun
 @pytest.mark.parametrize("optimizer,region_mode", itertools.product(OPTIMIZERS, REGION_MODES))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("everywhere", [False, True], ids=["one-voxel", "everywhere"])
@@ -500,6 +537,7 @@ def test_non_finite_gradient_reports_the_iteration_and_partial_trace(monkeypatch
         assert constants[2] != constants[0]
 
 
+@pytest.mark.usefixtures("float64_solves")  # a fault injected once would meet only the float32 run, not the rerun
 def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
     # every |g| is finite but their mean overflows: the step is refused rather than taken as zero
     _poison_in_pass(monkeypatch, 1, 1e308, everywhere=True)
@@ -512,6 +550,7 @@ def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
     assert (err.value.c1, err.value.c2, err.value.scale) == (1.0, 0.0, None)
 
 
+@pytest.mark.usefixtures("float64_solves")  # a fault injected once would meet only the float32 run, not the rerun
 def test_non_finite_energy_after_last_update(monkeypatch):
     _count_calls(monkeypatch, "segmentation_energy_raw", lambda n, out: _non_finite(out))
     scales = _record_scales(monkeypatch)
@@ -583,17 +622,18 @@ BUDGET_SHAPES = [(24, 24, 24), (64, 64, 64), (65, 64, 64)]
 
 
 def _budgets(float64, float32):
-    """(precision, shape, budget) of each of BUDGET_SHAPES, the float64 cases keeping their ids."""
-    cases = [pytest.param("float64", shape, b, id=f"{shape[0]}-{b}".replace("65-", "65x64x64-"))
+    """(dtype, shape, budget) of each of BUDGET_SHAPES, the float64 cases keeping their ids."""
+    cases = [pytest.param(np.float64, shape, b, id=f"{shape[0]}-{b}".replace("65-", "65x64x64-"))
              for shape, b in zip(BUDGET_SHAPES, float64)]
-    return cases + [pytest.param("float32", shape, b, id=f"float32-{shape[0]}-{b}".replace("65-", "65x64x64-"))
+    return cases + [pytest.param(np.float32, shape, b, id=f"float32-{shape[0]}-{b}".replace("65-", "65x64x64-"))
                     for shape, b in zip(BUDGET_SHAPES, float32)]
 
 
 # budgets in float64 arrays of the field: in float32 each workspace array, the velocity and the cast image
 # are half of one, and the output field's copy a whole one
-@pytest.mark.parametrize("precision, shape, budget", _budgets((12.5, 6.725, 6.725), (7.5, 3.975, 3.975)))
-def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape, budget):
+@pytest.mark.parametrize("dtype, shape, budget", _budgets((12.5, 6.725, 6.725), (7.5, 3.975, 3.975)))
+def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(monkeypatch, dtype, shape, budget):
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
     # full-size array alive at once: the mask, the velocity, the workspace and
     # any temporary (at 24^3 the ufunc buffers alone add about 1.8 arrays).
@@ -607,14 +647,15 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
                                     SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
-                                                 stop_tol=0.0, precision=precision))
+                                                 stop_tol=0.0))
              for k in (3, 15)]
     assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-@pytest.mark.parametrize("precision, shape, budget", _budgets((20.75, 7.725, 7.725), (11.75, 4.5, 4.5)))
-def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape, budget):
+@pytest.mark.parametrize("dtype, shape, budget", _budgets((20.75, 7.725, 7.725), (11.75, 4.5, 4.5)))
+def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(monkeypatch, dtype, shape, budget):
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     # the mean modes compute every stencil output and pointwise expression in
     # the workspace: 18 arrays at beta > 0 on one block (24^3: 20.46 arrays
     # measured with the mask, the velocity, the fields and the ufunc buffers),
@@ -626,7 +667,7 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
                                     SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
-                                                 stop_tol=0.0, precision=precision))
+                                                 stop_tol=0.0))
              for k in (3, 15)]
     assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
@@ -637,23 +678,21 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(precision, shape
 INTERPRETER_BYTES = 2048
 
 
-def test_momentum_velocity_does_not_raise_the_peak_memory(precision="float64"):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_momentum_velocity_does_not_raise_the_peak_memory(monkeypatch, dtype):
     # the velocity is freed before the output field's copy, so a float64 momentum solve peaks no higher than a
     # gd solve; in float32 the loop, velocity included, can peak above the float64 output copy, by at most the
     # velocity's own bytes (0.495 of 0.5 float64 arrays measured at 24^3)
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     case = _sphere((24, 24, 24))
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     gd, momentum = (_traced_peak_in_arrays(case.image, init, params,
                                            SolverConfig(max_iters=3, optimizer=opt, region_mode="cv-means",
-                                                        stop_tol=0.0, precision=precision))
+                                                        stop_tol=0.0))
                     for opt in ("gd", "momentum"))
-    velocity = 0 if precision == "float64" else case.image.data.nbytes // 2
+    velocity = 0 if dtype is np.float64 else case.image.data.nbytes // 2
     assert (momentum - gd) * case.image.data.nbytes <= velocity + INTERPRETER_BYTES, (gd, momentum)
-
-
-def test_float32_momentum_velocity_raises_the_peak_memory_by_its_own_bytes_at_most():
-    test_momentum_velocity_does_not_raise_the_peak_memory("float32")
 
 
 def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 import elastiseg.solver
 from elastiseg import CurvatureMode, EnergyParams, ScalarField, SolverConfig, make_field, segment
-from elastiseg.solver import OPTIMIZERS, PRECISIONS
+from elastiseg.solver import OPTIMIZERS
 from elastiseg import workspace
 from elastiseg.workspace import ALIGNMENT, BLOCK_ELEMENTS, Workspace, aligned_empty, block_sum, plan_blocks, tree_sum
 
@@ -19,17 +19,16 @@ def assert_solver_array(arr, shape, dtype=np.float64):
     assert arr.shape == shape
 
 
+DTYPES = pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+
+
+@DTYPES
 @pytest.mark.parametrize("shape", ODD_SHAPES)
-def test_aligned_empty_starts_on_a_cache_line(shape, dtype=np.float64):
-    # successive allocations land at different offsets from numpy's own 16-byte alignment
+def test_aligned_empty_starts_on_a_cache_line(shape, dtype):
+    # successive allocations land at different offsets from numpy's own 16-byte alignment (4-byte at least
+    # for float32, so its padding is counted in 4-byte elements)
     for _ in range(8):
         assert_solver_array(aligned_empty(shape, dtype), shape, dtype)
-
-
-@pytest.mark.parametrize("shape", ODD_SHAPES)
-def test_aligned_empty_float32_starts_on_a_cache_line(shape):
-    # numpy aligns float32 data to 4 bytes at least, so the padding is counted in 4-byte elements
-    test_aligned_empty_starts_on_a_cache_line(shape, np.float32)
 
 
 def test_a_float32_workspace_hands_out_aligned_float32_arrays_on_the_float64_plan(monkeypatch):
@@ -82,7 +81,8 @@ def test_take_hands_out_aligned_arrays_through_give_take_cycles(shape):
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize("shape, mode", [((13, 11), CurvatureMode.MEAN_2D), ((7, 9, 5), CurvatureMode.MEAN_3D),
                                          ((7, 9, 5), CurvatureMode.FAST_3D)])
-def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, beta, shape, mode):
+@DTYPES
+def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, beta, shape, mode, dtype):
     # the workspace holds fewer arrays at beta = 0 than at beta > 0
     seen = []
     real_step = elastiseg.solver._step
@@ -92,17 +92,16 @@ def test_solver_mask_and_velocity_are_aligned(monkeypatch, opt, beta, shape, mod
         return real_step(u, velocity, g, *rest)
 
     monkeypatch.setattr(elastiseg.solver, "_step", recording_step)
+    monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     image = ScalarField(np.random.default_rng(2).random(shape), 1.0)
-    for precision in PRECISIONS:  # each array of the solve's dtype
-        cfg = SolverConfig(max_iters=3, optimizer=opt, stop_tol=0.0, precision=precision)
-        segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
-        assert len(seen) == 3
-        for u, velocity, g in seen:
-            assert (velocity is not None) == (opt == "momentum")
-            for arr in (u, velocity, g):
-                if arr is not None:
-                    assert_solver_array(arr, shape, np.dtype(precision))
-        seen.clear()
+    cfg = SolverConfig(max_iters=3, optimizer=opt, stop_tol=0.0)
+    segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
+    assert len(seen) == 3
+    for u, velocity, g in seen:
+        assert (velocity is not None) == (opt == "momentum")
+        for arr in (u, velocity, g):
+            if arr is not None:  # each array of the solve's dtype
+                assert_solver_array(arr, shape, dtype)
 
 
 def test_block_plan_follows_the_array_size_alone():
