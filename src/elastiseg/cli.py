@@ -62,7 +62,6 @@ from .volio import (
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -341,7 +340,7 @@ def cmd_gradcheck(args) -> int:
     mode = CurvatureMode.parse(args.mode)
     check_ndim(len(args.shape), mode)
     params = EnergyParams(alpha=args.alpha, beta=args.beta, mode=mode)
-    report = gradcheck(args.shape, args.trials, args.seed, params, tol=args.tol)
+    report = gradcheck(args.shape, args.trials, args.seed, params)
     print(f"gradcheck mode={mode.value} shape={'x'.join(str(n) for n in args.shape)} "
           f"trials={args.trials} alpha={args.alpha} beta={args.beta}")
     print(f"max_abs_error={report.max_abs_error:.3e} max_rel_error={report.max_rel_error:.3e} "
@@ -441,19 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curvbench)
 
     p = sub.add_parser("segment", help="segment an image by energy minimization")
+    energy, solver = EnergyParams(), SolverConfig()  # the defaults of the library's settings
     p.add_argument("--image", required=True)
     p.add_argument("--init", default="uniform", help="'uniform' or a mask file")
-    p.add_argument("--alpha", type=float, default=0.001)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lambda", type=float, default=1.0)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=energy.alpha)
+    p.add_argument("--beta", type=float, default=energy.beta)
+    p.add_argument("--lambda", type=float, default=energy.lam)
+    p.add_argument("--c1", type=float, default=energy.c1)
+    p.add_argument("--c2", type=float, default=energy.c2)
     p.add_argument("--mode", default="auto",
                    choices=["auto"] + [m.value for m in CurvatureMode])
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="gd")
-    p.add_argument("--region-mode", choices=REGION_MODES, default="cv-means")
+    p.add_argument("--iters", type=int, default=solver.max_iters)
+    p.add_argument("--step", type=float, default=solver.step_size)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=solver.optimizer)
+    p.add_argument("--region-mode", choices=REGION_MODES, default=solver.region_mode)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.add_argument("--gt", default=None)
@@ -464,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="mean2d", choices=[m.value for m in CurvatureMode])
     p.add_argument("--trials", type=_parse_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=2.0)
     p.set_defaults(func=cmd_gradcheck)

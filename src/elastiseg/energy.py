@@ -307,15 +307,13 @@ def energy_density(u_data: np.ndarray, r_data: np.ndarray, spacing: tuple[float,
     return elastica + params.lam * region
 
 
-def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams, ws: Workspace | None = None,
-                        moments: tuple[Moments, Moments] | None = None) -> EnergyBreakdown:
-    """Energy of mask u against r by component, the region sums from ``moments`` if given; ``ws`` gets all back."""
+def segmentation_energy(u: ScalarField, r: ScalarField, params: EnergyParams) -> EnergyBreakdown:
+    """Energy of mask u against r by component."""
     check_same_shape(u, r)
     check_soft_mask(u)
     check_ndim(u.ndim, params.mode)
-    ws = Workspace(u.shape) if ws is None else ws
-    moments = mask_moments(u.data, r.data, ws) if moments is None else moments
-    return segmentation_energy_raw(u.data, u.spacing, params, ws, moments)
+    ws = Workspace(u.shape)
+    return segmentation_energy_raw(u.data, u.spacing, params, ws, mask_moments(u.data, r.data, ws))
 
 
 def segmentation_energy_raw(a: np.ndarray, spacing: tuple[float, ...], params: EnergyParams, ws: Workspace,

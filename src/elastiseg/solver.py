@@ -10,8 +10,8 @@ uses the constants from the parameter set, which also breaks the symmetry of
 a uniform init (a uniform mask would otherwise yield equal means and zero
 region force).
 The momentum optimizer keeps a fixed fraction :data:`MOMENTUM` = 0.9 of its
-velocity, and the stop rule measures the energy change over a fixed window of
-:data:`STOP_WINDOW` = 10 iterations; only its tolerance is a setting.
+velocity, and a solve stops once the relative energy change over a fixed window
+of :data:`STOP_WINDOW` = 10 iterations is below :data:`STOP_TOL` = 1e-7.
 
 A solve runs in the arithmetic of :data:`DTYPE`, float32. The image and the
 init are cast into it once, which for the float32 values a VF32 file holds is
@@ -56,7 +56,7 @@ sum's bits, and the tolerance on the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -81,6 +81,7 @@ REGION_MODES = ("fixed", "cv-means")
 DTYPE = np.float32  # the arithmetic of a solve, which segment() runs again in float64 if it turns non-finite
 MOMENTUM = 0.9  # velocity decay of the "momentum" optimizer
 STOP_WINDOW = 10  # iterations over which the stop rule measures the energy change
+STOP_TOL = 1e-7  # the relative energy change over STOP_WINDOW iterations below which a solve stops
 
 
 @dataclass(frozen=True)
@@ -91,19 +92,18 @@ class SolverConfig:
     - ``step_size`` (0.1): the step on the gradient normalized by mean|g|.
     - ``optimizer`` ("gd"): one of :data:`OPTIMIZERS`; "momentum" keeps
       :data:`MOMENTUM` of the velocity.
-    - ``region_mode`` ("fixed"): one of :data:`REGION_MODES`; "fixed" keeps the
-      parameter set's c1/c2, "cv-means" re-estimates them after every update.
-      This default differs from that of ``elastiseg segment --region-mode``,
-      which is "cv-means".
-    - ``stop_tol`` (1e-7): the relative energy change over
-      :data:`STOP_WINDOW` iterations below which a solve stops.
+    - ``region_mode`` ("cv-means"): one of :data:`REGION_MODES`; "cv-means"
+      re-estimates c1/c2 after every update, "fixed" keeps the parameter set's.
+
+    ``elastiseg segment`` takes its flags' defaults from these. The stop rule
+    has no setting: its window and tolerance are :data:`STOP_WINDOW` and
+    :data:`STOP_TOL`.
     """
 
     max_iters: int = 500
     step_size: float = 0.1
     optimizer: str = "gd"
-    region_mode: str = "fixed"
-    stop_tol: float = 1e-7
+    region_mode: str = "cv-means"
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
@@ -114,8 +114,6 @@ class SolverConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.region_mode not in REGION_MODES:
             raise ValueError(f"region_mode must be one of {REGION_MODES}, got {self.region_mode!r}")
-        if not 0.0 <= self.stop_tol < math.inf:
-            raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol}")
 
 
 @dataclass(frozen=True)
@@ -130,9 +128,9 @@ class SolverTrace:
     breakdowns: list[EnergyBreakdown]
     iterations_run: int
     converged: bool
-    c1: list[float] = field(default_factory=list)
-    c2: list[float] = field(default_factory=list)
-    mean_abs_g: list[float] = field(default_factory=list)
+    c1: list[float]
+    c2: list[float]
+    mean_abs_g: list[float]
 
 
 Row = tuple[EnergyBreakdown, float, float, float]  # one update's entries of a SolverTrace, in its field order
@@ -168,8 +166,8 @@ def segment(image: ScalarField, init: ScalarField, params: EnergyParams,
     gradient, so the fused energy+gradient pass supplies it, and only a run
     that reaches ``max_iters`` evaluates the energy once more. The run is
     deterministic: identical inputs produce bit-identical outputs. Stops early
-    once the energy change over ``STOP_WINDOW`` iterations is below
-    ``stop_tol`` in relative magnitude. The image is expected to be normalized
+    once the energy change over :data:`STOP_WINDOW` iterations is below
+    :data:`STOP_TOL` in relative magnitude. The image is expected to be normalized
     to [0,1] by the caller; cv-means rejects one past ``MAX_CONSTANT`` up front
     and clips each re-estimated mean into the image's range. Raises
     :class:`NonFiniteEnergyError` if the energy or the gradient's scale
@@ -236,7 +234,7 @@ def _solve(image: ScalarField, init: ScalarField, params: EnergyParams, cfg: Sol
     for it in range(cfg.max_iters):
         bd, g = energy_and_gradient_raw(u, r, image.spacing, params.with_constants(c1, c2), ws, moments, on_block)
         # the pass at (u_it, c_it) also yields the energy after update it-1
-        if it > 0 and _record(rows, bd, it - 1, cfg, (c1, c2, scale)):
+        if it > 0 and _record(rows, bd, it - 1, (c1, c2, scale)):
             converged = True
             break
         step_scale = _step(u, velocity, g, ws, cfg, r_parts, g_sums, u_moments)
@@ -259,7 +257,7 @@ def _solve(image: ScalarField, init: ScalarField, params: EnergyParams, cfg: Sol
         # no further gradient pass supplies the energy after the last update: it is taken on u, in the
         # arithmetic of every other entry the stop rule compares
         bd = segmentation_energy_raw(u, image.spacing, params.with_constants(c1, c2), ws, moments)
-        converged = _record(rows, bd, cfg.max_iters - 1, cfg, (c1, c2, scale))
+        converged = _record(rows, bd, cfg.max_iters - 1, (c1, c2, scale))
 
     return image.with_data(u), _trace(rows, converged)
 
@@ -304,8 +302,7 @@ def _step(u: np.ndarray, velocity: np.ndarray | None, g: np.ndarray, ws: Workspa
     return scale
 
 
-def _record(rows: list[Row], bd: EnergyBreakdown, it: int, cfg: SolverConfig,
-            last: tuple[float, float, float]) -> bool:
+def _record(rows: list[Row], bd: EnergyBreakdown, it: int, last: tuple[float, float, float]) -> bool:
     """Append the energy after update ``it`` with ``last``; True once the stop rule fires.
 
     ``last`` holds the (c1, c2, mean|g|) of the trace row, which a
@@ -319,7 +316,7 @@ def _record(rows: list[Row], bd: EnergyBreakdown, it: int, cfg: SolverConfig,
         e_now = bd.total
         # magnitude of the relative change: a transient energy increase
         # (cv-means constants still settling) must not read as converged
-        return abs(e_then - e_now) < cfg.stop_tol * max(abs(e_then), 1e-30)
+        return abs(e_then - e_now) < STOP_TOL * max(abs(e_then), 1e-30)
     return False
 
 

@@ -2,7 +2,9 @@ import argparse
 import math
 import os
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import scipy
 from scipy import ndimage
 
 import elastiseg
+import elastiseg.gradients
 import elastiseg.solver
 from elastiseg import (ScalarField, cli, evaluate_pair, is_binary, make_field, metrics, read_pgm, read_volume,
                        threshold, write_pgm, write_volume)
@@ -140,12 +143,13 @@ def test_median_eval_time_runs_a_warmup_then_each_repeat():
     assert len(calls) == 4
 
 
-def test_gradcheck_cli_pass_and_fail(capsys):
+def test_gradcheck_cli_pass_and_fail(capsys, monkeypatch):
     assert run(["gradcheck", "--shape", "10,10", "--mode", "mean2d", "--trials", "3", "--seed", "1"]) == 0
     assert "passed=True" in capsys.readouterr().out
     # tolerance below the fd truncation floor must fail
-    assert run(["gradcheck", "--shape", "10,10", "--mode", "mean2d", "--trials", "3",
-                "--seed", "1", "--tol", "1e-15"]) == 1
+    monkeypatch.setattr(elastiseg.gradients, "GRADCHECK_TOL", 1e-15)
+    assert run(["gradcheck", "--shape", "10,10", "--mode", "mean2d", "--trials", "3", "--seed", "1"]) == 1
+    assert "passed=False" in capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--trials", "0"])
     assert exc.value.code == 2
@@ -325,12 +329,31 @@ def test_gradcheck_reports_an_overflowing_weight_as_a_failed_check_without_numpy
     assert "Warning" not in captured.err
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-5"])
-def test_gradcheck_rejects_a_tol_that_cannot_gate(tol, capsys):
-    assert run(["gradcheck", "--shape", "5,5", "--trials", "1", f"--tol={tol}"]) == 1
-    captured = capsys.readouterr()
-    assert "passed=" not in captured.out
-    assert "tol must be finite and > 0" in captured.err
+def test_gradcheck_has_no_tol_flag(capsys):
+    # the gate is gradients.GRADCHECK_TOL: --tol is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--shape", "5,5", "--trials", "1", "--tol", "1e-5"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Each ``elastiseg`` command of README's bash blocks, continuation lines joined, as an argument list."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```bash\n(.*?)^```$", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("elastiseg ")]
+
+
+def test_every_readme_command_parses():
+    commands = readme_commands()
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {argv[0] for argv in commands} == set(subcommands)
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: elastiseg {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize("step", ["inf", "nan"])
@@ -354,6 +377,18 @@ def test_segment_has_no_param_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--param" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_segment_defaults_are_the_librarys(tmp_path):
+    energy, solver = elastiseg.EnergyParams(), elastiseg.SolverConfig()
+    args = build_parser().parse_args(["segment", "--image", "image.vf32", "--out", "seg"])
+    assert (args.alpha, args.beta, getattr(args, "lambda"), args.c1, args.c2) == (
+        energy.alpha, energy.beta, energy.lam, energy.c1, energy.c2)
+    assert (args.iters, args.step, args.optimizer, args.region_mode) == (
+        solver.max_iters, solver.step_size, solver.optimizer, solver.region_mode)
+    case_dir = disk(tmp_path)
+    assert run(["segment", "--image", str(case_dir / "image.vf32"), "--iters", "3", "--out", str(tmp_path / "seg")]) == 0
+    assert read_manifest(tmp_path / "seg" / "manifest.txt")["region_mode"] == "cv-means"
 
 
 def test_segment_writes_the_librarys_solve_in_its_dtype(tmp_path, monkeypatch):

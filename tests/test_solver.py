@@ -157,6 +157,7 @@ def test_cv_means_keeps_its_constants_when_the_mask_sum_rounds_to_the_voxel_coun
 
 @pytest.mark.parametrize("max_iters,stop_tol", [(20, 0.0), (2000, 1e-7)])
 def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
+    monkeypatch.setattr(elastiseg.solver, "STOP_TOL", stop_tol)
     weights = []
     real = elastiseg.energy.region_moments
 
@@ -171,7 +172,7 @@ def test_one_moments_evaluation_per_iteration(monkeypatch, max_iters, stop_tol):
     updates = _count_calls(monkeypatch, "_step")
     case = small_disk(1)
     init = make_field(case.image.shape, 1.0, 0.5)
-    cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means", stop_tol=stop_tol)
+    cfg = SolverConfig(max_iters=max_iters, region_mode="cv-means")
     one_block = elastiseg.workspace.BLOCK_ELEMENTS
     # one block, eight blocks of 6 planes (a tree plan), and 48 one-plane blocks (not a tree plan)
     for planes, n_blocks in ((None, 1), (6, 8), (1, 48)):
@@ -196,7 +197,7 @@ def test_non_finite_energy_reports_iteration_and_partial_trace():
     init = case.image  # non-constant, so the length term is O(1) and overflows
     p = EnergyParams(alpha=1e308, beta=0.0, mode=CurvatureMode.MEAN_2D)
     with pytest.raises(NonFiniteEnergyError) as err:
-        segment(case.image, init, p, SolverConfig(max_iters=10))
+        segment(case.image, init, p, SolverConfig(max_iters=10, region_mode="fixed"))
     assert err.value.iteration == 0
     assert err.value.trace.iterations_run == 0
     # the first step's scale is the non-finite one: no update was taken
@@ -248,13 +249,13 @@ PAST_FLOAT32 = [
 
 @pytest.mark.parametrize("shape, value, spacing, kwargs", PAST_FLOAT32)
 @pytest.mark.parametrize("region_mode", REGION_MODES)
+@pytest.mark.usefixtures("no_early_stop")
 def test_a_solve_past_float32s_range_is_run_again_in_float64(monkeypatch, shape, value, spacing, kwargs,
                                                               region_mode):
     fg = np.zeros(shape)
     fg.flat[::3] = 1.0
     image, init = ScalarField(value * fg, spacing), ScalarField(0.25 + 0.5 * fg, spacing)
-    p, cfg = EnergyParams(**kwargs), SolverConfig(max_iters=3, optimizer="momentum", region_mode=region_mode,
-                                                  stop_tol=0.0)
+    p, cfg = EnergyParams(**kwargs), SolverConfig(max_iters=3, optimizer="momentum", region_mode=region_mode)
     dtypes = _recording_workspace_dtypes(monkeypatch)
     mask, trace = segment(image, init, p, cfg)
     assert dtypes == [np.float32, np.float64]
@@ -270,7 +271,7 @@ def test_a_solve_non_finite_in_float64_too_raises_the_float64_error(monkeypatch)
     dtypes = _recording_workspace_dtypes(monkeypatch)
     with pytest.raises(NonFiniteEnergyError) as err:  # r^2 = 1e400 is past float64's range as well
         segment(ScalarField(1e200 * fg, 1.0), ScalarField(0.25 + 0.5 * fg, 1.0), EnergyParams(),
-                SolverConfig(max_iters=3))
+                SolverConfig(max_iters=3, region_mode="fixed"))
     assert dtypes == [np.float32, np.float64]
     assert err.value.iteration == 0 and err.value.trace.iterations_run == 0
 
@@ -294,11 +295,20 @@ def test_config_validation():
         SolverConfig(region_mode="other")
 
 
-@pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan),
-                                         ("stop_tol", math.inf), ("stop_tol", math.nan), ("stop_tol", -1e-9)])
+@pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan)])
 def test_config_rejects_non_finite_or_negative_knobs(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+def test_the_stop_rule_has_no_setting():
+    # its window and tolerance are the constants STOP_WINDOW and STOP_TOL
+    with pytest.raises(TypeError, match="stop_tol"):
+        SolverConfig(stop_tol=0.0)
+
+
+def test_region_mode_defaults_to_cv_means():
+    assert SolverConfig().region_mode == "cv-means"
 
 
 def test_converged_flag_on_flat_problem():
@@ -309,6 +319,15 @@ def test_converged_flag_on_flat_problem():
     mask, trace = segment(img, init, p, SolverConfig(max_iters=500, region_mode="fixed"))
     assert trace.converged
     assert trace.iterations_run < 500
+
+
+@pytest.mark.usefixtures("no_early_stop")
+def test_the_stop_tolerance_is_read_when_the_rule_is_checked():
+    # the flat problem above, whose solve stops early under STOP_TOL, runs to max_iters under a tolerance of 0
+    img = make_field((16, 16), 1.0, 0.0)
+    p = EnergyParams(alpha=0.001, beta=0.0, c1=1.0, c2=0.0, mode=CurvatureMode.MEAN_2D)
+    mask, trace = segment(img, img, p, SolverConfig(max_iters=50, region_mode="fixed"))
+    assert trace.iterations_run == 50 and not trace.converged
 
 
 def test_mode_dimension_mismatch_rejected():
@@ -352,7 +371,7 @@ PARITY_CASES = [(m, b, o, r) for (m, b), o, r in itertools.product(PARITY_MODES,
                  + ("" if step == 0.05 else f"-step{step}"))
     for step in (0.05, 1.0) for one_plane in (False, True) for case in PARITY_CASES
 ])
-@pytest.mark.usefixtures("float64_solves")
+@pytest.mark.usefixtures("float64_solves", "no_early_stop")
 def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer, region_mode, one_plane, step):
     image = _parity_case(mode)
     if one_plane:
@@ -362,8 +381,7 @@ def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer,
     params = EnergyParams(alpha=0.01, beta=beta, mode=mode)
 
     def run(iters):
-        cfg = SolverConfig(max_iters=iters, step_size=step, optimizer=optimizer, region_mode=region_mode,
-                           stop_tol=0.0)
+        cfg = SolverConfig(max_iters=iters, step_size=step, optimizer=optimizer, region_mode=region_mode)
         return segment(image, init, params, cfg)
 
     _, full = run(PARITY_ITERS)
@@ -381,6 +399,7 @@ def test_fused_trace_matches_separate_energy(monkeypatch, mode, beta, optimizer,
 
 
 @pytest.mark.parametrize("region_mode", REGION_MODES)
+@pytest.mark.usefixtures("no_early_stop")
 def test_trace_rows_carry_their_energys_constants_and_their_updates_scale(monkeypatch, region_mode):
     scales = _record_scales(monkeypatch)
     constants = _record_constants(monkeypatch)
@@ -393,7 +412,7 @@ def test_trace_rows_carry_their_energys_constants_and_their_updates_scale(monkey
     monkeypatch.setattr(elastiseg.solver, "segmentation_energy_raw", recording)
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    cfg = SolverConfig(max_iters=8, region_mode=region_mode, stop_tol=0.0)
+    cfg = SolverConfig(max_iters=8, region_mode=region_mode)
     _, trace = segment(case.image, init, EnergyParams(c1=0.75, c2=0.25), cfg)
     # entry i is the energy after update i: fused pass i+1 evaluates it, the exit energy the last one
     assert len(constants) == 9 and list(zip(trace.c1, trace.c2)) == constants[1:]
@@ -405,7 +424,7 @@ def test_trace_rows_carry_their_energys_constants_and_their_updates_scale(monkey
 def test_single_iteration_records_one_breakdown():
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1))
+    mask, trace = segment(case.image, init, EnergyParams(beta=0.5), SolverConfig(max_iters=1, region_mode="fixed"))
     assert trace.iterations_run == 1
     assert trace.breakdowns == [segmentation_energy(mask, case.image, EnergyParams(beta=0.5))]
     assert not trace.converged
@@ -424,12 +443,13 @@ def _count_calls(monkeypatch, name, override=None):
     return calls
 
 
+@pytest.mark.usefixtures("no_early_stop")
 def test_one_fused_pass_per_iteration(monkeypatch):
     fused = _count_calls(monkeypatch, "energy_and_gradient_raw")
     separate = _count_calls(monkeypatch, "segmentation_energy_raw")
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    cfg = SolverConfig(max_iters=20, region_mode="cv-means", stop_tol=0.0)
+    cfg = SolverConfig(max_iters=20, region_mode="cv-means")
     _, trace = segment(case.image, init, EnergyParams(beta=0.5), cfg)
     assert trace.iterations_run == 20
     assert len(fused) == 20
@@ -478,7 +498,7 @@ def test_non_finite_energy_mid_run_reports_the_update_index(monkeypatch):
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
-        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10))
+        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10, region_mode="fixed"))
     assert err.value.iteration == 2
     assert err.value.trace.iterations_run == 2
     assert all(np.isfinite(b.total) for b in err.value.trace.breakdowns)
@@ -544,7 +564,7 @@ def test_finite_gradient_whose_scale_overflows_is_non_finite(monkeypatch):
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
-        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10))
+        segment(case.image, init, EnergyParams(), SolverConfig(max_iters=10, region_mode="fixed"))
     assert err.value.iteration == 0
     assert err.value.trace.iterations_run == 0
     assert (err.value.c1, err.value.c2, err.value.scale) == (1.0, 0.0, None)
@@ -557,7 +577,7 @@ def test_non_finite_energy_after_last_update(monkeypatch):
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
     with pytest.raises(NonFiniteEnergyError) as err:
-        segment(case.image, init, EnergyParams(c1=0.75, c2=0.25), SolverConfig(max_iters=5))
+        segment(case.image, init, EnergyParams(c1=0.75, c2=0.25), SolverConfig(max_iters=5, region_mode="fixed"))
     assert err.value.iteration == 4
     assert err.value.trace.iterations_run == 4
     assert len(scales) == 5
@@ -597,7 +617,7 @@ def test_a_zero_gradient_takes_a_zero_step_at_any_step_size(optimizer, step):
     # and the capped factor keeps 0*factor at 0 rather than NaN
     case = small_disk()
     init = make_field(case.image.shape, 1.0, 0.5)
-    cfg = SolverConfig(max_iters=20, step_size=step, optimizer=optimizer)
+    cfg = SolverConfig(max_iters=20, step_size=step, optimizer=optimizer, region_mode="fixed")
     mask, trace = segment(case.image, init, EnergyParams(beta=0.0, c1=0.5, c2=0.5), cfg)
     assert trace.converged and trace.iterations_run == STOP_WINDOW + 1
     assert mask.data.tobytes() == init.data.tobytes()
@@ -632,6 +652,7 @@ def _budgets(float64, float32):
 # budgets in float64 arrays of the field: in float32 each workspace array, the velocity and the cast image
 # are half of one, and the output field's copy a whole one
 @pytest.mark.parametrize("dtype, shape, budget", _budgets((12.5, 6.725, 6.725), (7.5, 3.975, 3.975)))
+@pytest.mark.usefixtures("no_early_stop")
 def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(monkeypatch, dtype, shape, budget):
     monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     # numpy reports its buffers to tracemalloc, so the traced peak counts every
@@ -646,14 +667,14 @@ def test_fast3d_solve_memory_budget_does_not_grow_per_iteration(monkeypatch, dty
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
-                                    SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
-                                                 stop_tol=0.0))
+                                    SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means"))
              for k in (3, 15)]
     assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
 @pytest.mark.parametrize("dtype, shape, budget", _budgets((20.75, 7.725, 7.725), (11.75, 4.5, 4.5)))
+@pytest.mark.usefixtures("no_early_stop")
 def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(monkeypatch, dtype, shape, budget):
     monkeypatch.setattr(elastiseg.solver, "DTYPE", dtype)
     # the mean modes compute every stencil output and pointwise expression in
@@ -666,8 +687,7 @@ def test_mean3d_solve_memory_budget_does_not_grow_per_iteration(monkeypatch, dty
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.MEAN_3D)
     peaks = [_traced_peak_in_arrays(case.image, init, params,
-                                    SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means",
-                                                 stop_tol=0.0))
+                                    SolverConfig(max_iters=k, optimizer="momentum", region_mode="cv-means"))
              for k in (3, 15)]
     assert peaks[0] <= budget, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
@@ -679,6 +699,7 @@ INTERPRETER_BYTES = 2048
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.usefixtures("no_early_stop")
 def test_momentum_velocity_does_not_raise_the_peak_memory(monkeypatch, dtype):
     # the velocity is freed before the output field's copy, so a float64 momentum solve peaks no higher than a
     # gd solve; in float32 the loop, velocity included, can peak above the float64 output copy, by at most the
@@ -688,8 +709,7 @@ def test_momentum_velocity_does_not_raise_the_peak_memory(monkeypatch, dtype):
     init = make_field(case.image.shape, 1.0, 0.5)
     params = EnergyParams(alpha=0.001, beta=0.1, mode=CurvatureMode.FAST_3D)
     gd, momentum = (_traced_peak_in_arrays(case.image, init, params,
-                                           SolverConfig(max_iters=3, optimizer=opt, region_mode="cv-means",
-                                                        stop_tol=0.0))
+                                           SolverConfig(max_iters=3, optimizer=opt, region_mode="cv-means"))
                     for opt in ("gd", "momentum"))
     velocity = 0 if dtype is np.float64 else case.image.data.nbytes // 2
     assert (momentum - gd) * case.image.data.nbytes <= velocity + INTERPRETER_BYTES, (gd, momentum)
@@ -749,6 +769,7 @@ def test_workspace_holds_a_fixed_number_of_arrays_per_mode(monkeypatch):
 @pytest.mark.parametrize("mode, beta", [(CurvatureMode.MEAN_2D, 0.0), (CurvatureMode.MEAN_2D, 0.5),
                                         (CurvatureMode.MEAN_3D, 0.5), (CurvatureMode.FAST_3D, 0.5),
                                         (CurvatureMode.LAPLACIAN_3D, 0.5)])
+@pytest.mark.usefixtures("no_early_stop")
 def test_max_iters_solve_evaluates_its_exit_energy_in_its_one_workspace(monkeypatch, mode, beta):
     made = []
     real_init = Workspace.__init__
@@ -760,7 +781,7 @@ def test_max_iters_solve_evaluates_its_exit_energy_in_its_one_workspace(monkeypa
     monkeypatch.setattr(Workspace, "__init__", recording_init)
     shape = (12, 12) if mode.required_ndim == 2 else (8, 9, 7)
     image = ScalarField(np.random.default_rng(9).random(shape), 1.0)
-    cfg = SolverConfig(max_iters=3, region_mode="cv-means", stop_tol=0.0)
+    cfg = SolverConfig(max_iters=3, region_mode="cv-means")
     mask, trace = segment(image, make_field(shape, 1.0, 0.5), EnergyParams(alpha=0.01, beta=beta, mode=mode), cfg)
     assert trace.iterations_run == 3 and not trace.converged
     assert len(made) == 1
