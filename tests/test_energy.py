@@ -343,6 +343,14 @@ def test_mode_dimension_mismatch():
         segmentation_energy(u3, u3, p)
 
 
+@pytest.mark.parametrize("keyword", ["ws", "moments"])
+def test_segmentation_energy_takes_no_workspace_or_moments(keyword):
+    # it makes its own workspace and moments; the solver calls segmentation_energy_raw
+    u = make_field((4, 4), 1.0, 0.5)
+    with pytest.raises(TypeError, match=keyword):
+        segmentation_energy(u, u, EnergyParams(), **{keyword: None})
+
+
 def test_soft_mask_precondition():
     bad = ScalarField(np.full((4, 4), 1.5), 1.0)
     with pytest.raises(FieldError):

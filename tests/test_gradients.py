@@ -262,6 +262,23 @@ def test_gradcheck_rejects_bad_trials():
         gradcheck((8, 8), trials=0, seed=0, params=EnergyParams())
 
 
+def test_gradcheck_has_no_tol_argument():
+    # the gate is the constant GRADCHECK_TOL
+    with pytest.raises(TypeError, match="tol"):
+        gradcheck((5, 5), trials=1, seed=0, params=EnergyParams(), tol=1e-5)
+
+
+def test_gradcheck_reads_its_gate_when_the_check_ends(monkeypatch):
+    rep = gradcheck((6, 6), trials=2, seed=3, params=EnergyParams(alpha=0.01, beta=0.5))
+    assert rep.passed and 0.0 < rep.max_rel_error < gradients.GRADCHECK_TOL
+    # the error must be strictly below the gate
+    monkeypatch.setattr(gradients, "GRADCHECK_TOL", rep.max_rel_error)
+    at_gate = gradcheck((6, 6), trials=2, seed=3, params=EnergyParams(alpha=0.01, beta=0.5))
+    assert at_gate == dataclasses.replace(rep, passed=False)
+    monkeypatch.setattr(gradients, "GRADCHECK_TOL", math.nextafter(rep.max_rel_error, math.inf))
+    assert gradcheck((6, 6), trials=2, seed=3, params=EnergyParams(alpha=0.01, beta=0.5)) == rep
+
+
 def test_workspace_ignores_double_and_foreign_gives():
     ws = Workspace((3, 4))
     a, b = ws.take(), ws.take()

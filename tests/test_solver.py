@@ -27,7 +27,7 @@ from elastiseg import (
     threshold,
 )
 from elastiseg.energy import MAX_CONSTANT
-from elastiseg.solver import OPTIMIZERS, REGION_MODES, STOP_WINDOW
+from elastiseg.solver import OPTIMIZERS, REGION_MODES, STOP_WINDOW, SolverTrace
 from elastiseg.workspace import Workspace, block_sum
 
 
@@ -295,7 +295,8 @@ def test_config_validation():
         SolverConfig(region_mode="other")
 
 
-@pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan)])
+@pytest.mark.parametrize("field,value", [("step_size", math.inf), ("step_size", math.nan), ("step_size", -0.1),
+                                         ("max_iters", -1)])
 def test_config_rejects_non_finite_or_negative_knobs(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
@@ -309,6 +310,12 @@ def test_the_stop_rule_has_no_setting():
 
 def test_region_mode_defaults_to_cv_means():
     assert SolverConfig().region_mode == "cv-means"
+
+
+def test_trace_columns_have_no_default():
+    # only a solve builds a trace, and it fills every column
+    with pytest.raises(TypeError, match="c1"):
+        SolverTrace([], 0, False)
 
 
 def test_converged_flag_on_flat_problem():
